@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import FrameTrackingError
 from .pulses import (
@@ -23,6 +22,8 @@ from .pulses import (
     StirapSchedule,
     eval_ps,
     eval_q,
+    gauss_legendre,
+    ps_values,
     stap_alpha1,
     stap_alpha1_dot,
     stap_alpha2,
@@ -38,38 +39,41 @@ LEVEL_TO_QUBIT = {1: IDX_00, 2: IDX_11, 3: IDX_10}
 # 3-level subspace in basis order (ground, intermediate, target)
 SUBSPACE = (IDX_00, IDX_11, IDX_10)
 
+# The builders below take amplitude arrays of one shape and return a stack of
+# shape amplitude.shape + (4, 4); a plain float gives one 4x4 matrix.
 
-def build_h_q(omega_q: float, handedness: Handedness) -> np.ndarray:
+
+def build_h_q(omega_q, handedness: Handedness) -> np.ndarray:
     """Chirality-signed |00><10| coupling: (Omega_Q/2) e^{i phi_Q} + h.c."""
-    if omega_q < 0:
-        raise ValueError(f"omega_q must be >= 0, got {omega_q}")
-    h = np.zeros((4, 4), dtype=complex)
+    if np.any(np.asarray(omega_q) < 0):
+        raise ValueError(f"omega_q must be >= 0, got {np.min(omega_q)}")
+    h = np.zeros(np.shape(omega_q) + (4, 4), dtype=complex)
     c = 0.5 * omega_q * np.exp(1j * handedness.phi_q)
-    h[IDX_00, IDX_10] = c
-    h[IDX_10, IDX_00] = np.conj(c)
+    h[..., IDX_00, IDX_10] = c
+    h[..., IDX_10, IDX_00] = np.conj(c)
     return h
 
 
-def build_h_ps(omega_p: float, omega_s: float,
+def build_h_ps(omega_p, omega_s,
                phi_p: float = 0.0, phi_s: float = 0.0) -> np.ndarray:
     """Pump |00><11| and Stokes |11><10| couplings at Omega/2 each.
 
     Amplitudes may be negative (phase-flipped effective STAP drives)."""
-    h = np.zeros((4, 4), dtype=complex)
+    h = np.zeros(np.shape(omega_p) + (4, 4), dtype=complex)
     cp = 0.5 * omega_p * np.exp(1j * phi_p)
     cs = 0.5 * omega_s * np.exp(1j * phi_s)
-    h[IDX_00, IDX_11] = cp
-    h[IDX_11, IDX_00] = np.conj(cp)
-    h[IDX_11, IDX_10] = cs
-    h[IDX_10, IDX_11] = np.conj(cs)
+    h[..., IDX_00, IDX_11] = cp
+    h[..., IDX_11, IDX_00] = np.conj(cp)
+    h[..., IDX_11, IDX_10] = cs
+    h[..., IDX_10, IDX_11] = np.conj(cs)
     return h
 
 
-def build_h_stap(p_eff: float, s_eff: float,
+def build_h_stap(p_eff, s_eff,
                  phi_p: float = 0.0, phi_s: float = 0.0) -> np.ndarray:
     """Generator for the corrected drives; same sparsity as build_h_ps."""
-    if not (math.isfinite(p_eff) and math.isfinite(s_eff)):
-        raise ValueError(f"effective amplitudes must be finite, got ({p_eff}, {s_eff})")
+    if not (np.all(np.isfinite(p_eff)) and np.all(np.isfinite(s_eff))):
+        raise ValueError("effective amplitudes must be finite")
     return build_h_ps(p_eff, s_eff, phi_p, phi_s)
 
 
@@ -136,10 +140,6 @@ def dressed_states(alpha1: float, alpha2: float, phi: float = math.pi / 2) -> Dr
     ])
     assert np.allclose(gram, np.eye(3), atol=1e-12), "dressed frame lost orthonormality"
     return frame
-
-
-def hermiticity_defect(h: np.ndarray) -> float:
-    return float(np.max(np.abs(h - h.conj().T)))
 
 
 # -- adiabatic-frame transformation ------------------------------------------
@@ -233,21 +233,23 @@ def lambda_pm(schedule: StapSchedule, t: float,
 
 # -- final-state predictions -------------------------------------------------
 
+PREDICT_PANELS = 32  # Gauss-Legendre panels over the P/S stage
+
+
 def predict_r_final(schedule: StirapSchedule | StapSchedule) -> np.ndarray:
     """Analytic final state of the R enantiomer, cos(rho)|00> + sin(rho)|11>.
 
     The R superposition is orthogonal to the transfer path and splits over
     the two split-off frame states, accumulating opposite dynamic phases:
     rho = (1/2) int Omega dt for STIRAP, rho = (1/2) int Upsilon dt for STAP
-    (quadrature over the P/S stage)."""
+    (composite Gauss-Legendre quadrature over the P/S stage)."""
     if isinstance(schedule, StirapSchedule):
         splitting = lambda t: total_rabi(*eval_ps(schedule, t))
-        lo, hi = schedule.t1, schedule.t_f
     else:
         splitting = lambda t: stap_dressed_splitting(schedule.path, t)
-        lo, hi = schedule.path.t_i, schedule.path.t_f
-    area, _ = quad(splitting, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=400)
-    rho = 0.5 * area
+    area = gauss_legendre(splitting, schedule.t_split, schedule.duration,
+                          PREDICT_PANELS)
+    rho = 0.5 * float(area)
     v = np.zeros(4, dtype=complex)
     v[IDX_00] = math.cos(rho)
     v[IDX_11] = math.sin(rho)
@@ -255,21 +257,32 @@ def predict_r_final(schedule: StirapSchedule | StapSchedule) -> np.ndarray:
 
 
 # -- time-dependent generators for the propagator ---------------------------
+#
+# A generator maps an array of times to a stack of 4x4 Hermitian matrices of
+# shape t.shape + (4, 4) (one 4x4 matrix for a plain float), each with the
+# spectrum {0, +-w} that evolve_piecewise_exact relies on.
+
+def _two_stage_generator(schedule: StirapSchedule | StapSchedule,
+                         handedness: Handedness):
+    def gen(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        q_stage = t < schedule.t_split
+        h = np.empty(t.shape + (4, 4), dtype=complex)
+        # an empty stage is skipped: RK4 calls with one time per stage
+        if q_stage.any():
+            h[q_stage] = build_h_q(eval_q(schedule, t[q_stage]), handedness)
+        if not q_stage.all():
+            h[~q_stage] = build_h_stap(*ps_values(schedule, t[~q_stage]),
+                                       schedule.phi_p, schedule.phi_s)
+        return h
+    return gen
+
 
 def stirap_generator(schedule: StirapSchedule, handedness: Handedness):
     """t -> H(t) for the full STIRAP protocol on [0, t_f]."""
-    def gen(t: float) -> np.ndarray:
-        if t < schedule.t1:
-            return build_h_q(eval_q(schedule, t), handedness)
-        return build_h_ps(*eval_ps(schedule, t), schedule.phi_p, schedule.phi_s)
-    return gen
+    return _two_stage_generator(schedule, handedness)
 
 
 def stap_generator(schedule: StapSchedule, handedness: Handedness):
     """t -> H(t) for the full STAP protocol on [0, path.t_f]."""
-    def gen(t: float) -> np.ndarray:
-        if t < schedule.t_split:
-            return build_h_q(eval_q(schedule, t), handedness)
-        p_eff, s_eff = stap_corrected_pulses(schedule.path, t)
-        return build_h_stap(p_eff, s_eff, schedule.phi_p, schedule.phi_s)
-    return gen
+    return _two_stage_generator(schedule, handedness)

@@ -1,10 +1,16 @@
 """Exact-reference time evolution for the 4-dimensional two-qubit system.
 
 Two independent integrators are provided: a piecewise-exact propagator that
-freezes the generator at each sub-interval midpoint and applies the exact
-matrix exponential through a Hermitian eigendecomposition, and a classical
-RK4 integrator with no renormalization whose norm drift doubles as an
-integration-quality diagnostic.
+freezes the generator at each sub-interval midpoint and applies the
+closed-form exponential of a {0, +-w}-spectrum generator, batched over the
+grid, and a classical RK4 integrator with no renormalization whose norm
+drift doubles as an integration-quality diagnostic.
+
+A generator maps an array of times to an array broadcastable to
+t.shape + (4, 4) of Hermitian matrices.  The piecewise-exact propagator
+calls it once with every step midpoint and needs each matrix to have the
+spectrum {0, +-w}, as every coupling built in hamiltonians does; RK4 calls
+it with one float time per stage.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ class PopulationTrace:
     times: np.ndarray        # shape (n,)
     probs: np.ndarray        # shape (n, 4)
     handedness: str = ""
+    final_state: np.ndarray | None = None   # amplitudes at times[-1]
 
     def final(self) -> np.ndarray:
         return self.probs[-1]
@@ -55,22 +62,29 @@ class PopulationTrace:
         return buf.getvalue()
 
 
-def _expm_step(h: np.ndarray, dt: float) -> np.ndarray:
-    defect = np.max(np.abs(h - h.conj().T))
+def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for a stack of Hermitian generators with spectrum {0, +-w}.
+
+    Such an h obeys h^3 = w^2 h with w^2 = (1/2) ||h||_F^2, so
+
+        exp(-i h dt) = I - i sin(w dt)/w h + (cos(w dt) - 1)/w^2 h^2,
+
+    written with sinc so that w -> 0 needs no special case.  A basis state
+    whose row and column of h vanish (|01> for every drive here) is left
+    exactly invariant, because h and h^2 vanish there too.
+    """
+    h = np.asarray(h)
+    defect = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))
     if defect > HERMITICITY_TOL:
         raise IntegrityError(
             f"generator is non-Hermitian (defect {defect:.3g})")
-    # Basis states with exactly zero row and column are decoupled and must
-    # stay exactly invariant; eigh would otherwise rotate them within a
-    # degenerate eigenspace and leak ~1e-14 amplitude (the |01> state in
-    # every ideal drive here).
-    coupled = np.where((np.abs(h).sum(axis=0) + np.abs(h).sum(axis=1)) > 0)[0]
-    u = np.eye(h.shape[0], dtype=complex)
-    if coupled.size:
-        sub = h[np.ix_(coupled, coupled)]
-        vals, vecs = np.linalg.eigh(sub)
-        u[np.ix_(coupled, coupled)] = (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
-    return u
+    h2 = h @ h
+    wdt = dt * np.sqrt(0.5 * np.einsum("...ii->...", h2).real)
+    sin_over_w = dt * np.sinc(wdt / np.pi)
+    cos_minus_1_over_w2 = -0.5 * dt**2 * np.sinc(wdt / (2.0 * np.pi)) ** 2
+    return (np.eye(h.shape[-1])
+            - 1j * sin_over_w[..., None, None] * h
+            + cos_minus_1_over_w2[..., None, None] * h2)
 
 
 def evolve_piecewise_exact(
@@ -83,31 +97,32 @@ def evolve_piecewise_exact(
 ) -> PopulationTrace:
     """Propagate psi0 from t0 to t1, freezing H at each step midpoint.
 
-    Each step applies the exact unitary exp(-i H(t_mid) dt); the error is
-    O(dt^2) in the commutator of H with its time derivative.  The returned
-    trace holds the state populations at every grid point, and the final
-    state itself is stashed on the trace as `.final_state`.
+    Each step applies the exact unitary exp(-i H(t_mid) dt), built for all
+    steps at once by closed_form_unitaries from one generator call; the
+    error is O(dt^2) in the commutator of H with its time derivative.  The
+    returned trace holds the state populations at every grid point and the
+    final state.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    psi0 = np.asarray(psi0, dtype=complex)
+    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state is not normalized")
     dt = (t1 - t0) / n_steps
     times = np.linspace(t0, t1, n_steps + 1)
-    probs = np.empty((n_steps + 1, 4))
-    probs[0] = populations(psi)
-    for i in range(n_steps):
-        t_mid = t0 + (i + 0.5) * dt
-        psi = _expm_step(generator(t_mid), dt) @ psi
-        probs[i + 1] = populations(psi)
+    t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
+    steps = np.broadcast_to(closed_form_unitaries(generator(t_mid), dt),
+                            (n_steps, 4, 4))
+    psi = psi0
+    states = [psi]
+    for u in list(steps):   # ndarray.dot is the cheapest 4x4 mat-vec call
+        psi = u.dot(psi)
+        states.append(psi)
     norm_err = abs(np.linalg.norm(psi) - 1.0)
     if norm_err > NORM_TOL:
         raise IntegrityError(f"norm drifted by {norm_err:.3g} "
                              "despite unitary steps")
-    trace = PopulationTrace(times, probs, handedness)
-    trace.final_state = psi
-    return trace
+    return PopulationTrace(times, populations(np.array(states)), handedness, psi)
 
 
 def evolve_rk4(
@@ -134,12 +149,14 @@ def evolve_rk4(
     def f(t, y):
         return -1j * (generator(t) @ y)
 
+    # stage times come from the grid, so the last stage lands exactly on t1
     for i in range(n_steps):
-        t = t0 + i * dt
-        k1 = f(t, psi)
-        k2 = f(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = f(t + dt, psi + dt * k3)
+        ta, tb = times[i], times[i + 1]
+        tm = 0.5 * (ta + tb)
+        k1 = f(ta, psi)
+        k2 = f(tm, psi + 0.5 * dt * k1)
+        k3 = f(tm, psi + 0.5 * dt * k2)
+        k4 = f(tb, psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         probs[i + 1] = populations(psi)
     drift = abs(np.linalg.norm(psi) - 1.0)
@@ -147,6 +164,4 @@ def evolve_rk4(
         raise IntegrityError(
             f"RK4 norm drift {drift:.3g} exceeds {RK4_NORM_DRIFT_LIMIT}; "
             "increase n_steps")
-    trace = PopulationTrace(times, probs, handedness)
-    trace.final_state = psi
-    return trace
+    return PopulationTrace(times, probs, handedness, psi)

@@ -10,14 +10,19 @@ stage window and are identically zero outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, SingularScheduleError
 
 ALPHA1_PROFILES = ("gauss_match", "sin2")
+
+
+def _erf(x) -> np.ndarray:
+    """math.erf elementwise (numpy has no erf ufunc)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erf, x.flat), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -38,12 +43,12 @@ class GaussianPulse:
         u = (np.asarray(t, dtype=float) - self.center) / self.width
         return self.amplitude * np.exp(-u * u)
 
-    def area(self, a: float, b: float) -> float:
+    def area(self, a, b):
         """Exact integral over [a, b] via the error function."""
-        ua = (a - self.center) / self.width
-        ub = (b - self.center) / self.width
+        ua = (np.asarray(a, dtype=float) - self.center) / self.width
+        ub = (np.asarray(b, dtype=float) - self.center) / self.width
         return 0.5 * math.sqrt(math.pi) * self.amplitude * self.width * (
-            math.erf(ub) - math.erf(ua)
+            _erf(ub) - _erf(ua)
         )
 
 
@@ -181,49 +186,53 @@ class DiscretizedSchedule:
     def m(self) -> int:
         return self.omega_q.shape[0]
 
-    def slice_window(self, i: int) -> tuple[float, float]:
-        return i * self.delta_t, (i + 1) * self.delta_t
+
+# Every pulse function below maps an array of times to arrays of the same
+# shape (a plain float gives 0-d results).
+
+def _first(t: np.ndarray, bad: np.ndarray) -> float:
+    return float(t[bad].flat[0])
 
 
-def eval_q(schedule: StirapSchedule | StapSchedule, t: float) -> float:
-    """Q-pulse amplitude at time t; zero once the P/S stage has begun."""
-    t_split = schedule.t_split
-    if t < 0.0 or t > schedule.duration:
+def eval_q(schedule: StirapSchedule | StapSchedule, t):
+    """Q-pulse amplitude at times t; zero once the P/S stage has begun."""
+    t = np.asarray(t, dtype=float)
+    bad = (t < 0.0) | (t > schedule.duration)
+    if np.any(bad):
         raise DomainError(
-            f"t={t} outside schedule domain [0, {schedule.duration}]"
+            f"t={_first(t, bad)} outside schedule domain [0, {schedule.duration}]"
         )
-    if t > t_split:
-        return 0.0
-    return float(schedule.q(t))
+    return np.where(t > schedule.t_split, 0.0, schedule.q(t))
 
 
-def eval_ps(schedule: StirapSchedule, t: float) -> tuple[float, float]:
-    """(Omega_P, Omega_S) of the STIRAP schedule at time t.
+def eval_ps(schedule: StirapSchedule, t):
+    """(Omega_P, Omega_S) of the STIRAP schedule at times t.
 
-    Times before t1 return (0, 0); times beyond t_f are a domain error.
+    Times before t1 give (0, 0); times beyond t_f are a domain error.
     """
-    if t > schedule.t_f:
-        raise DomainError(f"t={t} beyond schedule end t_f={schedule.t_f}")
-    if t < schedule.t1:
-        return 0.0, 0.0
-    omega_p = float(schedule.p_first(t)) + float(schedule.p_second(t))
-    omega_s = float(schedule.s(t))
+    t = np.asarray(t, dtype=float)
+    bad = t > schedule.t_f
+    if np.any(bad):
+        raise DomainError(f"t={_first(t, bad)} beyond schedule end t_f={schedule.t_f}")
+    on = t >= schedule.t1
+    omega_p = np.where(on, schedule.p_first(t) + schedule.p_second(t), 0.0)
+    omega_s = np.where(on, schedule.s(t), 0.0)
     return omega_p, omega_s
 
 
-def eval_ps_rates(schedule: StirapSchedule, t: float) -> tuple[float, float]:
+def eval_ps_rates(schedule: StirapSchedule, t):
     """Analytic time derivatives (dOmega_P/dt, dOmega_S/dt) on the P/S stage."""
-    if t < schedule.t1 or t > schedule.t_f:
-        return 0.0, 0.0
+    t = np.asarray(t, dtype=float)
+    on = (t >= schedule.t1) & (t <= schedule.t_f)
 
-    def _dg(g: GaussianPulse) -> float:
-        return float(g(t)) * (-2.0 * (t - g.center) / g.width**2)
+    def _dg(g: GaussianPulse) -> np.ndarray:
+        return np.where(on, g(t) * (-2.0 * (t - g.center) / g.width**2), 0.0)
 
     return _dg(schedule.p_first) + _dg(schedule.p_second), _dg(schedule.s)
 
 
-def total_rabi(omega_p: float, omega_s: float) -> float:
-    return math.hypot(omega_p, omega_s)
+def total_rabi(omega_p, omega_s):
+    return np.hypot(omega_p, omega_s)
 
 
 def mixing_angle(omega_p: float, omega_s: float) -> float:
@@ -265,50 +274,50 @@ def _u_edge(path: StapAnglePath) -> float:
     return 0.5 * (path.t_f - path.t_i) / path.t_alpha2
 
 
-def stap_alpha1(path: StapAnglePath, t: float) -> float:
+def stap_alpha1(path: StapAnglePath, t):
     """Mixing-angle ramp pi/4 -> pi/2 over [t_i, t_f]."""
+    t = np.asarray(t, dtype=float)
     span = path.t_f - path.t_i
     if path.alpha1_profile == "sin2":
         s = (t - path.t_i) / span
-        return math.pi / 4 + (math.pi / 4) * math.sin(math.pi * s / 2) ** 2
+        return math.pi / 4 + (math.pi / 4) * np.sin(math.pi * s / 2) ** 2
     # "gauss_match": alpha1_dot proportional to the alpha2 Gaussian, so the
     # ratio alpha1_dot / alpha2 stays bounded by its endpoint value and the
     # corrected drives remain modest everywhere (see stap_corrected_pulses).
     ue = _u_edge(path)
-    u = min(max((t - path.center) / path.t_alpha2, -ue), ue)
-    return math.pi / 4 + (math.pi / 8) * (math.erf(u) + math.erf(ue)) / math.erf(ue)
+    u = np.clip((t - path.center) / path.t_alpha2, -ue, ue)
+    return math.pi / 4 + (math.pi / 8) * (_erf(u) + math.erf(ue)) / math.erf(ue)
 
 
-def stap_alpha1_dot(path: StapAnglePath, t: float) -> float:
+def stap_alpha1_dot(path: StapAnglePath, t):
+    t = np.asarray(t, dtype=float)
     span = path.t_f - path.t_i
     if path.alpha1_profile == "sin2":
         s = (t - path.t_i) / span
-        return (math.pi**2 / (8.0 * span)) * math.sin(math.pi * s)
-    ue = _u_edge(path)
+        return (math.pi**2 / (8.0 * span)) * np.sin(math.pi * s)
     u = (t - path.center) / path.t_alpha2
-    if abs(u) > ue:
-        return 0.0
-    return (math.pi / 4) / (math.sqrt(math.pi) * path.t_alpha2 * math.erf(ue)) * math.exp(-u * u)
+    peak = (math.pi / 4) / (math.sqrt(math.pi) * path.t_alpha2 * math.erf(_u_edge(path)))
+    # the window test is on t: at t = t_i, u rounds to just below -u_edge
+    inside = (t >= path.t_i) & (t <= path.t_f)
+    return np.where(inside, peak * np.exp(-u * u), 0.0)
 
 
-def stap_alpha2(path: StapAnglePath, t: float) -> float:
+def stap_alpha2(path: StapAnglePath, t):
     """Gaussian counteradiabatic angle; alpha_m * e^-9 at both endpoints when
     t_alpha2 keeps its default (t_f - t_i)/6."""
-    u = (t - path.center) / path.t_alpha2
-    return path.alpha_m * math.exp(-u * u)
+    u = (np.asarray(t, dtype=float) - path.center) / path.t_alpha2
+    return path.alpha_m * np.exp(-u * u)
 
 
-def stap_alpha2_dot(path: StapAnglePath, t: float) -> float:
-    u = (t - path.center) / path.t_alpha2
+def stap_alpha2_dot(path: StapAnglePath, t):
+    u = (np.asarray(t, dtype=float) - path.center) / path.t_alpha2
     return stap_alpha2(path, t) * (-2.0 * u / path.t_alpha2)
 
 
 _COT_OVERFLOW = 1e9
 
 
-def stap_corrected_pulses(
-    path: StapAnglePath, t: float, base_rabi: float = 0.0
-) -> tuple[float, float]:
+def stap_corrected_pulses(path: StapAnglePath, t):
     """Effective drive amplitudes (Omega_P + Omega_P', Omega_S + Omega_S').
 
     Solving for a vanishing dressed-frame coupling (lambda_pm = 0) under the
@@ -318,25 +327,25 @@ def stap_corrected_pulses(
         P_eff = -2 [ alpha1_dot sin(alpha1) cot(alpha2) + alpha2_dot cos(alpha1) ]
         S_eff = -2 [ alpha1_dot cos(alpha1) cot(alpha2) - alpha2_dot sin(alpha1) ]
 
-    independent of how the total is split into a bare pulse plus correction
-    (base_rabi is accepted for interface symmetry but does not enter the
-    total).  Amplitudes may be negative: a sign flip is a pi phase flip of
-    the drive.
+    independent of how the total is split into a bare pulse plus correction.
+    Amplitudes may be negative: a sign flip is a pi phase flip of the drive.
     """
+    t = np.asarray(t, dtype=float)
     a1 = stap_alpha1(path, t)
     a2 = stap_alpha2(path, t)
     da1 = stap_alpha1_dot(path, t)
     da2 = stap_alpha2_dot(path, t)
-    cot = math.cos(a2) / math.sin(a2)  # alpha2 > 0 on the closed window
-    core = da1 * cot
-    if abs(core) > _COT_OVERFLOW:
-        raise SingularScheduleError(t, abs(core))
-    p_eff = -2.0 * (core * math.sin(a1) + da2 * math.cos(a1))
-    s_eff = -2.0 * (core * math.cos(a1) - da2 * math.sin(a1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        core = da1 * (np.cos(a2) / np.sin(a2))  # alpha2 > 0 on the closed window
+    bad = ~(np.abs(core) <= _COT_OVERFLOW)      # also an alpha2 that underflowed
+    if np.any(bad):
+        raise SingularScheduleError(_first(t, bad), float(np.abs(core[bad]).flat[0]))
+    p_eff = -2.0 * (core * np.sin(a1) + da2 * np.cos(a1))
+    s_eff = -2.0 * (core * np.cos(a1) - da2 * np.sin(a1))
     return p_eff, s_eff
 
 
-def stap_dressed_splitting(path: StapAnglePath, t: float) -> float:
+def stap_dressed_splitting(path: StapAnglePath, t):
     """Energy splitting Upsilon(t) between the two excited dressed states.
 
     The dressed-frame generator is diag(+Upsilon/2, 0, -Upsilon/2) once the
@@ -348,10 +357,33 @@ def stap_dressed_splitting(path: StapAnglePath, t: float) -> float:
     a2 = stap_alpha2(path, t)
     da1 = stap_alpha1_dot(path, t)
     p_eff, s_eff = stap_corrected_pulses(path, t)
-    return (p_eff * math.sin(a1) + s_eff * math.cos(a1)) * math.cos(a2) - 2.0 * math.sin(a2) * da1
+    return (p_eff * np.sin(a1) + s_eff * np.cos(a1)) * np.cos(a2) - 2.0 * np.sin(a2) * da1
 
 
-# -- discretization ----------------------------------------------------------
+# -- quadrature and discretization -------------------------------------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def gauss_legendre(f, lo, hi, panels: int = 1):
+    """Integrals of f over the windows [lo, hi] (arrays of one shape), each
+    split into `panels` equal panels of the 16-node Gauss-Legendre rule.
+
+    f maps an array of times to an array, or a tuple of arrays, of the same
+    shape; the result has the same structure with the shape of lo.
+    """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    edges = lo + (hi - lo) * (np.arange(panels + 1) / panels)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    vals = f(mid[..., None] + half[..., None] * _GL_NODES)
+
+    def integral(v):
+        return np.sum(half * (v @ _GL_WEIGHTS), axis=-1)
+
+    return tuple(map(integral, vals)) if isinstance(vals, tuple) else integral(vals)
+
 
 def q_stage_pulse(amplitude_area: float, t_end: float, width: float | None = None) -> GaussianPulse:
     """Gaussian centered on [0, t_end] whose windowed area equals amplitude_area."""
@@ -361,7 +393,9 @@ def q_stage_pulse(amplitude_area: float, t_end: float, width: float | None = Non
     return GaussianPulse(amplitude_area / probe.area(0.0, t_end), t_end / 2.0, width)
 
 
-def _ps_values(schedule, t: float) -> tuple[float, float]:
+def ps_values(schedule: StirapSchedule | StapSchedule, t):
+    """(Omega_P, Omega_S) on the P/S stage: the STIRAP pulses or the
+    corrected STAP drives."""
     if isinstance(schedule, StirapSchedule):
         return eval_ps(schedule, t)
     return stap_corrected_pulses(schedule.path, t)
@@ -376,9 +410,9 @@ def discretize(
 
     Slices before the stage boundary carry only the Q amplitude, the rest
     only P/S.  In area_preserving mode each slice amplitude is the pulse
-    integral over the slice divided by delta_t, so the total discrete area
-    matches the continuous one; midpoint mode samples the pulse at the slice
-    center.
+    integral over the slice divided by delta_t (exact for Q, Gauss-Legendre
+    for P/S), so the total discrete area matches the continuous one;
+    midpoint mode samples the pulse at the slice center.
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
@@ -390,42 +424,26 @@ def discretize(
     dt = duration / n_steps
     k = max(1, min(n_steps - 1, round(n_steps * t_split / duration)))
 
+    # k is within half a slice of n_steps * t_split / duration, so every Q
+    # window starts before t_split and every P/S window ends after it
+    edges = np.arange(n_steps + 1) * dt
+    q_lo, q_hi = edges[:k], np.minimum(edges[1:k + 1], t_split)
+    ps_lo, ps_hi = np.maximum(edges[k:-1], t_split), edges[k + 1:]
+
     omega_q = np.zeros(n_steps)
     omega_p = np.zeros(n_steps)
     omega_s = np.zeros(n_steps)
-    for i in range(n_steps):
-        a, b = i * dt, (i + 1) * dt
-        if i < k:
-            lo, hi = a, min(b, t_split)
-            if mode == "midpoint":
-                tm = 0.5 * (lo + hi)
-                omega_q[i] = schedule.q(tm) if tm <= t_split else 0.0
-            else:
-                omega_q[i] = schedule.q.area(lo, hi) / dt
-        else:
-            lo, hi = max(a, t_split), b
-            if hi <= lo:
-                continue
-            if mode == "midpoint":
-                tm = 0.5 * (lo + hi)
-                omega_p[i], omega_s[i] = _ps_values(schedule, tm)
-            else:
-                omega_p[i] = _window_area(lambda t: _ps_values(schedule, t)[0], lo, hi) / dt
-                omega_s[i] = _window_area(lambda t: _ps_values(schedule, t)[1], lo, hi) / dt
+    if mode == "midpoint":
+        omega_q[:k] = schedule.q(0.5 * (q_lo + q_hi))
+        omega_p[k:], omega_s[k:] = ps_values(schedule, 0.5 * (ps_lo + ps_hi))
+    else:
+        omega_q[:k] = schedule.q.area(q_lo, q_hi) / dt
+        areas = gauss_legendre(lambda t: ps_values(schedule, t), ps_lo, ps_hi)
+        omega_p[k:], omega_s[k:] = (a / dt for a in areas)
     return DiscretizedSchedule(dt, omega_q, omega_p, omega_s, k, mode)
 
 
-def _window_area(f, lo: float, hi: float) -> float:
-    val, _ = quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
-
-
 # -- shipped default schedules ----------------------------------------------
-
-DEFAULT_STIRAP = dict(t1=2.53, t_f=10.0, ps_amplitude=2.0, tau=None, ps_width=None, q_width=None)
-DEFAULT_STAP = dict(t_split=1.24, t_f=2.5, alpha_m=0.35, t_alpha2=None,
-                    alpha1_profile="gauss_match", q_width=None)
-
 
 def default_stirap_schedule(
     t1: float = 2.53,

@@ -18,8 +18,7 @@ from .errors import ConfigError
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
 from .propagate import PopulationTrace, evolve_piecewise_exact
-from .pulses import (Handedness, discretize, eval_ps, eval_q,
-                     stap_corrected_pulses)
+from .pulses import Handedness, discretize, eval_q, ps_values
 
 PSI0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
@@ -266,16 +265,13 @@ def molecule_report(config: ScenarioConfig) -> dict:
 def dump_pulses(config: ScenarioConfig, n_samples: int = 2000) -> str:
     """CSV of the continuous drive amplitudes on a uniform grid."""
     schedule = config.build_schedule()
+    t = np.linspace(0.0, schedule.duration, n_samples)
+    p, s = np.zeros(n_samples), np.zeros(n_samples)
+    ps_stage = t >= schedule.t_split
+    p[ps_stage], s[ps_stage] = ps_values(schedule, t[ps_stage])
     lines = ["t_us,omega_q,omega_p,omega_s"]
-    for t in np.linspace(0.0, schedule.duration, n_samples):
-        q = eval_q(schedule, t)
-        if t < schedule.t_split:
-            p, s = 0.0, 0.0
-        elif config.protocol == "stirap":
-            p, s = eval_ps(schedule, t)
-        else:
-            p, s = stap_corrected_pulses(schedule.path, t)
-        lines.append("%.9f,%.12g,%.12g,%.12g" % (t, q, p, s))
+    lines += ["%.9f,%.12g,%.12g,%.12g" % row
+              for row in zip(t, eval_q(schedule, t), p, s)]
     return "\n".join(lines) + "\n"
 
 

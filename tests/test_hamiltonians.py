@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from chiralgate.hamiltonians import (IDX_00, IDX_01, IDX_10, IDX_11,
                                      adiabatic_frame_couplings, bright_states,
@@ -10,10 +11,11 @@ from chiralgate.hamiltonians import (IDX_00, IDX_01, IDX_10, IDX_11,
                                      predict_r_final, stap_generator,
                                      stirap_generator)
 from chiralgate.propagate import evolve_piecewise_exact
-from chiralgate.pulses import (LEFT, RIGHT, default_stap_schedule,
-                               default_stirap_schedule, eval_ps,
-                               mixing_angle_rate, stap_alpha1_dot,
-                               stap_corrected_pulses, total_rabi)
+from chiralgate.pulses import (LEFT, RIGHT, StirapSchedule,
+                               default_stap_schedule, default_stirap_schedule,
+                               eval_ps, mixing_angle_rate, stap_alpha1_dot,
+                               stap_corrected_pulses, stap_dressed_splitting,
+                               total_rabi)
 
 
 def test_h_q_structure_and_hermiticity():
@@ -121,6 +123,22 @@ def test_predict_r_final_frozen_values():
     pred_stirap = np.abs(predict_r_final(default_stirap_schedule())) ** 2
     np.testing.assert_allclose(pred_stirap[[IDX_00, IDX_11]],
                                [0.98161118, 0.01838882], atol=1e-6)
+
+
+def test_predict_r_final_matches_quad():
+    # rho from the composite Gauss-Legendre rule against adaptive quadrature
+    for s in (default_stap_schedule(), default_stap_schedule(alpha1_profile="sin2"),
+              default_stirap_schedule()):
+        if isinstance(s, StirapSchedule):
+            splitting = lambda t: float(total_rabi(*eval_ps(s, t)))
+        else:
+            splitting = lambda t: float(stap_dressed_splitting(s.path, t))
+        area, _ = quad(splitting, s.t_split, s.duration, epsabs=1e-11,
+                       epsrel=1e-11, limit=400)
+        rho = 0.5 * area
+        np.testing.assert_allclose(predict_r_final(s),
+                                   [math.cos(rho), 0, 0, math.sin(rho)],
+                                   rtol=0, atol=1e-11)
 
 
 def test_generators_switch_stages():

@@ -12,10 +12,10 @@ from chiralgate.pulses import (GaussianPulse, Handedness, LEFT, RIGHT,
                                adiabaticity_ratio, default_stap_schedule,
                                default_stirap_schedule, discretize, eval_ps,
                                eval_ps_rates, eval_q, mixing_angle,
-                               mixing_angle_rate, q_stage_pulse, stap_alpha1,
-                               stap_alpha1_dot, stap_alpha2, stap_alpha2_dot,
-                               stap_corrected_pulses, stap_dressed_splitting,
-                               total_rabi)
+                               mixing_angle_rate, ps_values, q_stage_pulse,
+                               stap_alpha1, stap_alpha1_dot, stap_alpha2,
+                               stap_alpha2_dot, stap_corrected_pulses,
+                               stap_dressed_splitting, total_rabi)
 
 
 def test_gaussian_area_matches_quadrature():
@@ -160,11 +160,6 @@ def test_corrected_pulse_identities():
         np.testing.assert_allclose(lhs2, -2 * da2, rtol=1e-10, atol=1e-12)
 
 
-def test_corrected_pulses_independent_of_base_rabi():
-    path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5)
-    assert stap_corrected_pulses(path, 1.7) == stap_corrected_pulses(path, 1.7, base_rabi=5.0)
-
-
 def test_gauss_match_profile_keeps_amplitudes_bounded():
     # the sin2 ramp drives alpha1_dot*cot(alpha2) through huge edge spikes;
     # the matched profile keeps the effective amplitudes flat
@@ -197,6 +192,26 @@ def test_discretize_preserves_pulse_areas():
     p_area = np.sum(d.omega_p) * d.delta_t
     want_p, _ = quad(lambda t: eval_ps(s, t)[0], s.t1, s.t_f, epsabs=1e-12, limit=200)
     np.testing.assert_allclose(p_area, want_p, rtol=1e-8)
+
+
+@pytest.mark.parametrize("n", [10, 20, 80, 700])
+@pytest.mark.parametrize("schedule", [
+    default_stap_schedule(),
+    default_stap_schedule(alpha1_profile="sin2"),
+    default_stirap_schedule(),
+], ids=["stap-gauss_match", "stap-sin2", "stirap"])
+def test_discretize_matches_quad_per_slice(schedule, n):
+    # the Gauss-Legendre slice areas against adaptive quadrature on the same
+    # slice windows
+    d = discretize(schedule, n)
+    worst = 0.0
+    for i in range(d.k, n):
+        lo, hi = max(i * d.delta_t, schedule.t_split), (i + 1) * d.delta_t
+        for j, got in enumerate((d.omega_p[i], d.omega_s[i])):
+            area, _ = quad(lambda t: float(ps_values(schedule, t)[j]), lo, hi,
+                           epsabs=1e-12, epsrel=1e-12, limit=200)
+            worst = max(worst, abs(got - area / d.delta_t))
+    assert worst <= 1e-11
 
 
 def test_discretize_stage_boundary_and_modes():
