@@ -24,6 +24,8 @@ _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
+_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -97,20 +99,14 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return _single(_X, gate.qubits[0])
     if k == "CX":
         control, target = gate.qubits
-        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-        return _single(p0, control) @ np.eye(4) + _single(p1, control) @ _single(_X, target)
+        return _single(_P0, control) @ np.eye(4) + _single(_P1, control) @ _single(_X, target)
     if k == "CROT":
         control, target = gate.qubits
         axis = math.cos(gate.axis_phi) * _X + math.sin(gate.axis_phi) * _Y
         r = _rot(axis, gate.angle)
-        blocks = {gate.control_value: r, 1 - gate.control_value: _I2}
-        proj = [np.array([[1, 0], [0, 0]], dtype=complex),
-                np.array([[0, 0], [0, 1]], dtype=complex)]
-        out = np.zeros((4, 4), dtype=complex)
-        for v in (0, 1):
-            out += _single(proj[v], control) @ _single(blocks[v], target)
-        return out
+        b0, b1 = (r, _I2) if gate.control_value == 0 else (_I2, r)
+        return (_single(_P0, control) @ _single(b0, target)
+                + _single(_P1, control) @ _single(b1, target))
     if k == "RXX":
         c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
         return c * np.eye(4) - 1j * s * np.kron(_X, _X)
@@ -169,18 +165,14 @@ def expand_gate(gate: Gate) -> list[Gate]:
 
 
 def expand_circuit(circuit: Circuit) -> Circuit:
-    gates = [g for gate in circuit.gates for g in expand_gate(gate)]
+    gates: list[Gate] = []
+    ends = [0]  # ends[j]: native gate count after the first j macro gates
+    for gate in circuit.gates:
+        gates.extend(expand_gate(gate))
+        ends.append(len(gates))
     meta = dict(circuit.metadata)
     if "step_bounds" in meta:
-        bounds = []
-        total = 0
-        prev = 0
-        for b in meta["step_bounds"]:
-            step_gates = circuit.gates[prev:b]
-            total += sum(len(expand_gate(g)) for g in step_gates)
-            bounds.append(total)
-            prev = b
-        meta["step_bounds"] = bounds
+        meta["step_bounds"] = [ends[b] for b in meta["step_bounds"]]
     return Circuit(gates, meta)
 
 
@@ -281,7 +273,7 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
     for gate in circuit.gates[cursor:]:
         psi = gate_matrix(gate) @ psi
     norm_err = abs(np.linalg.norm(psi) - 1.0)
-    if norm_err > 1e-10:
+    if not norm_err <= 1e-10:
         raise IntegrityError(f"circuit execution norm drift {norm_err:.3g}")
     times = dt * np.arange(len(probs))
     return PopulationTrace(times, np.array(probs),

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .config import ScenarioConfig, load_config, validate_config
-from .errors import ConfigError, SingularScheduleError
+from .config import ScenarioConfig, read_config, validate_config
+from .errors import ChiralGateError, ConfigError
 from .scenarios import (dump_pulses, export_qasm, ingest_counts,
                         molecule_report, run_scenario, sweep_trotter, _write)
 
@@ -43,6 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("run", help="oracle + circuit runs, traces, report"))
     p = common(sub.add_parser("sweep-trotter", help="circuit-vs-oracle error table"))
     p.add_argument("--steps-list", default="10,20,40,80",
+                   type=lambda text: [int(s) for s in text.split(",") if s.strip()],
                    help="comma-separated Trotter step counts")
     common(sub.add_parser("export-qasm", help="emit OpenQASM 2.0 circuits"))
     p = common(sub.add_parser("ingest-counts",
@@ -54,24 +56,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else validate_config({})
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.steps is not None:
-        if args.steps < 2:
-            raise ConfigError("--steps must be >= 2")
-        cfg.n_steps = args.steps
-    if args.protocol is not None and args.protocol != cfg.protocol:
-        cfg.protocol = args.protocol
-        cfg.pulses = {}  # pulse keys are protocol-specific
-    if args.enantiomer is not None:
-        cfg.enantiomer = args.enantiomer
-    if args.erratum_s_gate:
-        cfg.erratum_s_gate = True
-    cfg.build_schedule()
-    return cfg
+    """The config file (or the defaults) with the command-line overrides laid
+    over it, validated like any YAML config."""
+    raw = read_config(args.config) if args.config else {}
+    flags = {"out_dir": args.out, "seed": args.seed, "n_steps": args.steps,
+             "protocol": args.protocol, "enantiomer": args.enantiomer,
+             "erratum_s_gate": args.erratum_s_gate or None}
+    if isinstance(raw, dict):  # any other root fails validate_config below
+        if args.protocol not in (None, raw.get("protocol", ScenarioConfig.protocol)):
+            raw = {**raw, "pulses": {}}  # pulse keys are protocol-specific
+        raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
+    return validate_config(raw)
 
 
 def main(argv=None) -> int:
@@ -80,15 +75,14 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if args.command == "run":
             report = run_scenario(cfg, cfg.out_dir)
-            if hasattr(report, "final_d"):
+            if report is not None:
                 print(f"protocol={cfg.protocol} final D = {report.final_d():.6f}")
                 for t, row in report.checkpoints.items():
                     print(f"  checkpoint t={t:g} us: L p10={row['L'][2]:.4f} "
                           f"R p10={row['R'][2]:.4f} D={row['D']:.4f}")
             print(f"outputs written to {cfg.out_dir}")
         elif args.command == "sweep-trotter":
-            steps = [int(s) for s in args.steps_list.split(",") if s.strip()]
-            table = sweep_trotter(cfg, steps)
+            table = sweep_trotter(cfg, args.steps_list)
             print("n,max_dev,final_dev")
             for row in table["rows"]:
                 print("%d,%.6g,%.6g" % (row["n"], row["max_dev"], row["final_dev"]))
@@ -109,7 +103,6 @@ def main(argv=None) -> int:
             print(json.dumps(result, indent=2, sort_keys=True))
         elif args.command == "dump-pulses":
             text = dump_pulses(cfg)
-            import os
             os.makedirs(cfg.out_dir, exist_ok=True)
             path = os.path.join(cfg.out_dir, f"pulses_{cfg.protocol}.csv")
             _write(path, text)
@@ -120,7 +113,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SingularScheduleError as exc:
+    except ChiralGateError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except OSError as exc:

@@ -11,14 +11,19 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import ConfigError
-from .molecule import (BUILTINS, DipoleComponents, RotorConstants,
-                       TransitionTable)
-from .pulses import (ALPHA1_PROFILES, StapSchedule, StirapSchedule,
-                     default_stap_schedule, default_stirap_schedule)
+from .molecule import (BUILTINS, DipoleComponents, FieldConfig,
+                       RotorConstants, TransitionTable)
+from .pulses import (StapSchedule, StirapSchedule, default_stap_schedule,
+                     default_stirap_schedule)
 
 _STIRAP_PULSE_KEYS = {"t1", "t_f", "ps_amplitude", "tau", "ps_width", "q_width"}
 _STAP_PULSE_KEYS = {"t_split", "t_f", "alpha_m", "t_alpha2",
                     "alpha1_profile", "q_width"}
+# Nested numbers are times (us), rates (rad/us), frequencies (MHz), fields
+# (V/cm) or dipoles (D); far outside [1/SCALE_LIMIT, SCALE_LIMIT] in magnitude
+# the pulse arithmetic overflows.
+SCALE_LIMIT = 1e9
+_INT_MINIMA = {"n_steps": 2, "shots": 1, "oracle_steps": 1, "seed": 0}
 _TOP_KEYS = {"protocol", "molecule", "pulses", "n_steps", "shots", "seed",
              "out_dir", "checkpoints_us", "enantiomer", "ps_order",
              "erratum_s_gate", "oracle_steps", "fields"}
@@ -60,32 +65,57 @@ class ScenarioConfig:
             raise ConfigError(f"invalid inline molecule spec: {exc}") from exc
         return constants, dipoles, table
 
+    def field_config(self) -> FieldConfig | None:
+        """Drive fields, absent eps values at 0 V/cm; None without fields."""
+        if self.fields is not None and not isinstance(self.fields, dict):
+            raise ConfigError("fields must be a mapping")
+        if not self.fields:
+            return None
+        _require_keys(self.fields, {"eps_p", "eps_s", "eps_q", "max_field"}, "fields")
+        try:
+            return FieldConfig(**self.fields)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid fields: {exc}") from exc
+
 
 def _require_keys(actual: dict, allowed: set, context: str) -> None:
     unknown = set(actual) - allowed
     if unknown:
         raise ConfigError(
-            f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
+            f"unknown key(s) in {context}: {', '.join(sorted(map(str, unknown)))}")
+
+
+def _require_scale(value, context: str) -> None:
+    """Every number in the tree 0 or of magnitude in [1/SCALE_LIMIT, SCALE_LIMIT]."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, v in items:
+        _require_scale(v, f"{context}.{key}")
+    if isinstance(value, (int, float)) and not (
+            value == 0 or 1 / SCALE_LIMIT <= abs(value) <= SCALE_LIMIT):
+        raise ConfigError(f"{context} must be 0 or a finite number of magnitude "
+                          f"{1 / SCALE_LIMIT:g} to {SCALE_LIMIT:g}, got {value}")
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
     _require_keys(raw, _TOP_KEYS, "config")
+    for key, value in raw.items():
+        if key not in _INT_MINIMA:  # those are range-checked below
+            _require_scale(value, key)
     cfg = ScenarioConfig(**raw)
 
-    if cfg.protocol not in ("stirap", "stap"):
-        raise ConfigError(f"protocol must be 'stirap' or 'stap', got {cfg.protocol!r}")
-    if cfg.enantiomer not in ("L", "R", "both"):
-        raise ConfigError(f"enantiomer must be 'L', 'R' or 'both', got {cfg.enantiomer!r}")
-    if cfg.ps_order not in ("ps", "sp"):
-        raise ConfigError(f"ps_order must be 'ps' or 'sp', got {cfg.ps_order!r}")
-    for name, minval in (("n_steps", 2), ("shots", 1), ("oracle_steps", 1)):
+    for name, choices in (("protocol", ("stirap", "stap")),
+                          ("enantiomer", ("L", "R", "both")), ("ps_order", ("ps", "sp"))):
+        if getattr(cfg, name) not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {getattr(cfg, name)!r}")
+    for name, minval in _INT_MINIMA.items():
         v = getattr(cfg, name)
-        if not isinstance(v, int) or v < minval:
-            raise ConfigError(f"{name} must be an integer >= {minval}, got {v!r}")
-    if not isinstance(cfg.seed, int):
-        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
+        if not isinstance(v, int) or not minval <= v < 2**63:   # numpy's int64
+            raise ConfigError(f"{name} must be an integer in [{minval}, 2**63), got {v!r}")
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
     if not isinstance(cfg.erratum_s_gate, bool):
         raise ConfigError(f"erratum_s_gate must be a boolean, got {cfg.erratum_s_gate!r}")
     if not isinstance(cfg.checkpoints_us, list) or not all(
@@ -96,10 +126,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("pulses must be a mapping")
     allowed = _STIRAP_PULSE_KEYS if cfg.protocol == "stirap" else _STAP_PULSE_KEYS
     _require_keys(cfg.pulses, allowed, f"pulses ({cfg.protocol})")
-    if "alpha1_profile" in cfg.pulses and cfg.pulses["alpha1_profile"] not in ALPHA1_PROFILES:
-        raise ConfigError(
-            f"alpha1_profile must be one of {ALPHA1_PROFILES}, "
-            f"got {cfg.pulses['alpha1_profile']!r}")
 
     if isinstance(cfg.molecule, str):
         if cfg.molecule not in BUILTINS:
@@ -111,17 +137,14 @@ def validate_config(raw: dict) -> ScenarioConfig:
     else:
         raise ConfigError("molecule must be a builtin name or an inline mapping")
 
-    if cfg.fields is not None:
-        if not isinstance(cfg.fields, dict):
-            raise ConfigError("fields must be a mapping")
-        _require_keys(cfg.fields, {"eps_p", "eps_s", "eps_q", "max_field"}, "fields")
-
     cfg.build_schedule()  # surface bad pulse values at validation time
     cfg.molecule_params()
+    cfg.field_config()
     return cfg
 
 
-def load_config(path: str) -> ScenarioConfig:
+def read_config(path: str):
+    """The unvalidated YAML tree of a config file ({} for an empty file)."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -129,4 +152,8 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return validate_config(raw if raw is not None else {})
+    return raw if raw is not None else {}
+
+
+def load_config(path: str) -> ScenarioConfig:
+    return validate_config(read_config(path))

@@ -75,9 +75,9 @@ class TransitionTable:
 class FieldConfig:
     """Drive field amplitudes (V/cm); the default profile caps at 2 V/cm."""
 
-    eps_p: float
-    eps_s: float
-    eps_q: float
+    eps_p: float = 0.0
+    eps_s: float = 0.0
+    eps_q: float = 0.0
     max_field: float = 2.0
 
     def __post_init__(self):

@@ -75,13 +75,13 @@ def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     """
     h = np.asarray(h)
     defect = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:   # NaN fails too
         raise IntegrityError(
             f"generator is non-Hermitian (defect {defect:.3g})")
     h2 = h @ h
     wdt = dt * np.sqrt(0.5 * np.einsum("...ii->...", h2).real)
     sin_over_w = dt * np.sinc(wdt / np.pi)
-    cos_minus_1_over_w2 = -0.5 * dt**2 * np.sinc(wdt / (2.0 * np.pi)) ** 2
+    cos_minus_1_over_w2 = -0.5 * dt * dt * np.sinc(wdt / (2.0 * np.pi)) ** 2
     return (np.eye(h.shape[-1])
             - 1j * sin_over_w[..., None, None] * h
             + cos_minus_1_over_w2[..., None, None] * h2)
@@ -119,7 +119,7 @@ def evolve_piecewise_exact(
         psi = u.dot(psi)
         states.append(psi)
     norm_err = abs(np.linalg.norm(psi) - 1.0)
-    if norm_err > NORM_TOL:
+    if not norm_err <= NORM_TOL:
         raise IntegrityError(f"norm drifted by {norm_err:.3g} "
                              "despite unitary steps")
     return PopulationTrace(times, populations(np.array(states)), handedness, psi)
@@ -160,7 +160,7 @@ def evolve_rk4(
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         probs[i + 1] = populations(psi)
     drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > RK4_NORM_DRIFT_LIMIT:
+    if not drift <= RK4_NORM_DRIFT_LIMIT:
         raise IntegrityError(
             f"RK4 norm drift {drift:.3g} exceeds {RK4_NORM_DRIFT_LIMIT}; "
             "increase n_steps")

@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
 from .propagate import PopulationTrace, evolve_piecewise_exact
-from .pulses import Handedness, discretize, eval_q, ps_values
+from .pulses import LEFT, RIGHT, Handedness, discretize, eval_q, ps_values
 
 PSI0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
@@ -29,7 +29,6 @@ class EnantiomerResult:
     oracle: PopulationTrace
     circuit_trace: PopulationTrace
     circuit: Circuit
-    final_state_oracle: np.ndarray
     final_state_circuit: np.ndarray
 
 
@@ -45,24 +44,27 @@ class DiscriminationReport:
         return float(self.d_of_t[-1])
 
 
-def _run_one(config: ScenarioConfig, hand: Handedness) -> EnantiomerResult:
-    schedule = config.build_schedule()
+def _hands(config: ScenarioConfig) -> list[Handedness]:
+    if config.enantiomer == "both":
+        return [LEFT, RIGHT]
+    return [Handedness.from_label(config.enantiomer)]
+
+
+def _oracle(config: ScenarioConfig, schedule, hand: Handedness) -> PopulationTrace:
     gen = (stirap_generator(schedule, hand) if config.protocol == "stirap"
            else stap_generator(schedule, hand))
-    oracle = evolve_piecewise_exact(gen, PSI0, 0.0, schedule.duration,
-                                    config.oracle_steps, hand.label)
-    disc = discretize(schedule, config.n_steps)
-    circuit = compile_protocol(disc, hand, config.protocol,
-                               ps_order=config.ps_order,
-                               erratum_s_gate=config.erratum_s_gate)
-    trace, final = run_statevector(circuit, PSI0)
-    return EnantiomerResult(hand.label, oracle, trace, circuit,
-                            oracle.final_state, final)
+    return evolve_piecewise_exact(gen, PSI0, 0.0, schedule.duration,
+                                  config.oracle_steps, hand.label)
+
+
+def _compile(config: ScenarioConfig, disc, hand: Handedness) -> Circuit:
+    return compile_protocol(disc, hand, config.protocol,
+                            ps_order=config.ps_order,
+                            erratum_s_gate=config.erratum_s_gate)
 
 
 def report_discrimination(left: EnantiomerResult, right: EnantiomerResult,
-                          config: ScenarioConfig,
-                          schedule=None) -> DiscriminationReport:
+                          config: ScenarioConfig, schedule) -> DiscriminationReport:
     """D(t) := |P_L,10(t) - P_R,10(t)| on the shared oracle grid, plus
     checkpoint populations and final-state fidelities against the ideal
     targets (-|10> for L, the dynamic-phase prediction for R)."""
@@ -78,29 +80,35 @@ def report_discrimination(left: EnantiomerResult, right: EnantiomerResult,
         checkpoints[t] = {"L": tl.at(t).tolist(), "R": tr.at(t).tolist(),
                           "D": float(abs(tl.at(t)[2] - tr.at(t)[2]))}
 
-    if schedule is None:
-        schedule = config.build_schedule()
     target_l = np.array([0, 0, -1, 0], dtype=complex)
     pred_r = predict_r_final(schedule)
     fidelities = {
-        "L_oracle": float(abs(np.vdot(target_l, left.final_state_oracle)) ** 2),
+        "L_oracle": float(abs(np.vdot(target_l, tl.final_state)) ** 2),
         "L_circuit": float(abs(np.vdot(target_l, left.final_state_circuit)) ** 2),
-        "R_oracle": float(abs(np.vdot(pred_r, right.final_state_oracle)) ** 2),
+        "R_oracle": float(abs(np.vdot(pred_r, tr.final_state)) ** 2),
         "R_circuit": float(abs(np.vdot(pred_r, right.final_state_circuit)) ** 2),
     }
     return DiscriminationReport(tl.times, d, checkpoints, fidelities)
 
 
-def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> DiscriminationReport:
+def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> DiscriminationReport | None:
     """Execute oracle and circuit paths for the configured enantiomer(s);
-    write population CSVs and a JSON report when out_dir is given."""
-    hands = {"L": [Handedness(+1)], "R": [Handedness(-1)],
-             "both": [Handedness(+1), Handedness(-1)]}[config.enantiomer]
-    results = {h.label: _run_one(config, h) for h in hands}
+    write population CSVs and a JSON report when out_dir is given.
 
-    report = None
-    if "L" in results and "R" in results:
-        report = report_discrimination(results["L"], results["R"], config)
+    Returns the discrimination report, or None when only one enantiomer ran
+    (D needs both).
+    """
+    schedule = config.build_schedule()
+    disc = discretize(schedule, config.n_steps)
+    results = {}
+    for hand in _hands(config):
+        circuit = _compile(config, disc, hand)
+        trace, final = run_statevector(circuit, PSI0)
+        results[hand.label] = EnantiomerResult(
+            hand.label, _oracle(config, schedule, hand), trace, circuit, final)
+
+    report = (report_discrimination(results["L"], results["R"], config, schedule)
+              if len(results) == 2 else None)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -117,7 +125,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Discrimi
             _write(os.path.join(out_dir, "report.json"),
                    json.dumps(_report_dict(report, config), indent=2,
                               sort_keys=True) + "\n")
-    return report if report is not None else next(iter(results.values()))
+    return report
 
 
 def _report_dict(report: DiscriminationReport, config: ScenarioConfig) -> dict:
@@ -133,7 +141,7 @@ def _report_dict(report: DiscriminationReport, config: ScenarioConfig) -> dict:
 
 
 def sweep_trotter(config: ScenarioConfig, steps_list: list[int],
-                  hand: Handedness | None = None) -> dict:
+                  hand: Handedness = LEFT) -> dict:
     """Per-N circuit-vs-oracle deviation table plus a log-log slope fit.
 
     For each N the table records the deviation maximized over Trotter-step
@@ -143,20 +151,12 @@ def sweep_trotter(config: ScenarioConfig, steps_list: list[int],
     """
     if not steps_list or any(n < 2 for n in steps_list):
         raise ConfigError("steps_list must be nonempty with every N >= 2")
-    if hand is None:
-        hand = Handedness(+1)
     schedule = config.build_schedule()
-    gen = (stirap_generator(schedule, hand) if config.protocol == "stirap"
-           else stap_generator(schedule, hand))
-    oracle = evolve_piecewise_exact(gen, PSI0, 0.0, schedule.duration,
-                                    config.oracle_steps, hand.label)
+    oracle = _oracle(config, schedule, hand)
     rows = []
     for n in steps_list:
         disc = discretize(schedule, n)
-        circuit = compile_protocol(disc, hand, config.protocol,
-                                   ps_order=config.ps_order,
-                                   erratum_s_gate=config.erratum_s_gate)
-        trace, final = run_statevector(circuit, PSI0)
+        trace, _ = run_statevector(_compile(config, disc, hand), PSI0)
         devs = [np.max(np.abs(trace.probs[i + 1] - oracle.at((i + 1) * disc.delta_t)))
                 for i in range(n)]
         rows.append({"n": n, "max_dev": float(max(devs)),
@@ -191,18 +191,12 @@ def circuit_to_qasm(circuit: Circuit) -> str:
 
 
 def export_qasm(config: ScenarioConfig, out_dir: str) -> list[str]:
-    schedule = config.build_schedule()
-    disc = discretize(schedule, config.n_steps)
+    disc = discretize(config.build_schedule(), config.n_steps)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    hands = {"L": [Handedness(+1)], "R": [Handedness(-1)],
-             "both": [Handedness(+1), Handedness(-1)]}[config.enantiomer]
-    for hand in hands:
-        circuit = compile_protocol(disc, hand, config.protocol,
-                                   ps_order=config.ps_order,
-                                   erratum_s_gate=config.erratum_s_gate)
+    for hand in _hands(config):
         path = os.path.join(out_dir, f"{config.protocol}_{hand.label}.qasm")
-        _write(path, circuit_to_qasm(circuit))
+        _write(path, circuit_to_qasm(_compile(config, disc, hand)))
         paths.append(path)
     return paths
 
@@ -252,11 +246,11 @@ def molecule_report(config: ScenarioConfig) -> dict:
     RWA warnings for the configured molecule."""
     constants, dipoles, table = config.molecule_params()
     out = {"flags": consistency_check(constants, table), "rwa_warnings": []}
-    if config.fields:
-        fc = dict(config.fields)
-        rabi = {"P": rabi_frequency(dipoles.mu_b, fc.get("eps_p", 0.0)),
-                "S": rabi_frequency(dipoles.mu_a, fc.get("eps_s", 0.0)),
-                "Q": rabi_frequency(dipoles.mu_c, fc.get("eps_q", 0.0))}
+    fc = config.field_config()
+    if fc is not None:
+        rabi = {"P": rabi_frequency(dipoles.mu_b, fc.eps_p),
+                "S": rabi_frequency(dipoles.mu_a, fc.eps_s),
+                "Q": rabi_frequency(dipoles.mu_c, fc.eps_q)}
         out["rabi_mhz"] = rabi
         out["rwa_warnings"] = rwa_warnings(table, rabi)
     return out

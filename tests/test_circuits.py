@@ -14,8 +14,9 @@ from chiralgate.circuits import (Circuit, Gate, MeasurementRecord,
                                  sample_measurements)
 from chiralgate.hamiltonians import build_h_ps, build_h_q
 from chiralgate.propagate import evolve_piecewise_exact
-from chiralgate.pulses import (LEFT, RIGHT, default_stap_schedule,
-                               default_stirap_schedule, discretize)
+from chiralgate.pulses import (LEFT, RIGHT, DiscretizedSchedule,
+                               default_stap_schedule, default_stirap_schedule,
+                               discretize)
 from chiralgate.hamiltonians import stirap_generator
 
 PSI0 = np.array([1, 0, 0, 0], dtype=complex)
@@ -121,6 +122,22 @@ def test_rxx_ryy_expansion_equivalence():
             g = Gate(kind, (0, 1), theta)
             assert phase_aligned_distance(
                 circuit_unitary(expand_circuit(Circuit([g]))), gate_matrix(g)) < 1e-10
+
+
+def test_expanded_circuit_keeps_step_populations():
+    # steps 0, 1 and 4 are gate-free, so several step bounds repeat
+    disc = DiscretizedSchedule(0.1, np.array([0.0, 0.0, 3.0, 0, 0, 0, 0]),
+                               np.array([0, 0, 0, 0.0, 0.0, 9.0, 4.0]),
+                               np.array([0, 0, 0, 0.0, 0.0, 2.0, 6.0]), k=3)
+    for hand in (LEFT, RIGHT):
+        c = compile_protocol(disc, hand, "stap")
+        assert c.metadata["step_bounds"][:2] == [0, 0]
+        native = expand_circuit(c)
+        assert native.metadata["step_bounds"][-1] == len(native.gates)
+        macro_trace, _ = run_statevector(c, PSI0)
+        native_trace, _ = run_statevector(native, PSI0)
+        np.testing.assert_allclose(native_trace.probs, macro_trace.probs,
+                                   rtol=0, atol=1e-12)
 
 
 def test_compile_protocol_structure():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,7 +45,10 @@ def test_bad_values_rejected():
                 {"erratum_s_gate": "yes"},
                 {"molecule": "unobtainium"},
                 {"checkpoints_us": "0.61"},
-                {"pulses": {"alpha_m": 2.0}}):
+                {"pulses": {"alpha_m": 2.0}},
+                {"pulses": {"t_f": float("nan")}},
+                {"checkpoints_us": [0.6, float("inf")]},
+                {"fields": {"eps_q": float("-inf")}}):
         with pytest.raises(ConfigError):
             validate_config(raw)
 
@@ -190,3 +195,56 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert main(["sweep-trotter", "--protocol", "stap", "--steps-list",
                  "10,20"]) == 0
     assert "slope" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fields", [{"eps_p": -1}, {"eps_p": 50}])
+def test_cli_rejects_out_of_range_fields(tmp_path, fields):
+    path = tmp_path / "fields.yaml"
+    path.write_text(yaml.safe_dump({"fields": fields}))
+    assert main(["molecule-check", "--config", str(path)]) == 2
+
+
+def test_cli_rejects_negative_seed(tmp_path):
+    assert main(["run", "--seed", "-3", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_overrides_are_validated(tmp_path):
+    path = tmp_path / "stirap.yaml"
+    path.write_text(yaml.safe_dump({"protocol": "stirap",
+                                    "pulses": {"ps_amplitude": 2.5}}))
+    assert main(["run", "--steps", "1", "--out", str(tmp_path)]) == 2
+    # switching protocol drops the other protocol's pulse keys
+    assert main(["export-qasm", "--config", str(path), "--protocol", "stap",
+                 "--steps", "4", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "stap_L.qasm").exists()
+
+
+def test_cli_maps_package_errors_to_exit_3(tmp_path, monkeypatch):
+    from chiralgate import cli
+    from chiralgate.errors import DomainError, FrameTrackingError, IntegrityError
+    for error in (DomainError, IntegrityError, FrameTrackingError):
+        def fail(*args, error=error):
+            raise error("boom")
+        monkeypatch.setattr(cli, "run_scenario", fail)
+        assert main(["run", "--out", str(tmp_path)]) == 3
+
+
+def test_src_runs_without_scipy(tmp_path):
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import chiralgate.cli\n"
+            "from chiralgate.config import validate_config\n"
+            "from chiralgate.scenarios import run_scenario\n"
+            "cfg = validate_config({'n_steps': 4, 'oracle_steps': 50})\n"
+            "assert run_scenario(cfg, sys.argv[1]) is not None\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_scenario_single_enantiomer_returns_none(tmp_path):
+    cfg = validate_config({"enantiomer": "R", "n_steps": 4, "oracle_steps": 50})
+    assert run_scenario(cfg, str(tmp_path)) is None
+    assert sorted(os.listdir(tmp_path)) == ["circuit_R.csv", "counts_R.json",
+                                            "oracle_R.csv"]

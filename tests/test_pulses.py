@@ -100,6 +100,20 @@ def test_adiabaticity_ratio_small_on_default_schedule():
     assert adiabaticity_ratio(s, 0.1) == math.inf  # no P/S drive yet
 
 
+def test_adiabaticity_ratio_is_the_analytic_rate_over_omega():
+    s = default_stirap_schedule()
+    for t in np.linspace(s.t1, s.t_f, 9):
+        omega = total_rabi(*eval_ps(s, t))
+        want = abs(mixing_angle_rate(s, t)) / omega
+        assert abs(adiabaticity_ratio(s, t) - want) <= 1e-12
+        h = 1e-5
+        if s.t1 + h <= t <= s.t_f - h:
+            fd = (mixing_angle(*eval_ps(s, t + h))
+                  - mixing_angle(*eval_ps(s, t - h))) / (2 * h)
+            np.testing.assert_allclose(adiabaticity_ratio(s, t), abs(fd) / omega,
+                                       rtol=1e-6)
+
+
 def test_schedule_validation():
     g = GaussianPulse(1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
