@@ -15,17 +15,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrityError
+from .propagate import PopulationTrace, populations
 from .pulses import DiscretizedSchedule, Handedness
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
 MACRO_KINDS = ("CROT", "RXX", "RYY")
 
 _I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+_I4 = np.eye(4, dtype=complex)
+_ONE_QUBIT = {"X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]],
+              "P0": [[1, 0], [0, 0]], "P1": [[0, 0], [0, 1]]}
+# _ON[name, q]: the one-qubit operator `name` acting on qubit q of the pair
+_ON = {(name, q): np.kron(m, _I2) if q == 0 else np.kron(_I2, m)
+       for name, m in _ONE_QUBIT.items() for q in (0, 1)}
+_CX = {(c, 1 - c): _I4 - _ON["P1", c] + _ON["P1", c] @ _ON["X", 1 - c] for c in (0, 1)}
+for _m in (_I4, *_ON.values(), *_CX.values()):
+    _m.flags.writeable = False   # gate_matrix hands these out as they are
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,7 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if not all(q in (0, 1) for q in self.qubits):
             raise ValueError(f"qubit indices must be 0 or 1, got {self.qubits}")
-        two_qubit = self.kind in ("CX", "CROT", "RXX", "RYY")
-        want = 2 if two_qubit else 1
+        want = 2 if self.kind == "CX" or self.kind in MACRO_KINDS else 1
         if len(self.qubits) != want or len(set(self.qubits)) != want:
             raise ValueError(f"{self.kind} needs {want} distinct qubits, got {self.qubits}")
         if not math.isfinite(self.angle):
@@ -78,42 +82,34 @@ class MeasurementRecord:
             raise ValueError("counts do not sum to shots")
 
 
-def _single(op: np.ndarray, qubit: int) -> np.ndarray:
-    return np.kron(op, _I2) if qubit == 0 else np.kron(_I2, op)
-
-
-def _rot(axis: np.ndarray, theta: float) -> np.ndarray:
-    return math.cos(theta / 2) * _I2 - 1j * math.sin(theta / 2) * axis
-
-
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """4x4 unitary of a single gate in the 2*b0 + b1 basis ordering."""
-    k = gate.kind
-    if k == "RX":
-        return _single(_rot(_X, gate.angle), gate.qubits[0])
-    if k == "RY":
-        return _single(_rot(_Y, gate.angle), gate.qubits[0])
-    if k == "RZ":
-        return _single(_rot(_Z, gate.angle), gate.qubits[0])
+    """4x4 unitary of a single gate in the 2*b0 + b1 basis ordering.
+
+    X and CX are fixed matrices.  Every other kind is exp(-i angle/2 G) with
+    G^2 = p for a projector p, which is
+
+        exp(-i angle/2 G) = (1 - p) + cos(angle/2) p - i sin(angle/2) G:
+
+    a Pauli or Pauli pair with p = I for RX, RY, RZ, RXX and RYY, and for
+    CROT p = |v><v| on the control and G = p (cos phi X + sin phi Y) on the
+    target.
+    """
+    k, q = gate.kind, gate.qubits
     if k == "X":
-        return _single(_X, gate.qubits[0])
+        return _ON["X", q[0]]
     if k == "CX":
-        control, target = gate.qubits
-        return _single(_P0, control) @ np.eye(4) + _single(_P1, control) @ _single(_X, target)
+        return _CX[q]
+    p = _I4
     if k == "CROT":
-        control, target = gate.qubits
-        axis = math.cos(gate.axis_phi) * _X + math.sin(gate.axis_phi) * _Y
-        r = _rot(axis, gate.angle)
-        b0, b1 = (r, _I2) if gate.control_value == 0 else (_I2, r)
-        return (_single(_P0, control) @ _single(b0, target)
-                + _single(_P1, control) @ _single(b1, target))
-    if k == "RXX":
-        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
-        return c * np.eye(4) - 1j * s * np.kron(_X, _X)
-    if k == "RYY":
-        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
-        return c * np.eye(4) - 1j * s * np.kron(_Y, _Y)
-    raise AssertionError(f"unhandled kind {k}")
+        p = _ON[f"P{gate.control_value}", q[0]]
+        g = p @ (math.cos(gate.axis_phi) * _ON["X", q[1]]
+                 + math.sin(gate.axis_phi) * _ON["Y", q[1]])
+    elif k in MACRO_KINDS:   # RXX, RYY
+        g = _ON[k[1], 0] @ _ON[k[1], 1]
+    else:
+        g = _ON[k[1], q[0]]
+    half = gate.angle / 2
+    return _I4 - p + math.cos(half) * p - 1j * math.sin(half) * g
 
 
 # -- macro expansion ---------------------------------------------------------
@@ -254,29 +250,21 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
     statevector).  Populations are recorded at Trotter-step boundaries when
     the circuit has them in metadata, else after every gate.
     """
-    from .propagate import PopulationTrace, populations
-
     psi = np.asarray(psi0, dtype=complex).copy()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state is not normalized")
-    bounds = circuit.metadata.get("step_bounds")
-    if bounds is None:
-        bounds = list(range(1, len(circuit.gates) + 1))
-    dt = circuit.metadata.get("delta_t", 1.0)
-    probs = [populations(psi)]
-    cursor = 0
-    for b in bounds:
-        for gate in circuit.gates[cursor:b]:
-            psi = gate_matrix(gate) @ psi
-        cursor = b
-        probs.append(populations(psi))
-    for gate in circuit.gates[cursor:]:
+    states = [psi]
+    for gate in circuit.gates:
         psi = gate_matrix(gate) @ psi
+        states.append(psi)
+    bounds = circuit.metadata.get("step_bounds")
+    probs = populations(np.array(states if bounds is None
+                                 else [states[b] for b in [0, *bounds]]))
     norm_err = abs(np.linalg.norm(psi) - 1.0)
     if not norm_err <= 1e-10:
         raise IntegrityError(f"circuit execution norm drift {norm_err:.3g}")
-    times = dt * np.arange(len(probs))
-    return PopulationTrace(times, np.array(probs),
+    times = circuit.metadata.get("delta_t", 1.0) * np.arange(len(probs))
+    return PopulationTrace(times, probs,
                            circuit.metadata.get("handedness", "")), psi
 
 

@@ -23,7 +23,11 @@ _STAP_PULSE_KEYS = {"t_split", "t_f", "alpha_m", "t_alpha2",
 # (V/cm) or dipoles (D); far outside [1/SCALE_LIMIT, SCALE_LIMIT] in magnitude
 # the pulse arithmetic overflows.
 SCALE_LIMIT = 1e9
-_INT_MINIMA = {"n_steps": 2, "shots": 1, "oracle_steps": 1, "seed": 0}
+# Every Trotter or oracle step keeps 4x4 matrices and states in memory; at
+# MAX_STEPS a run stays within a few hundred MB.
+MAX_STEPS = 100_000
+_INT_RANGES = {"n_steps": (2, MAX_STEPS), "shots": (1, 2**63 - 1),   # numpy's int64
+               "oracle_steps": (1, MAX_STEPS), "seed": (0, 2**63 - 1)}
 _TOP_KEYS = {"protocol", "molecule", "pulses", "n_steps", "shots", "seed",
              "out_dir", "checkpoints_us", "enantiomer", "ps_order",
              "erratum_s_gate", "oracle_steps", "fields"}
@@ -102,7 +106,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
     _require_keys(raw, _TOP_KEYS, "config")
     for key, value in raw.items():
-        if key not in _INT_MINIMA:  # those are range-checked below
+        if key not in _INT_RANGES:  # those are range-checked below
             _require_scale(value, key)
     cfg = ScenarioConfig(**raw)
 
@@ -110,10 +114,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
                           ("enantiomer", ("L", "R", "both")), ("ps_order", ("ps", "sp"))):
         if getattr(cfg, name) not in choices:
             raise ConfigError(f"{name} must be one of {choices}, got {getattr(cfg, name)!r}")
-    for name, minval in _INT_MINIMA.items():
+    for name, (lo, hi) in _INT_RANGES.items():
         v = getattr(cfg, name)
-        if not isinstance(v, int) or not minval <= v < 2**63:   # numpy's int64
-            raise ConfigError(f"{name} must be an integer in [{minval}, 2**63), got {v!r}")
+        if not isinstance(v, int) or not lo <= v <= hi:
+            raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
     if not isinstance(cfg.out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
     if not isinstance(cfg.erratum_s_gate, bool):

@@ -45,13 +45,16 @@ class PopulationTrace:
     def final(self) -> np.ndarray:
         return self.probs[-1]
 
-    def at(self, t: float) -> np.ndarray:
-        """Populations at time t, linearly interpolated on the grid."""
-        if t < self.times[0] or t > self.times[-1]:
-            raise ValueError(f"t={t} outside trace window "
+    def at(self, t) -> np.ndarray:
+        """Populations at time(s) t, linearly interpolated on the grid;
+        shape t.shape + (4,)."""
+        t = np.asarray(t, dtype=float)
+        outside = (t < self.times[0]) | (t > self.times[-1])
+        if np.any(outside):
+            raise ValueError(f"t={t[outside][0]} outside trace window "
                              f"[{self.times[0]}, {self.times[-1]}]")
-        return np.array([np.interp(t, self.times, self.probs[:, j])
-                         for j in range(4)])
+        return np.stack([np.interp(t, self.times, self.probs[:, j])
+                         for j in range(4)], axis=-1)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

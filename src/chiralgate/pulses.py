@@ -180,7 +180,6 @@ class DiscretizedSchedule:
     omega_p: np.ndarray   # shape (m,), zero before slice k
     omega_s: np.ndarray
     k: int
-    mode: str = "area_preserving"
 
     @property
     def m(self) -> int:
@@ -395,20 +394,17 @@ def ps_values(schedule: StirapSchedule | StapSchedule, t):
 def discretize(
     schedule: StirapSchedule | StapSchedule,
     n_steps: int,
-    mode: str = "area_preserving",
 ) -> DiscretizedSchedule:
     """Split [0, duration] into n_steps equal slices of frozen amplitudes.
 
     Slices before the stage boundary carry only the Q amplitude, the rest
-    only P/S.  In area_preserving mode each slice amplitude is the pulse
-    integral over the slice divided by delta_t (exact for Q, Gauss-Legendre
-    for P/S), so the total discrete area matches the continuous one;
-    midpoint mode samples the pulse at the slice center.
+    only P/S.  Each slice amplitude is the pulse integral over the slice
+    divided by delta_t (exact for Q, Gauss-Legendre for P/S), so the
+    discrete areas match the continuous ones except between k*delta_t and
+    t_split, which no slice covers when the boundary falls inside a slice.
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
-    if mode not in ("area_preserving", "midpoint"):
-        raise ValueError(f"unknown discretization mode {mode!r}")
 
     duration = schedule.duration
     t_split = schedule.t_split
@@ -424,14 +420,10 @@ def discretize(
     omega_q = np.zeros(n_steps)
     omega_p = np.zeros(n_steps)
     omega_s = np.zeros(n_steps)
-    if mode == "midpoint":
-        omega_q[:k] = schedule.q(0.5 * (q_lo + q_hi))
-        omega_p[k:], omega_s[k:] = ps_values(schedule, 0.5 * (ps_lo + ps_hi))
-    else:
-        omega_q[:k] = schedule.q.area(q_lo, q_hi) / dt
-        areas = gauss_legendre(lambda t: ps_values(schedule, t), ps_lo, ps_hi)
-        omega_p[k:], omega_s[k:] = (a / dt for a in areas)
-    return DiscretizedSchedule(dt, omega_q, omega_p, omega_s, k, mode)
+    omega_q[:k] = schedule.q.area(q_lo, q_hi) / dt
+    areas = gauss_legendre(lambda t: ps_values(schedule, t), ps_lo, ps_hi)
+    omega_p[k:], omega_s[k:] = (a / dt for a in areas)
+    return DiscretizedSchedule(dt, omega_q, omega_p, omega_s, k)
 
 
 # -- shipped default schedules ----------------------------------------------

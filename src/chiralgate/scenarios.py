@@ -13,7 +13,7 @@ import numpy as np
 
 from .circuits import (Circuit, compile_protocol, expand_circuit,
                        run_statevector, sample_measurements)
-from .config import ScenarioConfig
+from .config import MAX_STEPS, ScenarioConfig
 from .errors import ConfigError
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
@@ -77,8 +77,9 @@ def report_discrimination(left: EnantiomerResult, right: EnantiomerResult,
     for t in config.checkpoints_us:
         if t < tl.times[0] or t > tl.times[-1]:
             continue
-        checkpoints[t] = {"L": tl.at(t).tolist(), "R": tr.at(t).tolist(),
-                          "D": float(abs(tl.at(t)[2] - tr.at(t)[2]))}
+        pl, pr = tl.at(t), tr.at(t)
+        checkpoints[t] = {"L": pl.tolist(), "R": pr.tolist(),
+                          "D": float(abs(pl[2] - pr[2]))}
 
     target_l = np.array([0, 0, -1, 0], dtype=complex)
     pred_r = predict_r_final(schedule)
@@ -149,17 +150,16 @@ def sweep_trotter(config: ScenarioConfig, steps_list: list[int],
     at the final time only ("final_dev").  The slope is fitted to max_dev,
     where the first-order splitting error dominates at every N.
     """
-    if not steps_list or any(n < 2 for n in steps_list):
-        raise ConfigError("steps_list must be nonempty with every N >= 2")
+    if not steps_list or any(not 2 <= n <= MAX_STEPS for n in steps_list):
+        raise ConfigError(f"steps_list must be nonempty with every N in [2, {MAX_STEPS}]")
     schedule = config.build_schedule()
     oracle = _oracle(config, schedule, hand)
     rows = []
     for n in steps_list:
         disc = discretize(schedule, n)
         trace, _ = run_statevector(_compile(config, disc, hand), PSI0)
-        devs = [np.max(np.abs(trace.probs[i + 1] - oracle.at((i + 1) * disc.delta_t)))
-                for i in range(n)]
-        rows.append({"n": n, "max_dev": float(max(devs)),
+        devs = np.max(np.abs(trace.probs[1:] - oracle.at(trace.times[1:])), axis=1)
+        rows.append({"n": n, "max_dev": float(devs.max()),
                      "final_dev": float(devs[-1])})
     slope = float(np.polyfit(np.log([r["n"] for r in rows]),
                              np.log([r["max_dev"] for r in rows]), 1)[0])

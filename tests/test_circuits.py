@@ -20,6 +20,14 @@ from chiralgate.pulses import (LEFT, RIGHT, DiscretizedSchedule,
 from chiralgate.hamiltonians import stirap_generator
 
 PSI0 = np.array([1, 0, 0, 0], dtype=complex)
+PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
+         "Y": np.array([[0, -1j], [1j, 0]]),
+         "Z": np.diag([1.0 + 0j, -1.0])}
+
+
+def _on(op_by_qubit: dict) -> np.ndarray:
+    """Two-qubit operator from one-qubit factors (identity where absent)."""
+    return np.kron(op_by_qubit.get(0, np.eye(2)), op_by_qubit.get(1, np.eye(2)))
 
 
 def test_gate_validation():
@@ -41,6 +49,8 @@ def test_gate_validation():
 def test_single_qubit_gates_unitary(angle, kind, qubit):
     u = gate_matrix(Gate(kind, (qubit,), angle))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+    ref = expm(-0.5j * angle * _on({qubit: PAULI[kind[1]]}))
+    np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12)
 
 
 def test_cx_is_expected_permutation():
@@ -107,13 +117,20 @@ def test_s_step_erratum_mode_misses_the_coupling():
 
 
 @given(theta=st.floats(-4.0, 4.0), axis_phi=st.floats(-math.pi, math.pi),
-       cv=st.sampled_from([0, 1]), ctrl=st.sampled_from([0, 1]))
-@settings(max_examples=60, deadline=None)
-def test_macro_expansion_equivalence(theta, axis_phi, cv, ctrl):
-    g = Gate("CROT", (ctrl, 1 - ctrl), theta, axis_phi=axis_phi, control_value=cv)
+       cv=st.sampled_from([0, 1]), ctrl=st.sampled_from([0, 1]),
+       kind=st.sampled_from(["CROT", "RXX", "RYY"]))
+@settings(max_examples=90, deadline=None)
+def test_macro_expansion_equivalence(theta, axis_phi, cv, ctrl, kind):
+    g = Gate(kind, (ctrl, 1 - ctrl), theta, axis_phi=axis_phi, control_value=cv)
     u_macro = gate_matrix(g)
     u_native = circuit_unitary(expand_circuit(Circuit([g])))
     assert phase_aligned_distance(u_native, u_macro) < 1e-10
+    if kind == "CROT":
+        axis = math.cos(axis_phi) * PAULI["X"] + math.sin(axis_phi) * PAULI["Y"]
+        gen = _on({ctrl: np.diag([1.0 - cv, cv]), 1 - ctrl: axis})
+    else:
+        gen = _on({0: PAULI[kind[1]], 1: PAULI[kind[1]]})
+    np.testing.assert_allclose(u_macro, expm(-0.5j * theta * gen), rtol=0, atol=1e-12)
 
 
 def test_rxx_ryy_expansion_equivalence():

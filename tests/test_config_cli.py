@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from chiralgate.cli import main
-from chiralgate.config import load_config, validate_config
+from chiralgate.config import MAX_STEPS, load_config, validate_config
 from chiralgate.errors import ConfigError
 from chiralgate.scenarios import (circuit_to_qasm, dump_pulses, export_qasm,
                                   ingest_counts, run_scenario, sweep_trotter)
@@ -18,6 +18,7 @@ def test_default_config_valid():
     cfg = validate_config({})
     assert cfg.protocol == "stap"
     assert cfg.n_steps == 20
+    validate_config({"n_steps": MAX_STEPS, "oracle_steps": MAX_STEPS})
 
 
 def test_unknown_top_level_key_rejected():
@@ -48,7 +49,9 @@ def test_bad_values_rejected():
                 {"pulses": {"alpha_m": 2.0}},
                 {"pulses": {"t_f": float("nan")}},
                 {"checkpoints_us": [0.6, float("inf")]},
-                {"fields": {"eps_q": float("-inf")}}):
+                {"fields": {"eps_q": float("-inf")}},
+                {"n_steps": MAX_STEPS + 1},
+                {"oracle_steps": MAX_STEPS + 1}):
         with pytest.raises(ConfigError):
             validate_config(raw)
 
@@ -206,6 +209,14 @@ def test_cli_rejects_out_of_range_fields(tmp_path, fields):
 
 def test_cli_rejects_negative_seed(tmp_path):
     assert main(["run", "--seed", "-3", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args", [["run", "--steps", str(10**15)],
+                                  ["export-qasm", "--steps", str(10**15)],
+                                  ["sweep-trotter", "--steps-list", "10,1000000000000"]])
+def test_cli_rejects_step_counts_above_max(tmp_path, capsys, args):
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert str(MAX_STEPS) in capsys.readouterr().err
 
 
 def test_cli_overrides_are_validated(tmp_path):

@@ -59,8 +59,16 @@ def test_trace_interpolation_and_bounds():
     tr = PopulationTrace(np.array([0.0, 1.0]), np.array([[1, 0, 0, 0],
                                                          [0, 0, 1, 0.0]]))
     np.testing.assert_allclose(tr.at(0.5), [0.5, 0, 0.5, 0])
+    t = np.array([[0.0, 0.25], [0.5, 1.0]])
+    got = tr.at(t)
+    assert got.shape == (2, 2, 4)
+    np.testing.assert_array_equal(got[1, 0], tr.at(0.5))
+    np.testing.assert_allclose(got[..., 2], t)
+    np.testing.assert_allclose(got.sum(axis=-1), 1.0)
     with pytest.raises(ValueError):
         tr.at(1.5)
+    with pytest.raises(ValueError):
+        tr.at(np.array([0.5, -0.1]))
 
 
 def test_csv_header_and_shape():

@@ -234,12 +234,8 @@ def test_discretize_stage_boundary_and_modes():
     assert d.k == round(20 * s.t_split / s.duration)
     assert np.all(d.omega_q[d.k:] == 0.0)
     assert np.all(d.omega_p[:d.k] == 0.0)
-    dm = discretize(s, 20, mode="midpoint")
-    assert dm.mode == "midpoint"
     with pytest.raises(ValueError):
         discretize(s, 1)
-    with pytest.raises(ValueError):
-        discretize(s, 20, mode="banana")
 
 
 def test_total_rabi():
