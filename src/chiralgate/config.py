@@ -6,6 +6,7 @@ parameter can never silently fall back to a default.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import yaml
@@ -28,9 +29,6 @@ SCALE_LIMIT = 1e9
 MAX_STEPS = 100_000
 _INT_RANGES = {"n_steps": (2, MAX_STEPS), "shots": (1, 2**63 - 1),   # numpy's int64
                "oracle_steps": (1, MAX_STEPS), "seed": (0, 2**63 - 1)}
-_TOP_KEYS = {"protocol", "molecule", "pulses", "n_steps", "shots", "seed",
-             "out_dir", "checkpoints_us", "enantiomer", "ps_order",
-             "erratum_s_gate", "oracle_steps", "fields"}
 
 
 @dataclass
@@ -80,6 +78,9 @@ class ScenarioConfig:
             return FieldConfig(**self.fields)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid fields: {exc}") from exc
+
+
+_TOP_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _require_keys(actual: dict, allowed: set, context: str) -> None:

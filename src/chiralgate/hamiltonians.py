@@ -24,18 +24,13 @@ from .pulses import (
     eval_q,
     gauss_legendre,
     ps_values,
-    stap_alpha1,
-    stap_alpha1_dot,
-    stap_alpha2,
-    stap_alpha2_dot,
+    stap_angles,
     stap_corrected_pulses,
     stap_dressed_splitting,
     total_rabi,
 )
 
 IDX_00, IDX_01, IDX_10, IDX_11 = 0, 1, 2, 3
-LEAKAGE_INDEX = IDX_01
-LEVEL_TO_QUBIT = {1: IDX_00, 2: IDX_11, 3: IDX_10}
 # 3-level subspace in basis order (ground, intermediate, target)
 SUBSPACE = (IDX_00, IDX_11, IDX_10)
 
@@ -54,27 +49,22 @@ def build_h_q(omega_q, handedness: Handedness) -> np.ndarray:
     return h
 
 
-def build_h_ps(omega_p, omega_s,
-               phi_p: float = 0.0, phi_s: float = 0.0) -> np.ndarray:
-    """Pump |00><11| and Stokes |11><10| couplings at Omega/2 each.
+def build_h_ps(omega_p, omega_s) -> np.ndarray:
+    """Real pump |00><11| and Stokes |11><10| couplings at Omega/2 each; the
+    chirality lives in the Q-drive phase alone.
 
     Amplitudes may be negative (phase-flipped effective STAP drives)."""
     h = np.zeros(np.shape(omega_p) + (4, 4), dtype=complex)
-    cp = 0.5 * omega_p * np.exp(1j * phi_p)
-    cs = 0.5 * omega_s * np.exp(1j * phi_s)
-    h[..., IDX_00, IDX_11] = cp
-    h[..., IDX_11, IDX_00] = np.conj(cp)
-    h[..., IDX_11, IDX_10] = cs
-    h[..., IDX_10, IDX_11] = np.conj(cs)
+    h[..., IDX_00, IDX_11] = h[..., IDX_11, IDX_00] = 0.5 * omega_p
+    h[..., IDX_11, IDX_10] = h[..., IDX_10, IDX_11] = 0.5 * omega_s
     return h
 
 
-def build_h_stap(p_eff, s_eff,
-                 phi_p: float = 0.0, phi_s: float = 0.0) -> np.ndarray:
+def build_h_stap(p_eff, s_eff) -> np.ndarray:
     """Generator for the corrected drives; same sparsity as build_h_ps."""
     if not (np.all(np.isfinite(p_eff)) and np.all(np.isfinite(s_eff))):
         raise ValueError("effective amplitudes must be finite")
-    return build_h_ps(p_eff, s_eff, phi_p, phi_s)
+    return build_h_ps(p_eff, s_eff)
 
 
 def dark_state(alpha1: float) -> np.ndarray:
@@ -85,17 +75,15 @@ def dark_state(alpha1: float) -> np.ndarray:
     return v
 
 
-def bright_states(alpha1: float, phi_p: float = 0.0,
-                  phi_s: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def bright_states(alpha1: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized +-Omega/2 eigenvectors of build_h_ps at mixing angle alpha1."""
     plus = np.zeros(4, dtype=complex)
     minus = np.zeros(4, dtype=complex)
     inv = 1.0 / math.sqrt(2.0)
-    g = inv * math.sin(alpha1) * np.exp(1j * (phi_p + phi_s))
-    e = inv * np.exp(1j * phi_s)
+    g = inv * math.sin(alpha1)
     t = inv * math.cos(alpha1)
-    plus[IDX_00], plus[IDX_11], plus[IDX_10] = g, e, t
-    minus[IDX_00], minus[IDX_11], minus[IDX_10] = g, -e, t
+    plus[IDX_00], plus[IDX_11], plus[IDX_10] = g, inv, t
+    minus[IDX_00], minus[IDX_11], minus[IDX_10] = g, -inv, t
     return plus, minus
 
 
@@ -114,14 +102,13 @@ class DressedFrame:
         return total
 
 
-def dressed_states(alpha1: float, alpha2: float, phi: float = math.pi / 2) -> DressedFrame:
-    """Counteradiabatic basis: phi0 = cos(a2) * dark + e^{i phi} sin(a2) |11>,
+def dressed_states(alpha1: float, alpha2: float) -> DressedFrame:
+    """Counteradiabatic basis: phi0 = cos(a2) * dark + i sin(a2) |11>,
     with phi_pm completing the frame so phi+ <-> phi- stay uncoupled.
 
     At alpha2 = 0 this reduces to the adiabatic dark/bright frame."""
     c1, s1 = math.cos(alpha1), math.sin(alpha1)
     c2, s2 = math.cos(alpha2), math.sin(alpha2)
-    ph = np.exp(1j * phi)
 
     d = np.zeros(4, dtype=complex)   # dark direction
     b = np.zeros(4, dtype=complex)   # bright direction
@@ -130,8 +117,8 @@ def dressed_states(alpha1: float, alpha2: float, phi: float = math.pi / 2) -> Dr
     b[IDX_00], b[IDX_10] = s1, c1
     e[IDX_11] = 1.0
 
-    phi0 = c2 * d + ph * s2 * e
-    chi = ph * s2 * d + c2 * e
+    phi0 = c2 * d + 1j * s2 * e
+    chi = 1j * s2 * d + c2 * e
     inv = 1.0 / math.sqrt(2.0)
     frame = DressedFrame(phi0, inv * (b + chi), inv * (b - chi))
     gram = np.array([
@@ -185,15 +172,12 @@ def adiabatic_frame_couplings(schedule: StirapSchedule, t: float,
     if h_step is None:
         h_step = 1e-5 * schedule.duration
 
-    w0 = _eigenframe(build_h_ps(omega_p, omega_s, schedule.phi_p, schedule.phi_s))
-    wm = _match_frame(w0, _eigenframe(build_h_ps(*eval_ps(schedule, t - h_step),
-                                                 schedule.phi_p, schedule.phi_s)))
-    wp = _match_frame(w0, _eigenframe(build_h_ps(*eval_ps(schedule, t + h_step),
-                                                 schedule.phi_p, schedule.phi_s)))
+    w0 = _eigenframe(build_h_ps(omega_p, omega_s))
+    wm = _match_frame(w0, _eigenframe(build_h_ps(*eval_ps(schedule, t - h_step))))
+    wp = _match_frame(w0, _eigenframe(build_h_ps(*eval_ps(schedule, t + h_step))))
     dw = (wp - wm) / (2.0 * h_step)
 
-    sub = build_h_ps(omega_p, omega_s, schedule.phi_p, schedule.phi_s)[
-        np.ix_(SUBSPACE, SUBSPACE)]
+    sub = build_h_ps(omega_p, omega_s)[np.ix_(SUBSPACE, SUBSPACE)]
     u0 = w0.conj().T
     h_frame = u0 @ sub @ w0 - 1j * (u0 @ dw)
     # columns ordered by ascending eigenvalue: (-, 0, +); dark is column 1
@@ -214,8 +198,7 @@ def lambda_pm(schedule: StapSchedule, t: float,
     and alpha2 = 0 the magnitude is |alpha1_dot| (the bare STIRAP
     nonadiabatic coupling)."""
     path = schedule.path
-    a1, a2 = stap_alpha1(path, t), stap_alpha2(path, t)
-    da1, da2 = stap_alpha1_dot(path, t), stap_alpha2_dot(path, t)
+    a1, da1, a2, da2 = stap_angles(path, t)
     if effective is None:
         effective = stap_corrected_pulses(path, t)
     a_p, b_s = effective
@@ -272,8 +255,7 @@ def _two_stage_generator(schedule: StirapSchedule | StapSchedule,
         if q_stage.any():
             h[q_stage] = build_h_q(eval_q(schedule, t[q_stage]), handedness)
         if not q_stage.all():
-            h[~q_stage] = build_h_stap(*ps_values(schedule, t[~q_stage]),
-                                       schedule.phi_p, schedule.phi_s)
+            h[~q_stage] = build_h_stap(*ps_values(schedule, t[~q_stage]))
         return h
     return gen
 

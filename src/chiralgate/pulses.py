@@ -99,8 +99,6 @@ class StirapSchedule:
     tau: float
     t1: float
     t_f: float
-    phi_p: float = 0.0
-    phi_s: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.t1 < self.t_f:
@@ -159,8 +157,6 @@ class StapSchedule:
 
     q: GaussianPulse
     path: StapAnglePath
-    phi_p: float = 0.0
-    phi_s: float = 0.0
 
     @property
     def duration(self) -> float:
@@ -260,48 +256,35 @@ def adiabaticity_ratio(schedule: StirapSchedule, t: float) -> float:
 
 # -- STAP control angles -----------------------------------------------------
 
-def _u_edge(path: StapAnglePath) -> float:
-    return 0.5 * (path.t_f - path.t_i) / path.t_alpha2
+def stap_angles(path: StapAnglePath, t):
+    """(alpha1, alpha1_dot, alpha2, alpha2_dot) at times t.
 
-
-def stap_alpha1(path: StapAnglePath, t):
-    """Mixing-angle ramp pi/4 -> pi/2 over [t_i, t_f]."""
+    alpha1 ramps pi/4 -> pi/2 over [t_i, t_f]; alpha2 is the Gaussian
+    counteradiabatic angle, alpha_m * e^-9 at both endpoints when t_alpha2
+    keeps its default (t_f - t_i)/6.
+    """
     t = np.asarray(t, dtype=float)
-    span = path.t_f - path.t_i
+    u = (t - path.center) / path.t_alpha2
+    bump = np.exp(-u * u)
+    a2 = path.alpha_m * bump
+    da2 = a2 * (-2.0 * u / path.t_alpha2)
     if path.alpha1_profile == "sin2":
+        span = path.t_f - path.t_i
         s = (t - path.t_i) / span
-        return math.pi / 4 + (math.pi / 4) * np.sin(math.pi * s / 2) ** 2
+        a1 = math.pi / 4 + (math.pi / 4) * np.sin(math.pi * s / 2) ** 2
+        da1 = (math.pi**2 / (8.0 * span)) * np.sin(math.pi * s)
+        return a1, da1, a2, da2
     # "gauss_match": alpha1_dot proportional to the alpha2 Gaussian, so the
     # ratio alpha1_dot / alpha2 stays bounded by its endpoint value and the
     # corrected drives remain modest everywhere (see stap_corrected_pulses).
-    ue = _u_edge(path)
-    u = np.clip((t - path.center) / path.t_alpha2, -ue, ue)
-    return math.pi / 4 + (math.pi / 8) * (_erf(u) + math.erf(ue)) / math.erf(ue)
-
-
-def stap_alpha1_dot(path: StapAnglePath, t):
-    t = np.asarray(t, dtype=float)
-    span = path.t_f - path.t_i
-    if path.alpha1_profile == "sin2":
-        s = (t - path.t_i) / span
-        return (math.pi**2 / (8.0 * span)) * np.sin(math.pi * s)
-    u = (t - path.center) / path.t_alpha2
-    peak = (math.pi / 4) / (math.sqrt(math.pi) * path.t_alpha2 * math.erf(_u_edge(path)))
-    # the window test is on t: at t = t_i, u rounds to just below -u_edge
+    ue = 0.5 * (path.t_f - path.t_i) / path.t_alpha2
+    clipped = np.clip(u, -ue, ue)
+    a1 = math.pi / 4 + (math.pi / 8) * (_erf(clipped) + math.erf(ue)) / math.erf(ue)
+    peak = (math.pi / 4) / (math.sqrt(math.pi) * path.t_alpha2 * math.erf(ue))
+    # the window test is on t: at t = t_i, u rounds to just below -ue
     inside = (t >= path.t_i) & (t <= path.t_f)
-    return np.where(inside, peak * np.exp(-u * u), 0.0)
-
-
-def stap_alpha2(path: StapAnglePath, t):
-    """Gaussian counteradiabatic angle; alpha_m * e^-9 at both endpoints when
-    t_alpha2 keeps its default (t_f - t_i)/6."""
-    u = (np.asarray(t, dtype=float) - path.center) / path.t_alpha2
-    return path.alpha_m * np.exp(-u * u)
-
-
-def stap_alpha2_dot(path: StapAnglePath, t):
-    u = (np.asarray(t, dtype=float) - path.center) / path.t_alpha2
-    return stap_alpha2(path, t) * (-2.0 * u / path.t_alpha2)
+    da1 = np.where(inside, peak * bump, 0.0)
+    return a1, da1, a2, da2
 
 
 _COT_OVERFLOW = 1e9
@@ -321,10 +304,11 @@ def stap_corrected_pulses(path: StapAnglePath, t):
     Amplitudes may be negative: a sign flip is a pi phase flip of the drive.
     """
     t = np.asarray(t, dtype=float)
-    a1 = stap_alpha1(path, t)
-    a2 = stap_alpha2(path, t)
-    da1 = stap_alpha1_dot(path, t)
-    da2 = stap_alpha2_dot(path, t)
+    return _corrected(t, *stap_angles(path, t))
+
+
+def _corrected(t, a1, da1, a2, da2):
+    """stap_corrected_pulses from the angles stap_angles gives at t."""
     with np.errstate(divide="ignore", invalid="ignore"):
         core = da1 * (np.cos(a2) / np.sin(a2))  # alpha2 > 0 on the closed window
     bad = ~(np.abs(core) <= _COT_OVERFLOW)      # also an alpha2 that underflowed
@@ -343,10 +327,9 @@ def stap_dressed_splitting(path: StapAnglePath, t):
     includes the geometric (frame-derivative) contribution and reduces to
     -2 alpha1_dot / sin(alpha2) for the designed pulses.
     """
-    a1 = stap_alpha1(path, t)
-    a2 = stap_alpha2(path, t)
-    da1 = stap_alpha1_dot(path, t)
-    p_eff, s_eff = stap_corrected_pulses(path, t)
+    t = np.asarray(t, dtype=float)
+    a1, da1, a2, da2 = stap_angles(path, t)
+    p_eff, s_eff = _corrected(t, a1, da1, a2, da2)
     return (p_eff * np.sin(a1) + s_eff * np.cos(a1)) * np.cos(a2) - 2.0 * np.sin(a2) * da1
 
 
@@ -435,8 +418,6 @@ def default_stirap_schedule(
     tau: float | None = None,
     ps_width: float | None = None,
     q_width: float | None = None,
-    phi_p: float = 0.0,
-    phi_s: float = 0.0,
 ) -> StirapSchedule:
     """STIRAP defaults: Q stage [0, t1] with area pi/2, Stokes-before-pump
     P/S stage on [t1, t_f]."""
@@ -457,8 +438,6 @@ def default_stirap_schedule(
         tau=tau,
         t1=t1,
         t_f=t_f,
-        phi_p=phi_p,
-        phi_s=phi_s,
     )
 
 
@@ -469,12 +448,9 @@ def default_stap_schedule(
     t_alpha2: float | None = None,
     alpha1_profile: str = "gauss_match",
     q_width: float | None = None,
-    phi_p: float = 0.0,
-    phi_s: float = 0.0,
 ) -> StapSchedule:
     """STAP defaults: Q stage [0, t_split] with area pi/2, counteradiabatic
     P/S stage on [t_split, t_f]."""
     path = StapAnglePath(alpha_m=alpha_m, t_i=t_split, t_f=t_f,
                          t_alpha2=t_alpha2, alpha1_profile=alpha1_profile)
-    return StapSchedule(q=q_stage_pulse(math.pi / 2.0, t_split, q_width),
-                        path=path, phi_p=phi_p, phi_s=phi_s)
+    return StapSchedule(q_stage_pulse(math.pi / 2.0, t_split, q_width), path)

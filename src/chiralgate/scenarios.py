@@ -150,8 +150,9 @@ def sweep_trotter(config: ScenarioConfig, steps_list: list[int],
     at the final time only ("final_dev").  The slope is fitted to max_dev,
     where the first-order splitting error dominates at every N.
     """
-    if not steps_list or any(not 2 <= n <= MAX_STEPS for n in steps_list):
-        raise ConfigError(f"steps_list must be nonempty with every N in [2, {MAX_STEPS}]")
+    if len(set(steps_list)) < 2 or any(not 2 <= n <= MAX_STEPS for n in steps_list):
+        raise ConfigError("steps_list needs at least two distinct N (for the slope), "
+                          f"every N in [2, {MAX_STEPS}]")
     schedule = config.build_schedule()
     oracle = _oracle(config, schedule, hand)
     rows = []
@@ -213,13 +214,14 @@ def ingest_counts(raw: dict, reference: dict[str, float] | None = None) -> dict:
     if not isinstance(raw, dict) or "shots" not in raw:
         raise ConfigError('counts object must be a mapping with a "shots" key')
     shots = raw["shots"]
-    if not isinstance(shots, int) or shots < 1:
+    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise ConfigError(f"shots must be a positive integer, got {shots!r}")
     counts = {k: v for k, v in raw.items() if k != "shots"}
     bad = set(counts) - {"00", "01", "10", "11"}
     if bad:
         raise ConfigError(f"invalid bitstring key(s): {', '.join(sorted(bad))}")
-    if any(not isinstance(v, int) or v < 0 for v in counts.values()):
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0
+           for v in counts.values()):
         raise ConfigError("counts must be nonnegative integers")
     if sum(counts.values()) != shots:
         raise ConfigError(

@@ -23,6 +23,13 @@ lambda_drives = st.tuples(amplitudes, amplitudes, phases, phases)
 q_drives = st.tuples(st.floats(0.0, 30.0), st.sampled_from([+1, -1]))
 
 
+def _phased_h_ps(p, s, phi_p, phi_s):
+    """build_h_ps with pump phase phi_p and Stokes phase phi_s: the diagonal
+    gauge transform D H D^dag, D = diag(e^{i [0, 0, -phi_p - phi_s, -phi_p]})."""
+    d = np.exp(1j * np.array([0.0, 0.0, -phi_p - phi_s, -phi_p]))
+    return d[:, None] * build_h_ps(p, s) * d.conj()
+
+
 def _expm_steps(h, dt):
     return np.array([expm(-1j * dt * m) for m in h])
 
@@ -34,7 +41,7 @@ def _expm_steps(h, dt):
 @example(drives=[(0.0, -2e-9, 0.0, 1.0)], dt=1.0)      # w = 1e-9
 @settings(max_examples=200, deadline=None)
 def test_closed_form_matches_expm_on_lambda_generators(drives, dt):
-    h = np.array([build_h_ps(*d) for d in drives])
+    h = np.array([_phased_h_ps(*d) for d in drives])
     np.testing.assert_allclose(closed_form_unitaries(h, dt), _expm_steps(h, dt),
                                rtol=0, atol=1e-12)
 
@@ -51,7 +58,7 @@ def test_closed_form_matches_expm_on_q_generators(drives, dt):
 
 
 def test_closed_form_accepts_a_single_matrix():
-    h = build_h_ps(1.3, -0.4, 0.2, 1.1)
+    h = _phased_h_ps(1.3, -0.4, 0.2, 1.1)
     np.testing.assert_allclose(closed_form_unitaries(h, 0.7), expm(-0.7j * h),
                                rtol=0, atol=1e-12)
 

@@ -106,8 +106,9 @@ def test_sweep_trotter_table_shape():
     table = sweep_trotter(cfg, [10, 20])
     assert [r["n"] for r in table["rows"]] == [10, 20]
     assert table["rows"][0]["max_dev"] > table["rows"][1]["max_dev"]
-    with pytest.raises(ConfigError):
-        sweep_trotter(cfg, [])
+    for steps in ([], [20], [20, 20]):  # the slope needs two distinct N
+        with pytest.raises(ConfigError):
+            sweep_trotter(cfg, steps)
 
 
 def test_qasm_export_and_l_r_angle_signs(tmp_path):
@@ -162,6 +163,9 @@ def test_ingest_counts_validation():
         ingest_counts({"00": 4, "shots": 10})  # sum mismatch
     with pytest.raises(ConfigError):
         ingest_counts({"00": -1, "01": 11, "shots": 10})
+    for booleans in ({"shots": True, "10": 1}, {"shots": 1, "10": True}):
+        with pytest.raises(ConfigError):
+            ingest_counts(booleans)
     flagged = ingest_counts({"10": 100, "shots": 100})
     assert flagged["populations"]["10"].get("zero_width_interval")
 
@@ -213,7 +217,9 @@ def test_cli_rejects_negative_seed(tmp_path):
 
 @pytest.mark.parametrize("args", [["run", "--steps", str(10**15)],
                                   ["export-qasm", "--steps", str(10**15)],
-                                  ["sweep-trotter", "--steps-list", "10,1000000000000"]])
+                                  ["sweep-trotter", "--steps-list", "10,1000000000000"],
+                                  ["sweep-trotter", "--steps-list", "20"],
+                                  ["sweep-trotter", "--steps-list", "20,20"]])
 def test_cli_rejects_step_counts_above_max(tmp_path, capsys, args):
     assert main(args + ["--out", str(tmp_path)]) == 2
     assert str(MAX_STEPS) in capsys.readouterr().err

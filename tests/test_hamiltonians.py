@@ -13,7 +13,7 @@ from chiralgate.hamiltonians import (IDX_00, IDX_01, IDX_10, IDX_11,
 from chiralgate.propagate import evolve_piecewise_exact
 from chiralgate.pulses import (LEFT, RIGHT, StirapSchedule,
                                default_stap_schedule, default_stirap_schedule,
-                               eval_ps, mixing_angle_rate, stap_alpha1_dot,
+                               eval_ps, mixing_angle_rate, stap_angles,
                                stap_corrected_pulses, stap_dressed_splitting,
                                total_rabi)
 
@@ -93,7 +93,7 @@ def test_lambda_pm_reduces_to_mixing_rate_without_corrections():
     s = default_stap_schedule(alpha_m=1e-6)
     t = s.path.center
     lp, lm = lambda_pm(s, t, effective=(0.0, 0.0))
-    da1 = stap_alpha1_dot(s.path, t)
+    da1 = stap_angles(s.path, t)[1]
     np.testing.assert_allclose(abs(lp), abs(da1), rtol=1e-6)
     np.testing.assert_allclose(abs(lm), abs(da1), rtol=1e-6)
 

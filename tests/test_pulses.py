@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,14 +8,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chiralgate.errors import DomainError
-from chiralgate.pulses import (GaussianPulse, Handedness, LEFT, RIGHT,
-                               StapAnglePath, StirapSchedule,
+from chiralgate.pulses import (ALPHA1_PROFILES, GaussianPulse, Handedness,
+                               LEFT, RIGHT, StapAnglePath, StirapSchedule,
                                adiabaticity_ratio, default_stap_schedule,
                                default_stirap_schedule, discretize, eval_ps,
                                eval_ps_rates, eval_q, mixing_angle,
                                mixing_angle_rate, ps_values, q_stage_pulse,
-                               stap_alpha1, stap_alpha1_dot, stap_alpha2,
-                               stap_alpha2_dot, stap_corrected_pulses,
+                               stap_angles, stap_corrected_pulses,
                                stap_dressed_splitting, total_rabi)
 
 
@@ -132,29 +132,29 @@ def test_schedule_validation():
 def test_alpha1_boundary_conditions(alpha_m, t_alpha2, profile):
     path = StapAnglePath(alpha_m=alpha_m, t_i=1.24, t_f=2.5,
                          t_alpha2=t_alpha2, alpha1_profile=profile)
-    assert stap_alpha1(path, path.t_i) == pytest.approx(math.pi / 4, abs=1e-12)
-    assert stap_alpha1(path, path.t_f) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert stap_angles(path, path.t_i)[0] == pytest.approx(math.pi / 4, abs=1e-12)
+    assert stap_angles(path, path.t_f)[0] == pytest.approx(math.pi / 2, abs=1e-12)
     # monotone ramp
     ts = np.linspace(path.t_i, path.t_f, 200)
-    vals = [stap_alpha1(path, t) for t in ts]
+    vals = [stap_angles(path, t)[0] for t in ts]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_alpha2_gaussian_bump_shape():
     path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5)
-    assert stap_alpha2(path, path.center) == pytest.approx(0.35)
-    edge = stap_alpha2(path, path.t_i)
+    assert stap_angles(path, path.center)[2] == pytest.approx(0.35)
+    edge = stap_angles(path, path.t_i)[2]
     assert edge == pytest.approx(0.35 * math.exp(-9), rel=1e-10)
 
 
 def test_alpha_dots_match_finite_difference():
-    path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5)
     h = 1e-7
-    for t in (1.4, 1.87, 2.2):
-        fd1 = (stap_alpha1(path, t + h) - stap_alpha1(path, t - h)) / (2 * h)
-        fd2 = (stap_alpha2(path, t + h) - stap_alpha2(path, t - h)) / (2 * h)
-        np.testing.assert_allclose(stap_alpha1_dot(path, t), fd1, rtol=1e-5)
-        np.testing.assert_allclose(stap_alpha2_dot(path, t), fd2, rtol=1e-5)
+    for profile, t in itertools.product(ALPHA1_PROFILES, (1.4, 1.87, 2.2)):
+        path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5, alpha1_profile=profile)
+        _, da1, _, da2 = stap_angles(path, t)
+        up, down = stap_angles(path, t + h), stap_angles(path, t - h)
+        np.testing.assert_allclose(da1, (up[0] - down[0]) / (2 * h), rtol=1e-5)
+        np.testing.assert_allclose(da2, (up[2] - down[2]) / (2 * h), rtol=1e-5)
 
 
 def test_corrected_pulse_identities():
@@ -164,10 +164,7 @@ def test_corrected_pulse_identities():
     path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5)
     for t in np.linspace(1.25, 2.49, 40):
         p, s = stap_corrected_pulses(path, t)
-        a1 = stap_alpha1(path, t)
-        a2 = stap_alpha2(path, t)
-        da1 = stap_alpha1_dot(path, t)
-        da2 = stap_alpha2_dot(path, t)
+        a1, da1, a2, da2 = stap_angles(path, t)
         lhs1 = p * math.sin(a1) + s * math.cos(a1)
         lhs2 = p * math.cos(a1) - s * math.sin(a1)
         np.testing.assert_allclose(lhs1, -2 * da1 / math.tan(a2), rtol=1e-10, atol=1e-12)
@@ -191,7 +188,8 @@ def test_dressed_splitting_closed_form():
     # with the designed pulses the splitting is -2 alpha1_dot / sin(alpha2)
     path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5)
     for t in (1.4, 1.87, 2.3):
-        want = -2.0 * stap_alpha1_dot(path, t) / math.sin(stap_alpha2(path, t))
+        _, da1, a2, _ = stap_angles(path, t)
+        want = -2.0 * da1 / math.sin(a2)
         np.testing.assert_allclose(stap_dressed_splitting(path, t), want, rtol=1e-10)
 
 
