@@ -2,9 +2,9 @@
 circuits, plus statevector execution and sampled measurement.
 
 Qubit 0 is the left bit of every bitstring; statevector index = 2*b0 + b1.
-Native gate set is {RX, RY, RZ, X, CX}; the macro kinds CROT, RXX, RYY are
-expanded into natives with algebraically exact identities (verified in the
-test suite to 1e-10), so export and simulation agree.
+Native gate set is {RX, RY, RZ, X, CX}; the macro kinds CROT, XX-YY, XX+YY
+are expanded into natives with algebraically exact identities (verified in
+the test suite to 1e-10), so export and simulation agree.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrityError
-from .propagate import PopulationTrace, populations
+from .hamiltonians import DRIVES, IDX_01, IDX_10, coupling
+from .propagate import BASIS_LABELS, PopulationTrace, populations, propagate
 from .pulses import DiscretizedSchedule, Handedness
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
-MACRO_KINDS = ("CROT", "RXX", "RYY")
+MACRO_KINDS = ("CROT", "XX-YY", "XX+YY")
 
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
@@ -29,6 +30,9 @@ _ONE_QUBIT = {"X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0,
 _ON = {(name, q): np.kron(m, _I2) if q == 0 else np.kron(_I2, m)
        for name, m in _ONE_QUBIT.items() for q in (0, 1)}
 _CX = {(c, 1 - c): _I4 - _ON["P1", c] + _ON["P1", c] @ _ON["X", 1 - c] for c in (0, 1)}
+# (p, G) of the two-qubit hopping kinds: G = (XX -+ YY)/2 = coupling(pair)
+_HOP = {kind: (g @ g, g) for kind, g in (("XX-YY", coupling(DRIVES["P"])),
+                                         ("XX+YY", coupling((IDX_01, IDX_10))))}
 for _m in (_I4, *_ON.values(), *_CX.values()):
     _m.flags.writeable = False   # gate_matrix hands these out as they are
 
@@ -90,9 +94,9 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
         exp(-i angle/2 G) = (1 - p) + cos(angle/2) p - i sin(angle/2) G:
 
-    a Pauli or Pauli pair with p = I for RX, RY, RZ, RXX and RYY, and for
-    CROT p = |v><v| on the control and G = p (cos phi X + sin phi Y) on the
-    target.
+    a Pauli with p = I for RX, RY and RZ; for CROT p = |v><v| on the
+    control and G = p (cos phi X + sin phi Y) on the target; for XX-YY and
+    XX+YY p projects onto the level pair that G = (XX -+ YY)/2 hops.
     """
     k, q = gate.kind, gate.qubits
     if k == "X":
@@ -104,8 +108,8 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         p = _ON[f"P{gate.control_value}", q[0]]
         g = p @ (math.cos(gate.axis_phi) * _ON["X", q[1]]
                  + math.sin(gate.axis_phi) * _ON["Y", q[1]])
-    elif k in MACRO_KINDS:   # RXX, RYY
-        g = _ON[k[1], 0] @ _ON[k[1], 1]
+    elif k in _HOP:
+        p, g = _HOP[k]
     else:
         g = _ON[k[1], q[0]]
     half = gate.angle / 2
@@ -121,9 +125,9 @@ def expand_gate(gate: Gate) -> list[Gate]:
     rotation about the xy-plane axis at azimuth a is conjugated onto the z
     axis (R_n(t) = Rz(a) Ry(pi/2) Rz(t) Ry(-pi/2) Rz(-a)) and the inner
     controlled-Rz is the exact CX - Rz - CX echo, which works because X
-    anticommutes with Z (it would cancel for an Rx echo).  RXX/RYY:
-    basis-change conjugation of the same echo realization of
-    exp(-i angle ZZ/2).
+    anticommutes with Z (it would cancel for an Rx echo).  XX-+YY: the
+    commuting factors exp(-i angle/4 XX) exp(+-i angle/4 YY), each a basis
+    change of the same echo realization of exp(-i a ZZ/2).
     """
     k = gate.kind
     if k in NATIVE_KINDS:
@@ -146,17 +150,15 @@ def expand_gate(gate: Gate) -> list[Gate]:
             out.append(Gate("X", (control,)))
         return out
     q0, q1 = gate.qubits
-    if k == "RXX":
-        pre, post = ("RY", -math.pi / 2), ("RY", math.pi / 2)
-    else:  # RYY
-        pre, post = ("RX", math.pi / 2), ("RX", -math.pi / 2)
-    out.append(Gate(pre[0], (q0,), pre[1]))
-    out.append(Gate(pre[0], (q1,), pre[1]))
-    out.append(Gate("CX", (q0, q1)))
-    out.append(Gate("RZ", (q1,), gate.angle))
-    out.append(Gate("CX", (q0, q1)))
-    out.append(Gate(post[0], (q0,), post[1]))
-    out.append(Gate(post[0], (q1,), post[1]))
+    yy = -gate.angle / 2 if k == "XX-YY" else gate.angle / 2
+    for basis, turn, a in (("RY", -math.pi / 2, gate.angle / 2), ("RX", math.pi / 2, yy)):
+        out.append(Gate(basis, (q0,), turn))
+        out.append(Gate(basis, (q1,), turn))
+        out.append(Gate("CX", (q0, q1)))
+        out.append(Gate("RZ", (q1,), a))
+        out.append(Gate("CX", (q0, q1)))
+        out.append(Gate(basis, (q0,), -turn))
+        out.append(Gate(basis, (q1,), -turn))
     return out
 
 
@@ -174,40 +176,35 @@ def expand_circuit(circuit: Circuit) -> Circuit:
 
 # -- Trotter-step compilation ------------------------------------------------
 
-def compile_q_step(theta: float, handedness: Handedness) -> list[Gate]:
-    """Zero-controlled rotation on qubit 0 realizing exp(-i H_Q dt).
-
-    The coupling (Omega/2)(e^{i phi} |00><10| + h.c.) generates, on the
-    qubit-0 block with qubit 1 at |0>, a rotation by theta = Omega*dt about
-    the xy-plane axis at azimuth -phi; for phi = +-pi/2 this is R_y(-+theta).
-    """
+def _rotation(pair: tuple[int, int], theta: float, phase: float = 0.0) -> list[Gate]:
+    """exp(-i theta/2 coupling(pair, phase)) as one macro ([] for theta = 0): CROT
+    on the one qubit the levels differ in, else XX-YY or XX+YY (phase 0 only)."""
     if theta == 0.0:
         return []
-    return [Gate("CROT", (1, 0), theta, axis_phi=-handedness.phi_q,
-                 control_value=0)]
+    a, b = (divmod(level, 2) for level in pair)     # (b0, b1) of each level
+    if a[0] != b[0] and a[1] != b[1]:
+        return [Gate("XX-YY" if a[0] == a[1] else "XX+YY", (0, 1), theta)]
+    t = int(a[0] == b[0])                           # the qubit that flips
+    return [Gate("CROT", (1 - t, t), theta, axis_phi=phase if a[t] else -phase,
+                 control_value=a[1 - t])]
+
+
+def compile_q_step(theta: float, handedness: Handedness) -> list[Gate]:
+    """exp(-i H_Q dt), theta = Omega_Q dt: R_y(-+theta) on qubit 0 for
+    phi_Q = +-pi/2, conditioned on qubit 1 being |0>."""
+    return _rotation(DRIVES["Q"], theta, handedness.phi_q)
 
 
 def compile_p_step(theta: float) -> list[Gate]:
-    """exp(-i theta/2 (|00><11| + |11><00|)) as commuting RXX/RYY halves."""
-    if theta == 0.0:
-        return []
-    return [Gate("RXX", (0, 1), theta / 2), Gate("RYY", (0, 1), -theta / 2)]
+    """exp(-i theta/2 (|00><11| + |11><00|)): one XX-YY gate."""
+    return _rotation(DRIVES["P"], theta)
 
 
 def compile_s_step(theta: float, erratum: bool = False) -> list[Gate]:
     """exp(-i theta/2 (|11><10| + |10><11|)): Rx on qubit 1 conditioned on
-    qubit 0 being |1>.
-
-    With erratum=True, emits the RXX.RYY construction that acts on the
-    {|01>, |10>} block instead: exp(-i theta/4 (XX + YY)) is a hopping term
-    between the odd-parity states and leaves |11> invariant, so it does not
-    realize the Stokes coupling.  Kept for demonstrating that discrepancy.
-    """
-    if theta == 0.0:
-        return []
-    if erratum:
-        return [Gate("RXX", (0, 1), theta / 2), Gate("RYY", (0, 1), theta / 2)]
-    return [Gate("CROT", (0, 1), theta, axis_phi=0.0, control_value=1)]
+    qubit 0 being |1>.  erratum=True puts the same rotation on the wrong
+    pair, {|01>, |10>}, which leaves |11> alone; kept to demonstrate that."""
+    return _rotation((IDX_01, IDX_10) if erratum else DRIVES["S"], theta)
 
 
 def compile_protocol(
@@ -239,7 +236,7 @@ def compile_protocol(
     meta = dict(protocol=protocol, handedness=handedness.label,
                 n_steps=discretized.m, delta_t=dt, k=discretized.k,
                 ps_order=ps_order, erratum_s_gate=erratum_s_gate,
-                step_bounds=bounds, gate_count=len(gates))
+                step_bounds=bounds)
     return Circuit(gates, meta)
 
 
@@ -250,22 +247,12 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
     statevector).  Populations are recorded at Trotter-step boundaries when
     the circuit has them in metadata, else after every gate.
     """
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("initial state is not normalized")
-    states = [psi]
-    for gate in circuit.gates:
-        psi = gate_matrix(gate) @ psi
-        states.append(psi)
+    states = propagate((gate_matrix(g) for g in circuit.gates), psi0, tol=1e-10)
     bounds = circuit.metadata.get("step_bounds")
-    probs = populations(np.array(states if bounds is None
-                                 else [states[b] for b in [0, *bounds]]))
-    norm_err = abs(np.linalg.norm(psi) - 1.0)
-    if not norm_err <= 1e-10:
-        raise IntegrityError(f"circuit execution norm drift {norm_err:.3g}")
+    probs = populations(states if bounds is None else states[[0, *bounds]])
     times = circuit.metadata.get("delta_t", 1.0) * np.arange(len(probs))
     return PopulationTrace(times, probs,
-                           circuit.metadata.get("handedness", "")), psi
+                           circuit.metadata.get("handedness", "")), states[-1]
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -294,6 +281,5 @@ def sample_measurements(state: np.ndarray, shots: int, seed: int) -> Measurement
     p = np.abs(np.asarray(state)) ** 2
     p = p / p.sum()
     draws = np.random.default_rng(seed).multinomial(shots, p)
-    labels = ("00", "01", "10", "11")
-    counts = {labels[i]: int(draws[i]) for i in range(4) if draws[i] > 0}
+    counts = {BASIS_LABELS[i]: int(draws[i]) for i in range(4) if draws[i] > 0}
     return MeasurementRecord(shots, counts, seed)

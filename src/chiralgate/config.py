@@ -91,12 +91,13 @@ def _require_keys(actual: dict, allowed: set, context: str) -> None:
 
 
 def _require_scale(value, context: str) -> None:
-    """Every number in the tree 0 or of magnitude in [1/SCALE_LIMIT, SCALE_LIMIT]."""
+    """Every number in the tree 0 or of magnitude in [1/SCALE_LIMIT, SCALE_LIMIT]
+    and none a boolean (YAML's true/false would pass as 1/0)."""
     items = (value.items() if isinstance(value, dict)
              else enumerate(value) if isinstance(value, list) else ())
     for key, v in items:
         _require_scale(v, f"{context}.{key}")
-    if isinstance(value, (int, float)) and not (
+    if isinstance(value, bool) or isinstance(value, (int, float)) and not (
             value == 0 or 1 / SCALE_LIMIT <= abs(value) <= SCALE_LIMIT):
         raise ConfigError(f"{context} must be 0 or a finite number of magnitude "
                           f"{1 / SCALE_LIMIT:g} to {SCALE_LIMIT:g}, got {value}")
@@ -107,7 +108,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
     _require_keys(raw, _TOP_KEYS, "config")
     for key, value in raw.items():
-        if key not in _INT_RANGES:  # those are range-checked below
+        if isinstance(value, (dict, list)):  # top-level scalars are checked below
             _require_scale(value, key)
     cfg = ScenarioConfig(**raw)
 
@@ -117,7 +118,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"{name} must be one of {choices}, got {getattr(cfg, name)!r}")
     for name, (lo, hi) in _INT_RANGES.items():
         v = getattr(cfg, name)
-        if not isinstance(v, int) or not lo <= v <= hi:
+        if not isinstance(v, int) or isinstance(v, bool) or not lo <= v <= hi:
             raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
     if not isinstance(cfg.out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")

@@ -33,31 +33,39 @@ from .pulses import (
 IDX_00, IDX_01, IDX_10, IDX_11 = 0, 1, 2, 3
 # 3-level subspace in basis order (ground, intermediate, target)
 SUBSPACE = (IDX_00, IDX_11, IDX_10)
+# The level pair each drive couples, for the oracle and the circuit alike
+DRIVES = {"Q": (IDX_00, IDX_10), "P": (IDX_00, IDX_11), "S": (IDX_11, IDX_10)}
+
+
+def coupling(pair: tuple[int, int], phase: float = 0.0) -> np.ndarray:
+    """e^{i phase} |a><b| + h.c. for pair = (a, b): it squares to the pair's projector."""
+    a, b = pair
+    g = np.zeros((4, 4), dtype=complex)
+    g[a, b] = np.exp(1j * phase)
+    g[b, a] = np.conj(g[a, b])
+    return g
+
 
 # The builders below take amplitude arrays of one shape and return a stack of
 # shape amplitude.shape + (4, 4); a plain float gives one 4x4 matrix.
 
+def _drive_sum(omegas, couplings) -> np.ndarray:
+    """sum_k (omegas[k]/2) couplings[k] as one product: no stack per drive."""
+    return np.tensordot(0.5 * np.stack(np.broadcast_arrays(*omegas), axis=-1),
+                        np.stack(couplings), 1)
+
 
 def build_h_q(omega_q, handedness: Handedness) -> np.ndarray:
-    """Chirality-signed |00><10| coupling: (Omega_Q/2) e^{i phi_Q} + h.c."""
+    """Chirality-signed Q drive: (Omega_Q/2) coupling(DRIVES["Q"], phi_Q)."""
     if np.any(np.asarray(omega_q) < 0):
         raise ValueError(f"omega_q must be >= 0, got {np.min(omega_q)}")
-    h = np.zeros(np.shape(omega_q) + (4, 4), dtype=complex)
-    c = 0.5 * omega_q * np.exp(1j * handedness.phi_q)
-    h[..., IDX_00, IDX_10] = c
-    h[..., IDX_10, IDX_00] = np.conj(c)
-    return h
+    return _drive_sum([omega_q], [coupling(DRIVES["Q"], handedness.phi_q)])
 
 
 def build_h_ps(omega_p, omega_s) -> np.ndarray:
-    """Real pump |00><11| and Stokes |11><10| couplings at Omega/2 each; the
-    chirality lives in the Q-drive phase alone.
-
-    Amplitudes may be negative (phase-flipped effective STAP drives)."""
-    h = np.zeros(np.shape(omega_p) + (4, 4), dtype=complex)
-    h[..., IDX_00, IDX_11] = h[..., IDX_11, IDX_00] = 0.5 * omega_p
-    h[..., IDX_11, IDX_10] = h[..., IDX_10, IDX_11] = 0.5 * omega_s
-    return h
+    """Real pump and Stokes drives, the chirality lives in the Q phase alone;
+    amplitudes may be negative (phase-flipped effective STAP drives)."""
+    return _drive_sum([omega_p, omega_s], [coupling(DRIVES["P"]), coupling(DRIVES["S"])])
 
 
 def build_h_stap(p_eff, s_eff) -> np.ndarray:

@@ -90,6 +90,22 @@ def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
             + cos_minus_1_over_w2[..., None, None] * h2)
 
 
+def propagate(steps, psi0: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
+    """psi0, U_1 psi0, U_2 U_1 psi0, ... as an (n + 1, 4) array for n unitaries;
+    a final norm off by more than tol (or NaN) raises IntegrityError."""
+    psi = np.asarray(psi0, dtype=complex)
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValueError("initial state is not normalized")
+    states = [psi]
+    for u in steps:   # ndarray.dot is the cheapest 4x4 mat-vec call
+        psi = u.dot(psi)
+        states.append(psi)
+    norm_err = abs(np.linalg.norm(psi) - 1.0)
+    if not norm_err <= tol:
+        raise IntegrityError(f"norm drifted by {norm_err:.3g} despite unitary steps")
+    return np.array(states)
+
+
 def evolve_piecewise_exact(
     generator,
     psi0: np.ndarray,
@@ -108,24 +124,13 @@ def evolve_piecewise_exact(
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-        raise ValueError("initial state is not normalized")
     dt = (t1 - t0) / n_steps
     times = np.linspace(t0, t1, n_steps + 1)
     t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
     steps = np.broadcast_to(closed_form_unitaries(generator(t_mid), dt),
                             (n_steps, 4, 4))
-    psi = psi0
-    states = [psi]
-    for u in list(steps):   # ndarray.dot is the cheapest 4x4 mat-vec call
-        psi = u.dot(psi)
-        states.append(psi)
-    norm_err = abs(np.linalg.norm(psi) - 1.0)
-    if not norm_err <= NORM_TOL:
-        raise IntegrityError(f"norm drifted by {norm_err:.3g} "
-                             "despite unitary steps")
-    return PopulationTrace(times, populations(np.array(states)), handedness, psi)
+    states = propagate(list(steps), psi0)
+    return PopulationTrace(times, populations(states), handedness, states[-1])
 
 
 def evolve_rk4(

@@ -35,8 +35,10 @@ FIELD_KEYS = ["eps_p", "eps_s", "eps_q", "max_field"]
 
 OPTIONAL = {
     "enantiomer": mostly(st.sampled_from(["L", "R", "both"])),
-    "n_steps": mostly(st.integers(2, 12), st.integers(-2, 1) | st.floats()),  # cheap
-    "oracle_steps": mostly(st.integers(1, 200), st.integers(-2, 0) | st.floats()),
+    "n_steps": mostly(st.integers(2, 12),  # cheap
+                      st.integers(-2, 1) | st.floats() | st.booleans()),
+    "oracle_steps": mostly(st.integers(1, 200),
+                           st.integers(-2, 0) | st.floats() | st.booleans()),
     "shots": mostly(BIG_INT),
     "seed": mostly(BIG_INT),
     "out_dir": mostly(st.sampled_from(["out", "a/b", ""])),

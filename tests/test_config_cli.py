@@ -51,7 +51,14 @@ def test_bad_values_rejected():
                 {"checkpoints_us": [0.6, float("inf")]},
                 {"fields": {"eps_q": float("-inf")}},
                 {"n_steps": MAX_STEPS + 1},
-                {"oracle_steps": MAX_STEPS + 1}):
+                {"oracle_steps": MAX_STEPS + 1},
+                # YAML booleans are ints to isinstance; only erratum_s_gate takes one
+                {"oracle_steps": True},
+                {"shots": True},
+                {"seed": False},
+                {"checkpoints_us": [True]},
+                {"pulses": {"alpha_m": True}},
+                {"fields": {"eps_p": True}}):
         with pytest.raises(ConfigError):
             validate_config(raw)
 
