@@ -4,13 +4,17 @@ circuits, plus statevector execution and sampled measurement.
 Qubit 0 is the left bit of every bitstring; statevector index = 2*b0 + b1.
 Native gate set is {RX, RY, RZ, X, CX}; the macro kinds CROT, XX-YY, XX+YY
 are expanded into natives with algebraically exact identities (verified in
-the test suite to 1e-10), so export and simulation agree.
+the test suite to 1e-10), so export and simulation agree.  A Circuit holds
+its gates as parallel arrays, and compilation, gate matrices and lowering
+each work on whole arrays; Gate is the one-gate view.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +25,10 @@ from .pulses import DiscretizedSchedule, Handedness
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
 MACRO_KINDS = ("CROT", "XX-YY", "XX+YY")
+KINDS = NATIVE_KINDS + MACRO_KINDS      # Circuit.kind indexes this; from CX on, two qubits
+CODE = {kind: code for code, kind in enumerate(KINDS)}
+_COLUMNS = {"kind": np.int8, "control": np.int8, "target": np.int8, "angle": float,
+            "axis_phi": float, "control_value": np.int8}
 
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
@@ -33,8 +41,6 @@ _CX = {(c, 1 - c): _I4 - _ON["P1", c] + _ON["P1", c] @ _ON["X", 1 - c] for c in 
 # (p, G) of the two-qubit hopping kinds: G = (XX -+ YY)/2 = coupling(pair)
 _HOP = {kind: (g @ g, g) for kind, g in (("XX-YY", coupling(DRIVES["P"])),
                                          ("XX+YY", coupling((IDX_01, IDX_10))))}
-for _m in (_I4, *_ON.values(), *_CX.values()):
-    _m.flags.writeable = False   # gate_matrix hands these out as they are
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class Gate:
     control_value: int = 1
 
     def __post_init__(self):
-        if self.kind not in NATIVE_KINDS + MACRO_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if not all(q in (0, 1) for q in self.qubits):
             raise ValueError(f"qubit indices must be 0 or 1, got {self.qubits}")
@@ -62,17 +68,70 @@ class Gate:
             raise ValueError(f"{self.kind} needs {want} distinct qubits, got {self.qubits}")
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle}")
+        if not math.isfinite(self.axis_phi):
+            raise ValueError(f"axis_phi must be finite, got {self.axis_phi}")
         if self.control_value not in (0, 1):
             raise ValueError(f"control_value must be 0 or 1, got {self.control_value}")
 
 
-@dataclass
 class Circuit:
-    gates: list[Gate] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    """Gates as parallel arrays, entry j for gate j: `kind` (an index into
+    KINDS), `control` (-1 for one-qubit kinds), `target`, `angle`,
+    `axis_phi` and `control_value`; plus free-form `metadata`.
+
+    Circuit(gates) reads the arrays off Gates, the keywords give them all
+    directly; either way Gate's rules check them once, with its messages,
+    and they are read-only.  `gates` views them as Gates.
+    """
+
+    def __init__(self, gates: Iterable[Gate] = (), metadata: dict | None = None, *,
+                 kind=(), control=(), target=(), angle=(), axis_phi=(), control_value=()):
+        rows = [(CODE[g.kind], g.qubits[0] if len(g.qubits) == 2 else -1, g.qubits[-1],
+                 g.angle, g.axis_phi, g.control_value) for g in gates]
+        columns = tuple(zip(*rows)) or (kind, control, target, angle, axis_phi, control_value)
+        for (name, dtype), values in zip(_COLUMNS.items(), columns):
+            setattr(self, name, np.array(values, dtype))
+            getattr(self, name).flags.writeable = False
+        if {a.shape for a in self._columns()} != {(len(self.kind),)}:
+            raise ValueError("circuit arrays must be 1-D and of one length")
+        self.metadata = {} if metadata is None else metadata
+        bad = ((self.kind < 0) | (self.kind >= len(KINDS)) | (self.target < 0) | (self.target > 1)
+               | (self.control < -1) | (self.control > 1) | (self.control == self.target)
+               | ((self.kind >= CODE["CX"]) != (self.control >= 0)) | ~np.isfinite(self.angle)
+               | ~np.isfinite(self.axis_phi) | (self.control_value < 0) | (self.control_value > 1))
+        if bad.any():
+            self.gates[int(np.argmax(bad))]     # builds the Gate, whose check raises
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in _COLUMNS]
 
     def __len__(self):
-        return len(self.gates)
+        return len(self.kind)
+
+    @property
+    def gates(self) -> Sequence[Gate]:
+        return _GateView(self)
+
+
+class _GateView(Sequence):
+    """A circuit's gates, each Gate built when it is read: len() builds none."""
+
+    def __init__(self, circuit: Circuit):
+        self._c = circuit
+
+    def __len__(self):
+        return len(self._c)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        k, control, target, angle, phi, v = (a[range(len(self))[i]].item()
+                                             for a in self._c._columns())
+        return Gate(KINDS[k] if 0 <= k < len(KINDS) else k,
+                    (target,) if control == -1 else (control, target), angle, phi, v)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -86,8 +145,35 @@ class MeasurementRecord:
             raise ValueError("counts do not sum to shots")
 
 
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """4x4 unitary of a single gate in the 2*b0 + b1 basis ordering.
+# Rows of the gate-matrix and lowering tables: every (kind, target,
+# control_value), the control being 1 - target for two-qubit kinds.
+_CONFIGS = list(itertools.product(KINDS, (0, 1), (0, 1)))
+
+
+def _row(circuit: Circuit) -> np.ndarray:
+    return (circuit.kind * 2 + circuit.target) * 2 + circuit.control_value
+
+
+# -- gate matrices -----------------------------------------------------------
+
+# B = 1 - p, p and G per row; X and CX have B = the gate and p = G = 0, and
+# CROT builds its G per gate from its axis_phi and the target's X and Y
+_B, _P, _G = (np.zeros((len(_CONFIGS), 4, 4), complex) for _ in range(3))
+for _j, (_k, _t, _v) in enumerate(_CONFIGS):
+    if _k in ("X", "CX"):
+        _B[_j] = _ON["X", _t] if _k == "X" else _CX[1 - _t, _t]
+        continue
+    if _k == "CROT":
+        _P[_j] = _ON[f"P{_v}", 1 - _t]
+    else:
+        _P[_j], _G[_j] = _HOP[_k] if _k in _HOP else (_I4, _ON[_k[1], _t])
+    _B[_j] = _I4 - _P[_j]
+_XY = np.array([[_ON["X", t], _ON["Y", t]] for t in (0, 1)])
+
+
+def gate_matrices(circuit: Circuit) -> np.ndarray:
+    """The (n, 4, 4) unitaries of a circuit's gates in the 2*b0 + b1 basis
+    ordering, in one batch.
 
     X and CX are fixed matrices.  Every other kind is exp(-i angle/2 G) with
     G^2 = p for a projector p, which is
@@ -98,28 +184,29 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     control and G = p (cos phi X + sin phi Y) on the target; for XX-YY and
     XX+YY p projects onto the level pair that G = (XX -+ YY)/2 hops.
     """
-    k, q = gate.kind, gate.qubits
-    if k == "X":
-        return _ON["X", q[0]]
-    if k == "CX":
-        return _CX[q]
-    p = _I4
-    if k == "CROT":
-        p = _ON[f"P{gate.control_value}", q[0]]
-        g = p @ (math.cos(gate.axis_phi) * _ON["X", q[1]]
-                 + math.sin(gate.axis_phi) * _ON["Y", q[1]])
-    elif k in _HOP:
-        p, g = _HOP[k]
-    else:
-        g = _ON[k[1], q[0]]
-    half = gate.angle / 2
-    return _I4 - p + math.cos(half) * p - 1j * math.sin(half) * g
+    row, half = _row(circuit), circuit.angle[:, None, None] / 2
+    out = np.empty((len(circuit), 4, 4), complex)
+    for b in (slice(lo, lo + 4096) for lo in range(0, len(circuit), 4096)):  # bounds temporaries
+        p, g = _P[row[b]], _G[row[b]]
+        crot = np.flatnonzero(circuit.kind[b] == CODE["CROT"])
+        phi, axes = circuit.axis_phi[b][crot, None, None], _XY[circuit.target[b][crot]]
+        g[crot] = p[crot] @ (np.cos(phi) * axes[:, 0] + np.sin(phi) * axes[:, 1])
+        out[b] = _B[row[b]] + np.cos(half[b]) * p - 1j * np.sin(half[b]) * g
+    return out
+
+
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """4x4 unitary of one gate (see gate_matrices)."""
+    return gate_matrices(Circuit([gate]))[0]
 
 
 # -- macro expansion ---------------------------------------------------------
 
-def expand_gate(gate: Gate) -> list[Gate]:
-    """Rewrite a macro gate as natives; native gates pass through unchanged.
+def _template(kind: str, t: int, v: int) -> list[tuple]:
+    """The natives a `kind` gate on target t (control 1 - t) with
+    control_value v lowers to, as (kind, control, target, source, value):
+    the angle is value times 1, the gate's angle or its axis_phi for source
+    0, 1 or 2.  Natives pass through.
 
     CROT: optional X sandwich on the control for conditioning on |0>; the
     rotation about the xy-plane axis at azimuth a is conjugated onto the z
@@ -129,82 +216,88 @@ def expand_gate(gate: Gate) -> list[Gate]:
     commuting factors exp(-i angle/4 XX) exp(+-i angle/4 YY), each a basis
     change of the same echo realization of exp(-i a ZZ/2).
     """
-    k = gate.kind
-    if k in NATIVE_KINDS:
-        return [gate]
-    out: list[Gate] = []
-    if k == "CROT":
-        control, target = gate.qubits
-        half = math.pi / 2
-        if gate.control_value == 0:
-            out.append(Gate("X", (control,)))
-        out.append(Gate("RZ", (target,), -gate.axis_phi))
-        out.append(Gate("RY", (target,), -half))
-        out.append(Gate("RZ", (target,), gate.angle / 2))
-        out.append(Gate("CX", (control, target)))
-        out.append(Gate("RZ", (target,), -gate.angle / 2))
-        out.append(Gate("CX", (control, target)))
-        out.append(Gate("RY", (target,), half))
-        out.append(Gate("RZ", (target,), gate.axis_phi))
-        if gate.control_value == 0:
-            out.append(Gate("X", (control,)))
-        return out
-    q0, q1 = gate.qubits
-    yy = -gate.angle / 2 if k == "XX-YY" else gate.angle / 2
-    for basis, turn, a in (("RY", -math.pi / 2, gate.angle / 2), ("RX", math.pi / 2, yy)):
-        out.append(Gate(basis, (q0,), turn))
-        out.append(Gate(basis, (q1,), turn))
-        out.append(Gate("CX", (q0, q1)))
-        out.append(Gate("RZ", (q1,), a))
-        out.append(Gate("CX", (q0, q1)))
-        out.append(Gate(basis, (q0,), -turn))
-        out.append(Gate(basis, (q1,), -turn))
-    return out
+    c = 1 - t
+    if kind in NATIVE_KINDS:
+        return [(kind, c if kind == "CX" else -1, t, 1, 1.0)]
+    cx = ("CX", c, t, 0, 0.0)
+    if kind == "CROT":
+        flip, half = [("X", -1, c, 0, 0.0)] * (1 - v), math.pi / 2
+        return [*flip, ("RZ", -1, t, 2, -1.0), ("RY", -1, t, 0, -half), ("RZ", -1, t, 1, 0.5),
+                cx, ("RZ", -1, t, 1, -0.5), cx, ("RY", -1, t, 0, half), ("RZ", -1, t, 2, 1.0),
+                *flip]
+    yy = -0.5 if kind == "XX-YY" else 0.5
+    return [row for basis, turn, a in (("RY", -math.pi / 2, 0.5), ("RX", math.pi / 2, yy))
+            for row in ((basis, -1, c, 0, turn), (basis, -1, t, 0, turn), cx,
+                        ("RZ", -1, t, 1, a), cx, (basis, -1, c, 0, -turn),
+                        (basis, -1, t, 0, -turn))]
+
+
+_TEMPLATES = [_template(*config) for config in _CONFIGS]
+_T_LEN = np.array([len(rows) for rows in _TEMPLATES])
+_T_START = np.cumsum(_T_LEN) - _T_LEN
+_T_KIND, _T_CONTROL, _T_TARGET, _T_SOURCE, _T_VALUE = (
+    np.array(col) for col in zip(*[(CODE[r[0]], *r[1:]) for rows in _TEMPLATES for r in rows]))
 
 
 def expand_circuit(circuit: Circuit) -> Circuit:
-    gates: list[Gate] = []
-    ends = [0]  # ends[j]: native gate count after the first j macro gates
-    for gate in circuit.gates:
-        gates.extend(expand_gate(gate))
-        ends.append(len(gates))
+    """Every gate replaced by the natives of its template (_template), with
+    step_bounds recounted in natives."""
+    row = _row(circuit)
+    ends = np.concatenate([[0], np.cumsum(_T_LEN[row])])  # natives before gate j
+    src = np.repeat(np.arange(len(circuit)), _T_LEN[row])  # the gate of each native
+    nat = _T_START[row][src] + np.arange(ends[-1]) - ends[src]
+    sources = np.stack([np.ones(len(circuit)), circuit.angle, circuit.axis_phi], axis=1)
+    passed = circuit.kind[src] < len(NATIVE_KINDS)         # keeps axis_phi, control_value
     meta = dict(circuit.metadata)
     if "step_bounds" in meta:
-        meta["step_bounds"] = [ends[b] for b in meta["step_bounds"]]
-    return Circuit(gates, meta)
+        meta["step_bounds"] = ends[meta["step_bounds"]].tolist()
+    return Circuit(
+        metadata=meta, kind=_T_KIND[nat], control=_T_CONTROL[nat], target=_T_TARGET[nat],
+        angle=sources[src, _T_SOURCE[nat]] * _T_VALUE[nat],
+        axis_phi=np.where(passed, circuit.axis_phi[src], 0.0),
+        control_value=np.where(passed, circuit.control_value[src], 1))
 
 
 # -- Trotter-step compilation ------------------------------------------------
 
-def _rotation(pair: tuple[int, int], theta: float, phase: float = 0.0) -> list[Gate]:
-    """exp(-i theta/2 coupling(pair, phase)) as one macro ([] for theta = 0): CROT
-    on the one qubit the levels differ in, else XX-YY or XX+YY (phase 0 only)."""
-    if theta == 0.0:
-        return []
+def _macro(pair: tuple[int, int], phase: float = 0.0) -> tuple:
+    """(kind, control, target, axis_phi, control_value) of the one macro
+    exp(-i theta/2 coupling(pair, phase)): CROT on the one qubit the levels
+    differ in, else XX-YY or XX+YY (phase 0 only)."""
     a, b = (divmod(level, 2) for level in pair)     # (b0, b1) of each level
     if a[0] != b[0] and a[1] != b[1]:
-        return [Gate("XX-YY" if a[0] == a[1] else "XX+YY", (0, 1), theta)]
+        return CODE["XX-YY" if a[0] == a[1] else "XX+YY"], 0, 1, 0.0, 1
     t = int(a[0] == b[0])                           # the qubit that flips
-    return [Gate("CROT", (1 - t, t), theta, axis_phi=phase if a[t] else -phase,
-                 control_value=a[1 - t])]
+    return CODE["CROT"], 1 - t, t, phase if a[t] else -phase, a[1 - t]
+
+
+def _rotations(macros: list[tuple], drive, theta, metadata: dict | None = None) -> Circuit:
+    """Gate j is macros[drive[j]] by theta[j]; a theta of 0 emits no gate."""
+    theta = np.asarray(theta, dtype=float)
+    keep = theta != 0.0
+    kind, control, target, axis_phi, control_value = (
+        np.array(col)[np.asarray(drive)[keep]] for col in zip(*macros))
+    return Circuit(metadata=metadata, kind=kind, control=control, target=target,
+                   angle=theta[keep], axis_phi=axis_phi, control_value=control_value)
 
 
 def compile_q_step(theta: float, handedness: Handedness) -> list[Gate]:
     """exp(-i H_Q dt), theta = Omega_Q dt: R_y(-+theta) on qubit 0 for
     phi_Q = +-pi/2, conditioned on qubit 1 being |0>."""
-    return _rotation(DRIVES["Q"], theta, handedness.phi_q)
+    return list(_rotations([_macro(DRIVES["Q"], handedness.phi_q)], [0], [theta]).gates)
 
 
 def compile_p_step(theta: float) -> list[Gate]:
     """exp(-i theta/2 (|00><11| + |11><00|)): one XX-YY gate."""
-    return _rotation(DRIVES["P"], theta)
+    return list(_rotations([_macro(DRIVES["P"])], [0], [theta]).gates)
 
 
 def compile_s_step(theta: float, erratum: bool = False) -> list[Gate]:
     """exp(-i theta/2 (|11><10| + |10><11|)): Rx on qubit 1 conditioned on
     qubit 0 being |1>.  erratum=True puts the same rotation on the wrong
     pair, {|01>, |10>}, which leaves |11> alone; kept to demonstrate that."""
-    return _rotation((IDX_01, IDX_10) if erratum else DRIVES["S"], theta)
+    pair = (IDX_01, IDX_10) if erratum else DRIVES["S"]
+    return list(_rotations([_macro(pair)], [0], [theta]).gates)
 
 
 def compile_protocol(
@@ -222,22 +315,20 @@ def compile_protocol(
     """
     if ps_order not in ("ps", "sp"):
         raise ValueError(f"ps_order must be 'ps' or 'sp', got {ps_order!r}")
-    gates: list[Gate] = []
-    bounds: list[int] = []
-    dt = discretized.delta_t
-    for i in range(discretized.m):
-        if i < discretized.k:
-            gates.extend(compile_q_step(discretized.omega_q[i] * dt, handedness))
-        else:
-            p = compile_p_step(discretized.omega_p[i] * dt)
-            s = compile_s_step(discretized.omega_s[i] * dt, erratum_s_gate)
-            gates.extend(p + s if ps_order == "ps" else s + p)
-        bounds.append(len(gates))
+    d = discretized
+    drives = {"p": (DRIVES["P"], d.omega_p),
+              "s": ((IDX_01, IDX_10) if erratum_s_gate else DRIVES["S"], d.omega_s)}
+    (first, omega_1), (second, omega_2) = (drives[x] for x in ps_order)
+    # two sub-steps per Trotter step: Q and an empty one, then P/S in split order
+    q_stage = np.arange(d.m) < d.k
+    theta = np.stack([np.where(q_stage, d.omega_q, omega_1),
+                      np.where(q_stage, 0.0, omega_2)], axis=1) * d.delta_t
     meta = dict(protocol=protocol, handedness=handedness.label,
-                n_steps=discretized.m, delta_t=dt, k=discretized.k,
+                n_steps=d.m, delta_t=d.delta_t, k=d.k,
                 ps_order=ps_order, erratum_s_gate=erratum_s_gate,
-                step_bounds=bounds)
-    return Circuit(gates, meta)
+                step_bounds=np.cumsum(np.count_nonzero(theta, axis=1)).tolist())
+    macros = [_macro(DRIVES["Q"], handedness.phi_q), _macro(first), _macro(second)]
+    return _rotations(macros, np.where(q_stage[:, None], 0, [1, 2]).ravel(), theta.ravel(), meta)
 
 
 # -- execution ---------------------------------------------------------------
@@ -247,7 +338,7 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
     statevector).  Populations are recorded at Trotter-step boundaries when
     the circuit has them in metadata, else after every gate.
     """
-    states = propagate((gate_matrix(g) for g in circuit.gates), psi0, tol=1e-10)
+    states = propagate(gate_matrices(circuit), psi0, tol=1e-10)
     bounds = circuit.metadata.get("step_bounds")
     probs = populations(states if bounds is None else states[[0, *bounds]])
     times = circuit.metadata.get("delta_t", 1.0) * np.arange(len(probs))
@@ -257,8 +348,8 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     u = np.eye(4, dtype=complex)
-    for gate in circuit.gates:
-        u = gate_matrix(gate) @ u
+    for m in gate_matrices(circuit):
+        u = m @ u
     defect = np.max(np.abs(u @ u.conj().T - np.eye(4)))
     if defect > 1e-10:
         raise IntegrityError(f"compiled unitary defect {defect:.3g}")

@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--enantiomer", choices=["L", "R", "both"])
         p.add_argument("--erratum-s-gate", action="store_true",
                        help="compile the Stokes step with the XX+YY "
-                            "construction that couples |01>/|10| instead")
+                            "construction that couples |01>/|10> instead")
         return p
 
     common(sub.add_parser("run", help="oracle + circuit runs, traces, report"))

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import (Circuit, compile_protocol, expand_circuit,
-                       run_statevector, sample_measurements)
+from .circuits import (CODE, NATIVE_KINDS, Circuit, compile_protocol,
+                       expand_circuit, run_statevector, sample_measurements)
 from .config import MAX_STEPS, ScenarioConfig
 from .errors import ConfigError
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
@@ -172,23 +172,25 @@ def sweep_trotter(config: ScenarioConfig, steps_list: list[int],
 _QASM_HEADER = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
                 '// bit order: q[0] is the left bit of measured bitstrings\n'
                 'qreg q[2];\ncreg c[2];\n')
+_QASM_FOOTER = "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+# one line per native kind, in NATIVE_KINDS order; its fields are (target,)
+# for X, (control, target) for CX and (angle, target) for the rotations
+_QASM_LINE = {"X": "x q[%d];\n", "CX": "cx q[%d],q[%d];\n"}
+_QASM_LINES = np.array([_QASM_LINE.get(k, f"{k.lower()}(%.12g) q[%d];\n")
+                        for k in NATIVE_KINDS], dtype=object)
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
     """OpenQASM 2.0 text with macros lowered to {rx, ry, rz, x, cx} and
     fixed 12-significant-digit angles for golden-file stability."""
-    lines = [_QASM_HEADER.rstrip("\n")]
-    for gate in expand_circuit(circuit).gates:
-        k = gate.kind
-        if k == "X":
-            lines.append(f"x q[{gate.qubits[0]}];")
-        elif k == "CX":
-            lines.append(f"cx q[{gate.qubits[0]}],q[{gate.qubits[1]}];")
-        else:
-            lines.append(f"{k.lower()}(%.12g) q[{gate.qubits[0]}];" % gate.angle)
-    lines.append("measure q[0] -> c[0];")
-    lines.append("measure q[1] -> c[1];")
-    return "\n".join(lines) + "\n"
+    native = expand_circuit(circuit)
+    kind = native.kind
+    fields = np.stack([np.where(kind == CODE["CX"], native.control, native.angle),
+                       native.target], axis=1)
+    used = np.ones(fields.shape, dtype=bool)
+    used[:, 0] = kind != CODE["X"]
+    return ((_QASM_HEADER + "".join(_QASM_LINES[kind].tolist()) + _QASM_FOOTER)
+            % tuple(fields[used].tolist()))
 
 
 def export_qasm(config: ScenarioConfig, out_dir: str) -> list[str]:

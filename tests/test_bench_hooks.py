@@ -1,0 +1,38 @@
+"""The benchmark's traced run (bench/spans.py) patches chiralgate's layer
+boundaries by name, and bench/ lies outside the tier-1 suite.  A boundary
+renamed or inlined would read 0 in the per-layer metrics without failing
+anything; these tests fail instead."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from chiralgate import scenarios
+from chiralgate.config import validate_config
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("spans")
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_traced_boundaries_exist_and_count_gates(spans, protocol, tmp_path):
+    rec = spans.Recorder()
+    cfg = validate_config({"protocol": protocol, "n_steps": 12, "oracle_steps": 50})
+    with spans.instrument(rec), rec.op_span(0):
+        scenarios.export_qasm(cfg, str(tmp_path / "qasm"))
+        scenarios.run_scenario(cfg, str(tmp_path / "run"))
+    assert rec.missing == set()
+    assert rec.nesting_errors() == []
+    counts = {key: n for (_, key), n in rec.counts.items()}
+    assert counts["circuits.native_gates"] > 0
+    assert counts["circuits.macro_gates"] > 0
+    assert counts["circuits.gates_applied"] > 0
+    traced = {span[0] for span in rec.spans}
+    assert {"circuits.compile", "circuits.expand", "scenarios.qasm",
+            "circuits.statevector", "propagate.oracle"} <= traced

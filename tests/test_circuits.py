@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from chiralgate.circuits import (Circuit, Gate, MeasurementRecord,
-                                 circuit_unitary, compile_p_step,
-                                 compile_protocol, compile_q_step,
-                                 compile_s_step, expand_circuit, gate_matrix,
+from chiralgate.circuits import (CODE, KINDS, MACRO_KINDS, Circuit, Gate,
+                                 MeasurementRecord, circuit_unitary,
+                                 compile_p_step, compile_protocol,
+                                 compile_q_step, compile_s_step,
+                                 expand_circuit, gate_matrices, gate_matrix,
                                  phase_aligned_distance, run_statevector,
                                  sample_measurements)
-from chiralgate.hamiltonians import build_h_ps, build_h_q
+from chiralgate.hamiltonians import (DRIVES, IDX_01, IDX_10, build_h_ps,
+                                     build_h_q, coupling)
 from chiralgate.propagate import evolve_piecewise_exact
 from chiralgate.pulses import (LEFT, RIGHT, DiscretizedSchedule,
                                default_stap_schedule, default_stirap_schedule,
@@ -41,6 +43,48 @@ def test_gate_validation():
         Gate("RX", (0,), angle=math.nan)
     with pytest.raises(ValueError):
         Gate("CROT", (0, 1), 1.0, control_value=2)
+    # a NaN axis would otherwise surface as an error on an RZ the caller
+    # never wrote, or as rz(nan) in the QASM
+    for phi in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="axis_phi"):
+            Gate("CROT", (0, 1), 1.0, axis_phi=phi)
+        with pytest.raises(ValueError, match="axis_phi"):
+            Circuit(kind=[CODE["CROT"]], control=[0], target=[1], angle=[1.0],
+                    axis_phi=[phi], control_value=[1])
+
+
+COLUMNS = ("kind", "control", "target", "angle", "axis_phi", "control_value")
+# the columns of one invalid gate, and the Gate arguments that break the same rule
+RX, CX, CROT = CODE["RX"], CODE["CX"], CODE["CROT"]
+BAD_COLUMNS = [
+    ((RX, -1, 2, 0.0, 0.0, 1), ("RX", (2,))),
+    ((CX, 0, 0, 0.0, 0.0, 1), ("CX", (0, 0))),
+    ((CX, -1, 1, 0.0, 0.0, 1), ("CX", (1,))),
+    ((RX, 0, 1, 0.0, 0.0, 1), ("RX", (0, 1))),
+    ((RX, -1, 0, math.inf, 0.0, 1), ("RX", (0,), math.inf)),
+    ((CROT, 0, 1, 1.0, math.nan, 1), ("CROT", (0, 1), 1.0, math.nan)),
+    ((CROT, 0, 1, 1.0, 0.0, 2), ("CROT", (0, 1), 1.0, 0.0, 2)),
+]
+
+
+@pytest.mark.parametrize("columns, gate_args", BAD_COLUMNS)
+def test_circuit_arrays_validate_like_gate(columns, gate_args):
+    with pytest.raises(ValueError) as from_gate:
+        Gate(*gate_args)
+    # the bad gate second, after a valid one
+    arrays = {name: [good, bad] for name, good, bad
+              in zip(COLUMNS, (RX, -1, 1, 0.5, 0.0, 1), columns)}
+    with pytest.raises(ValueError) as from_arrays:
+        Circuit(**arrays)
+    assert str(from_arrays.value) == str(from_gate.value)
+
+
+def test_circuit_arrays_reject_unknown_kind_and_ragged_columns():
+    arrays = dict(zip(COLUMNS, ([v] for v in (len(KINDS), -1, 0, 0.0, 0.0, 1))))
+    with pytest.raises(ValueError, match=f"unknown gate kind {len(KINDS)}"):
+        Circuit(**arrays)
+    with pytest.raises(ValueError, match="one length"):
+        Circuit(**{**arrays, "kind": [0], "angle": [0.0, 1.0]})
 
 
 @given(angle=st.floats(-6.0, 6.0), kind=st.sampled_from(["RX", "RY", "RZ"]),
@@ -133,6 +177,96 @@ def test_macro_expansion_equivalence(theta, axis_phi, cv, ctrl, kind):
         gen = 0.5 * (_on({0: PAULI["X"], 1: PAULI["X"]})
                      + sign * _on({0: PAULI["Y"], 1: PAULI["Y"]}))
     np.testing.assert_allclose(u_macro, expm(-0.5j * theta * gen), rtol=0, atol=1e-12)
+
+
+# The per-gate code that the array kernels replaced, kept as their reference:
+# one 4x4 and one list of native Gates per gate, with the same arithmetic.
+_I4 = np.eye(4, dtype=complex)
+_ONE_QUBIT = {"X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]],
+              "P0": [[1, 0], [0, 0]], "P1": [[0, 0], [0, 1]]}
+_REF_ON = {(name, q): np.kron(m, np.eye(2, dtype=complex)) if q == 0
+           else np.kron(np.eye(2, dtype=complex), m)
+           for name, m in _ONE_QUBIT.items() for q in (0, 1)}
+_REF_CX = {(c, 1 - c): _I4 - _REF_ON["P1", c] + _REF_ON["P1", c] @ _REF_ON["X", 1 - c]
+           for c in (0, 1)}
+_REF_HOP = {"XX-YY": coupling(DRIVES["P"]), "XX+YY": coupling((IDX_01, IDX_10))}
+
+
+def reference_matrix(gate):
+    k, q = gate.kind, gate.qubits
+    if k == "X":
+        return _REF_ON["X", q[0]]
+    if k == "CX":
+        return _REF_CX[q]
+    p = _I4
+    if k == "CROT":
+        p = _REF_ON[f"P{gate.control_value}", q[0]]
+        g = p @ (math.cos(gate.axis_phi) * _REF_ON["X", q[1]]
+                 + math.sin(gate.axis_phi) * _REF_ON["Y", q[1]])
+    elif k in _REF_HOP:
+        g = _REF_HOP[k]
+        p = g @ g
+    else:
+        g = _REF_ON[k[1], q[0]]
+    half = gate.angle / 2
+    return _I4 - p + math.cos(half) * p - 1j * math.sin(half) * g
+
+
+def reference_expand(gate):
+    k, a = gate.kind, gate.angle
+    if k not in MACRO_KINDS:
+        return [gate]
+    if k == "CROT":
+        c, t = gate.qubits
+        flip = [Gate("X", (c,))] if gate.control_value == 0 else []
+        return [*flip, Gate("RZ", (t,), -gate.axis_phi), Gate("RY", (t,), -math.pi / 2),
+                Gate("RZ", (t,), a / 2), Gate("CX", (c, t)), Gate("RZ", (t,), -a / 2),
+                Gate("CX", (c, t)), Gate("RY", (t,), math.pi / 2),
+                Gate("RZ", (t,), gate.axis_phi), *flip]
+    q0, q1 = gate.qubits
+    out = []
+    for basis, turn, z in (("RY", -math.pi / 2, a / 2),
+                           ("RX", math.pi / 2, -a / 2 if k == "XX-YY" else a / 2)):
+        out += [Gate(basis, (q0,), turn), Gate(basis, (q1,), turn), Gate("CX", (q0, q1)),
+                Gate("RZ", (q1,), z), Gate("CX", (q0, q1)), Gate(basis, (q0,), -turn),
+                Gate(basis, (q1,), -turn)]
+    return out
+
+
+ANGLES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-6.0, 6.0))
+
+
+@st.composite
+def any_gate(draw):
+    kind = draw(st.sampled_from(KINDS))
+    q = draw(st.sampled_from([0, 1]))
+    two = kind == "CX" or kind in MACRO_KINDS
+    return Gate(kind, (q, 1 - q) if two else (q,), draw(ANGLES), axis_phi=draw(ANGLES),
+                control_value=draw(st.sampled_from([0, 1])))
+
+
+@given(gates=st.lists(any_gate(), max_size=8), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_array_lowering_composes(gates, data):
+    c = Circuit(gates)
+    assert c.gates == gates
+    bounds = sorted(data.draw(st.lists(st.integers(0, len(gates)), max_size=6)))
+    c.metadata["step_bounds"] = bounds      # repeats included
+    native = expand_circuit(c)
+    pieces = [expand_circuit(Circuit([g])) for g in gates]
+    assert native.gates == [n for piece in pieces for n in piece.gates]
+    for name in ("angle", "axis_phi"):      # to the bit: signed zeros too
+        want = np.concatenate([getattr(piece, name) for piece in pieces] + [np.zeros(0)])
+        assert getattr(native, name).tobytes() == want.tobytes()
+    # repr tells -0.0 from 0.0 and prints every digit
+    assert repr(list(native.gates)) == repr([n for g in gates for n in reference_expand(g)])
+    ends = np.cumsum([0] + [len(piece) for piece in pieces])
+    assert native.metadata["step_bounds"] == [ends[b] for b in bounds]
+    assert phase_aligned_distance(circuit_unitary(native), circuit_unitary(c)) < 1e-10
+    batched = gate_matrices(c)
+    assert batched.shape == (len(gates), 4, 4)
+    for u, g in zip(batched, gates):
+        assert u.tobytes() == gate_matrix(g).tobytes() == reference_matrix(g).tobytes()
 
 
 def test_expanded_circuit_keeps_step_populations():
