@@ -347,11 +347,11 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    u = np.eye(4, dtype=complex)
-    for m in gate_matrices(circuit):
-        u = m @ u
+    """The circuit's 4x4 unitary: propagating the basis states as a stack,
+    row j of the last one is U e_j."""
+    u = propagate(gate_matrices(circuit), np.eye(4), tol=1e-10)[-1].T
     defect = np.max(np.abs(u @ u.conj().T - np.eye(4)))
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise IntegrityError(f"compiled unitary defect {defect:.3g}")
     return u
 

@@ -16,6 +16,7 @@ it with one float time per stage.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,19 +92,37 @@ def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def propagate(steps, psi0: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
-    """psi0, U_1 psi0, U_2 U_1 psi0, ... as an (n + 1, 4) array for n unitaries;
-    a final norm off by more than tol (or NaN) raises IntegrityError."""
+    """psi0, U_1 psi0, U_2 U_1 psi0, ... for the n unitaries of `steps`, as
+    an array of shape (n + 1,) + psi0.shape; psi0 is one state (4,) or a
+    stack of states (m, 4).  An unnormalized psi0 raises ValueError, a final
+    norm off by more than tol (or NaN) raises IntegrityError.
+
+    Blocked prefix products: `steps` is cut into blocks of about sqrt(n)
+    and, in place, each entry becomes the product of its block up to it,
+    one batched matmul per block position for all blocks at once; one pass
+    over the blocks then carries the state from block start to block start.
+    That is about 2 sqrt(n) Python steps instead of n.  A writeable complex
+    ndarray given as `steps` is overwritten.
+    """
     psi = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-10):
         raise ValueError("initial state is not normalized")
-    states = [psi]
-    for u in steps:   # ndarray.dot is the cheapest 4x4 mat-vec call
-        psi = u.dot(psi)
-        states.append(psi)
-    norm_err = abs(np.linalg.norm(psi) - 1.0)
+    u = np.asarray(steps, dtype=complex)
+    if not u.flags.writeable:
+        u = u.copy()
+    n = len(u)
+    b = max(1, math.isqrt(n))
+    for j in range(1, b):
+        cur = u[j::b]
+        np.matmul(cur, u[j - 1::b][:len(cur)], out=cur)
+    states = np.empty((n + 1,) + psi.shape, dtype=complex)
+    states[0] = psi
+    for lo in range(0, n, b):   # x U^T is (U x)^T, for a stack of rows x too
+        np.matmul(states[lo], u[lo:lo + b].swapaxes(1, 2), out=states[lo + 1:lo + b + 1])
+    norm_err = np.max(np.abs(np.linalg.norm(states[-1], axis=-1) - 1.0))
     if not norm_err <= tol:
         raise IntegrityError(f"norm drifted by {norm_err:.3g} despite unitary steps")
-    return np.array(states)
+    return states
 
 
 def evolve_piecewise_exact(
@@ -120,16 +139,18 @@ def evolve_piecewise_exact(
     steps at once by closed_form_unitaries from one generator call; the
     error is O(dt^2) in the commutator of H with its time derivative.  The
     returned trace holds the state populations at every grid point and the
-    final state.
+    final state; for a stack of states psi0 (m, 4), both carry its axis:
+    probs is (n_steps + 1, m, 4) and final_state (m, 4).
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dt = (t1 - t0) / n_steps
     times = np.linspace(t0, t1, n_steps + 1)
     t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
-    steps = np.broadcast_to(closed_form_unitaries(generator(t_mid), dt),
-                            (n_steps, 4, 4))
-    states = propagate(list(steps), psi0)
+    steps = closed_form_unitaries(generator(t_mid), dt)
+    if steps.shape != (n_steps, 4, 4):  # a generator that ignores t gives one matrix
+        steps = np.broadcast_to(steps, (n_steps, 4, 4))
+    states = propagate(steps, psi0)
     return PopulationTrace(times, populations(states), handedness, states[-1])
 
 

@@ -50,11 +50,43 @@ def _hands(config: ScenarioConfig) -> list[Handedness]:
     return [Handedness.from_label(config.enantiomer)]
 
 
-def _oracle(config: ScenarioConfig, schedule, hand: Handedness) -> PopulationTrace:
-    gen = (stirap_generator(schedule, hand) if config.protocol == "stirap"
-           else stap_generator(schedule, hand))
-    return evolve_piecewise_exact(gen, PSI0, 0.0, schedule.duration,
-                                  config.oracle_steps, hand.label)
+def _oracle(config: ScenarioConfig, schedule,
+            hands: list[Handedness]) -> dict[str, PopulationTrace]:
+    """The oracle trace of each hand, equal to round-off to
+    evolve_piecewise_exact of that hand's generator on the full
+    oracle_steps grid, built from the protocol's two stages.
+
+    Q steps, those whose midpoint lies before t_split, are Omega_Q(t)/2
+    times one fixed coupling, so they commute: after them the state is
+    cos(A/2)|00> - i e^{-i phi_Q} sin(A/2)|10>, A the cumulative midpoint
+    area, one cumsum for every hand.  The P/S steps do not depend on the
+    hand: one generator call and one batch of unitaries carry every hand's
+    stage-boundary state as one stack.
+    """
+    n, t_f = config.oracle_steps, schedule.duration
+    dt = t_f / n
+    times = np.linspace(0.0, t_f, n + 1)
+    # the full-grid midpoints, as evolve_piecewise_exact makes them, decide
+    # the stages and are all the P/S generator sees: the P/S grid's own
+    # midpoints differ from them by round-off, and one below t_split would
+    # switch that step to the Q stage
+    t_mid = (np.arange(n) + 0.5) * dt
+    k = int(np.searchsorted(t_mid, schedule.t_split))
+    half_area = 0.5 * np.concatenate([[0.0], np.cumsum(eval_q(schedule, t_mid[:k]) * dt)])
+    cos, sin = np.cos(half_area), np.sin(half_area)
+    q_probs = np.stack([cos**2, np.zeros(k + 1), sin**2, np.zeros(k + 1)], axis=1)
+    psi = np.zeros((len(hands), 4), dtype=complex)
+    psi[:, 0] = cos[-1]
+    psi[:, 2] = [-1j * np.exp(-1j * hand.phi_q) * sin[-1] for hand in hands]
+    ps_probs, finals = np.empty((0, len(hands), 4)), psi
+    if k < n:
+        gen = (stirap_generator if config.protocol == "stirap" else stap_generator)(
+            schedule, hands[0])
+        ps = evolve_piecewise_exact(lambda _: gen(t_mid[k:]), psi, times[k], t_f, n - k)
+        ps_probs, finals = ps.probs[1:], ps.final_state
+    return {hand.label: PopulationTrace(times, np.concatenate([q_probs, ps_probs[:, i]]),
+                                        hand.label, finals[i])
+            for i, hand in enumerate(hands)}
 
 
 def _compile(config: ScenarioConfig, disc, hand: Handedness) -> Circuit:
@@ -101,12 +133,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Discrimi
     """
     schedule = config.build_schedule()
     disc = discretize(schedule, config.n_steps)
+    hands = _hands(config)
+    oracles = _oracle(config, schedule, hands)
     results = {}
-    for hand in _hands(config):
+    for hand in hands:
         circuit = _compile(config, disc, hand)
         trace, final = run_statevector(circuit, PSI0)
         results[hand.label] = EnantiomerResult(
-            hand.label, _oracle(config, schedule, hand), trace, circuit, final)
+            hand.label, oracles[hand.label], trace, circuit, final)
 
     report = (report_discrimination(results["L"], results["R"], config, schedule)
               if len(results) == 2 else None)
@@ -154,7 +188,7 @@ def sweep_trotter(config: ScenarioConfig, steps_list: list[int],
         raise ConfigError("steps_list needs at least two distinct N (for the slope), "
                           f"every N in [2, {MAX_STEPS}]")
     schedule = config.build_schedule()
-    oracle = _oracle(config, schedule, hand)
+    oracle = _oracle(config, schedule, [hand])[hand.label]
     rows = []
     for n in steps_list:
         disc = discretize(schedule, n)
@@ -178,6 +212,7 @@ _QASM_FOOTER = "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
 _QASM_LINE = {"X": "x q[%d];\n", "CX": "cx q[%d],q[%d];\n"}
 _QASM_LINES = np.array([_QASM_LINE.get(k, f"{k.lower()}(%.12g) q[%d];\n")
                         for k in NATIVE_KINDS], dtype=object)
+_QASM_BLOCK = 65536     # native lines per %-format: bounds its format string and tuple
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
@@ -189,8 +224,11 @@ def circuit_to_qasm(circuit: Circuit) -> str:
                        native.target], axis=1)
     used = np.ones(fields.shape, dtype=bool)
     used[:, 0] = kind != CODE["X"]
-    return ((_QASM_HEADER + "".join(_QASM_LINES[kind].tolist()) + _QASM_FOOTER)
-            % tuple(fields[used].tolist()))
+    text = [_QASM_HEADER]
+    for lo in range(0, len(kind), _QASM_BLOCK):
+        b = slice(lo, lo + _QASM_BLOCK)
+        text.append("".join(_QASM_LINES[kind[b]].tolist()) % tuple(fields[b][used[b]].tolist()))
+    return "".join(text + [_QASM_FOOTER])
 
 
 def export_qasm(config: ScenarioConfig, out_dir: str) -> list[str]:

@@ -6,6 +6,7 @@ anything; these tests fail instead."""
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chiralgate import scenarios
@@ -33,6 +34,12 @@ def test_traced_boundaries_exist_and_count_gates(spans, protocol, tmp_path):
     assert counts["circuits.native_gates"] > 0
     assert counts["circuits.macro_gates"] > 0
     assert counts["circuits.gates_applied"] > 0
-    traced = {span[0] for span in rec.spans}
+    traced = [span[0] for span in rec.spans]
     assert {"circuits.compile", "circuits.expand", "scenarios.qasm",
-            "circuits.statevector", "propagate.oracle"} <= traced
+            "circuits.statevector", "propagate.oracle"} <= set(traced)
+    # the oracle's one P/S batch for both hands goes through the patched
+    # names: one generator call, and only the steps after the Q stage
+    assert traced.count("hamiltonians.generator") == 1
+    schedule = cfg.build_schedule()
+    t_mid = (np.arange(50) + 0.5) * (schedule.duration / 50)
+    assert counts["propagate.oracle_steps"] == np.count_nonzero(t_mid >= schedule.t_split)

@@ -30,41 +30,41 @@ QASM_SIZES = (531, 972)
 
 GOLDEN = {
     "stap/default/run":
-        "07765044af70f251a531465bdb76e81ee83760ef1b79763f613b5813c55a4c81",
+        "2fc4bf1329c8e6901080b2e4930a0ce00e2aa545ca0ebfdef16073199ef8a72d",
     "stap/default/export-qasm":
         "4dca5f6348c7581747ee461e904135c4d71f33d62208e5351144015131b88fbf",
     "stap/default/sweep-trotter":
-        "984dd4176d3abb8a4bd89531936da997dac9e9a43d1fce194c1e3c308a014339",
+        "bc08ec40fa1830bec0e76f22537127e535738476968e030cc0f6dea9e7716d73",
     "stap/erratum/run":
-        "c952567b0e2a55ae53cab25c01b5a3f9d5d83c69cd45c95b294e57b5b0ace0b8",
+        "664b32a6252149b9698c7dfd88aad3c2f2a949f4ffe074c829832d2c48daad11",
     "stap/erratum/export-qasm":
         "62a218f5f78ee3618ac97153413b673a1496d07048a3be6110f5d23ddb6e57d8",
     "stap/erratum/sweep-trotter":
-        "548a838e095cd82d6e83ca1b0b617e575626cc6ac376e85fb5f90bce05cea2f4",
+        "75f9a776b1a78b70e8176c617f830af8daf6db7e37519cfa73159dba7f3a9651",
     "stap/sp/run":
-        "ec02dbb8395810407902a9cecfed936cbd0b0cc08104f60c3d14caf1f3a3626f",
+        "0c47fcf1e69e7bac415f6ca6b8b0aeed11a94eb59476dddd515f76957d00fa96",
     "stap/sp/export-qasm":
         "9c2aed9bdad02245560a3c519a64a0f3d63c8e2e54747cbee2468e8ff370b72d",
     "stap/sp/sweep-trotter":
-        "fcfad14e6fd195fae58b1b0b278997a16da025f6d55218d03ad34ada66aedf43",
+        "55e592beb38cdb2d9ed64512c209f7f1e2f572570f069981e99b85b521c18c00",
     "stirap/default/run":
-        "cf385aa230dba377a59ded54cfd1084b1ae340c6901bc5399f0c60275b275a04",
+        "822bf1add20c415940cb576d7059dcca6237891b65a587425da4d71ee127ae2c",
     "stirap/default/export-qasm":
         "1feb0af413f0a5684da6d3d3598a00ea1399139c82b15ca55692c6be3642f4ac",
     "stirap/default/sweep-trotter":
-        "6712867d27d0727ae53772d797c751a3e5396419011efd269a410b0675a37e86",
+        "9a7972d03b05e72210b1790e822d564bf9f21a22ef1617508c8fbfb9efb4cbb5",
     "stirap/erratum/run":
-        "5e10c018056f8b587a0327ba169edd9f3fcfd780852096dc34969598e7ac16d9",
+        "15f64134a79816b256d5138d0f4236c12152525cbc7822760d186d275e3fc309",
     "stirap/erratum/export-qasm":
         "7b892160cbae654f9d0172a01a6a4b68f2178066e53c9beb3db54483697d399b",
     "stirap/erratum/sweep-trotter":
-        "08ef07381d5386abbc00b9ebd5c8acd081ae255f096cb6afd6f02e9e316457e2",
+        "8f1e44a6831341f701ca8292e063d57da25cd2cd18f1f624c24b14d9071bcdeb",
     "stirap/sp/run":
-        "e580ca9313c442280f734b771bf82af14cc480f5d3457eab7c5ec3c60d2409ce",
+        "4f148346eb4f109d78dd82e6c24c3e170572b913046dd8799b011223bd7b017c",
     "stirap/sp/export-qasm":
         "e6e0f9a4ade5b67c651a6baba655f6942dc26f857dbee74a7bc1fc1eb17b3545",
     "stirap/sp/sweep-trotter":
-        "0db368f18c845f843a115b9a51f809fddcdd8ebb22c8630c294ef4a45d7a806e",
+        "ab3ac48fb6cc92628e5c4accf4e2805ff67d88da5d1719adae3328bcd84541f4",
     "stap/default/dump-pulses":
         "37415da7b64d99a8e07605a5d2b368ce77571153b1e79b60b6de3bb570fa31a5",
     "stirap/default/dump-pulses":

@@ -4,7 +4,7 @@ import pytest
 from chiralgate.errors import IntegrityError
 from chiralgate.hamiltonians import build_h_q, stap_generator, stirap_generator
 from chiralgate.propagate import (PopulationTrace, evolve_piecewise_exact,
-                                  evolve_rk4, populations)
+                                  evolve_rk4, populations, propagate)
 from chiralgate.pulses import (LEFT, RIGHT, default_stap_schedule,
                                default_stirap_schedule)
 
@@ -83,3 +83,50 @@ def test_csv_header_and_shape():
 
 def test_populations_helper():
     np.testing.assert_allclose(populations(np.array([1j, 0, 0, 0])), [1, 0, 0, 0])
+
+
+def sequential(steps, psi0):
+    """The reference propagate replaces: one mat-vec per step."""
+    states = [np.asarray(psi0, dtype=complex)]
+    for u in steps:
+        states.append(states[-1] @ u.T)   # row states, so a stack (m, 4) works too
+    return np.array(states)
+
+
+def random_unitaries(n, seed=0):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return np.linalg.qr(z)[0] if n else np.zeros((0, 4, 4), complex)
+
+
+STACK = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0.6, 0, 0, 0.8j]])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16, 97, 100, 2000, 2003])
+@pytest.mark.parametrize("psi0", [PSI0, STACK], ids=["state", "stack"])
+def test_propagate_matches_sequential_loop(n, psi0):
+    steps = random_unitaries(n, seed=n)
+    want = sequential(steps, psi0)
+    got = propagate(steps.copy(), psi0)
+    assert got.shape == (n + 1,) + psi0.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_propagate_leaves_a_read_only_stack_alone():
+    steps = random_unitaries(10)
+    view = np.broadcast_to(steps, steps.shape)
+    np.testing.assert_allclose(propagate(view, PSI0), sequential(steps, PSI0), atol=1e-14)
+    np.testing.assert_array_equal(steps, random_unitaries(10))
+
+
+@pytest.mark.parametrize("n, bad", [(1, 0), (10, 4), (50, 49)])
+def test_propagate_rejects_a_nan_step(n, bad):
+    steps = random_unitaries(n)
+    steps[bad, 2, 0] = np.nan
+    with pytest.raises(IntegrityError):
+        propagate(steps, PSI0)
+
+
+def test_propagate_rejects_an_unnormalized_stack_row():
+    with pytest.raises(ValueError):
+        propagate(random_unitaries(3), np.array([PSI0, 2 * PSI0]))
