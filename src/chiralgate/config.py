@@ -26,8 +26,9 @@ _STAP_PULSE_KEYS = {"t_split", "t_f", "alpha_m", "t_alpha2",
 SCALE_LIMIT = 1e9
 # Every Trotter or oracle step keeps its gates, 4x4 matrix and state in
 # memory, and export-qasm its text too.  At MAX_STEPS, peak RSS from getrusage
-# in the process on a 2-core x86-64 host: export-qasm 215 MB in 1.8 s
-# (STIRAP; STAP 188 MB), run 131 MB in 0.8 s (STIRAP; STAP 119 MB).
+# in the process on a shared 2-core x86-64 host: export-qasm 206-208 MB in
+# 1.5-1.8 s (STIRAP; STAP 181-183 MB), run 131 MB in 1.3-1.5 s (STIRAP; STAP
+# 119 MB).
 MAX_STEPS = 100_000
 _INT_RANGES = {"n_steps": (2, MAX_STEPS), "shots": (1, 2**63 - 1),   # numpy's int64
                "oracle_steps": (1, MAX_STEPS), "seed": (0, 2**63 - 1)}

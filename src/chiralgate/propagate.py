@@ -15,7 +15,6 @@ it with one float time per stage.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ NORM_TOL = 1e-12
 RK4_NORM_DRIFT_LIMIT = 1e-4
 
 BASIS_LABELS = ("00", "01", "10", "11")
+_CSV_BLOCK = 65536      # rows per %-format: bounds its format string and tuple
 
 
 def populations(state: np.ndarray) -> np.ndarray:
@@ -58,12 +58,20 @@ class PopulationTrace:
                          for j in range(4)], axis=-1)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t_us,p00,p01,p10,p11,handedness\n")
-        for t, row in zip(self.times, self.probs):
-            buf.write("%.9f,%.12g,%.12g,%.12g,%.12g,%s\n"
-                      % (t, row[0], row[1], row[2], row[3], self.handedness))
-        return buf.getvalue()
+        return _csv("t_us,p00,p01,p10,p11,handedness\n",
+                    "%.9f,%.12g,%.12g,%.12g,%.12g," + self.handedness.replace("%", "%%") + "\n",
+                    [self.times, self.probs])
+
+
+def _csv(header: str, row: str, columns) -> str:
+    """header, then the %-template `row` filled from each row of the column
+    arrays side by side, one %-format per _CSV_BLOCK rows."""
+    table = np.column_stack(columns)
+    text = [header]
+    for lo in range(0, len(table), _CSV_BLOCK):
+        block = table[lo:lo + _CSV_BLOCK]
+        text.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(text)
 
 
 def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:

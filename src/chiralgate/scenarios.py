@@ -17,7 +17,7 @@ from .config import MAX_STEPS, ScenarioConfig
 from .errors import ConfigError
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
-from .propagate import PopulationTrace, evolve_piecewise_exact
+from .propagate import PopulationTrace, _csv, evolve_piecewise_exact
 from .pulses import LEFT, RIGHT, Handedness, discretize, eval_q, ps_values
 
 PSI0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -207,27 +207,34 @@ _QASM_HEADER = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
                 '// bit order: q[0] is the left bit of measured bitstrings\n'
                 'qreg q[2];\ncreg c[2];\n')
 _QASM_FOOTER = "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
-# one line per native kind, in NATIVE_KINDS order; its fields are (target,)
-# for X, (control, target) for CX and (angle, target) for the rotations
-_QASM_LINE = {"X": "x q[%d];\n", "CX": "cx q[%d],q[%d];\n"}
-_QASM_LINES = np.array([_QASM_LINE.get(k, f"{k.lower()}(%.12g) q[%d];\n")
-                        for k in NATIVE_KINDS], dtype=object)
+# one line per (native kind, target, sign bit of the angle), at
+# 4 * code + 2 * target + sign, with the qubits baked in.  A rotation line
+# keeps one %s for the text of |angle|: "%.12g" % -a is "-" + "%.12g" % a,
+# so the sign lives in the template and -0.0 still prints "-0".
+_QASM_LINES = np.array([{"X": f"x q[{t}];\n", "CX": f"cx q[{1 - t}],q[{t}];\n"}.get(
+                            k, f"{k.lower()}({sign}%s) q[{t}];\n")
+                        for k in NATIVE_KINDS for t in (0, 1) for sign in ("", "-")],
+                       dtype=object)
 _QASM_BLOCK = 65536     # native lines per %-format: bounds its format string and tuple
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
     """OpenQASM 2.0 text with macros lowered to {rx, ry, rz, x, cx} and
-    fixed 12-significant-digit angles for golden-file stability."""
+    fixed 12-significant-digit angles for golden-file stability.
+
+    Each distinct |angle| of a block is formatted once; the sign comes from
+    the sign bit, so -0.0 is not merged with 0.0.
+    """
     native = expand_circuit(circuit)
-    kind = native.kind
-    fields = np.stack([np.where(kind == CODE["CX"], native.control, native.angle),
-                       native.target], axis=1)
-    used = np.ones(fields.shape, dtype=bool)
-    used[:, 0] = kind != CODE["X"]
     text = [_QASM_HEADER]
-    for lo in range(0, len(kind), _QASM_BLOCK):
+    for lo in range(0, len(native), _QASM_BLOCK):
         b = slice(lo, lo + _QASM_BLOCK)
-        text.append("".join(_QASM_LINES[kind[b]].tolist()) % tuple(fields[b][used[b]].tolist()))
+        kind, angle = native.kind[b], native.angle[b]
+        rotation = kind < CODE["X"]         # RX, RY, RZ come first in NATIVE_KINDS
+        mags, which = np.unique(np.abs(angle[rotation]), return_inverse=True)
+        digits = np.array(["%.12g" % a for a in mags.tolist()], dtype=object)
+        lines = _QASM_LINES[4 * kind + 2 * native.target[b] + np.signbit(angle)]
+        text.append("".join(lines.tolist()) % tuple(digits[which].tolist()))
     return "".join(text + [_QASM_FOOTER])
 
 
@@ -305,10 +312,8 @@ def dump_pulses(config: ScenarioConfig, n_samples: int = 2000) -> str:
     p, s = np.zeros(n_samples), np.zeros(n_samples)
     ps_stage = t >= schedule.t_split
     p[ps_stage], s[ps_stage] = ps_values(schedule, t[ps_stage])
-    lines = ["t_us,omega_q,omega_p,omega_s"]
-    lines += ["%.9f,%.12g,%.12g,%.12g" % row
-              for row in zip(t, eval_q(schedule, t), p, s)]
-    return "\n".join(lines) + "\n"
+    return _csv("t_us,omega_q,omega_p,omega_s\n", "%.9f,%.12g,%.12g,%.12g\n",
+                [t, eval_q(schedule, t), p, s])
 
 
 def _write(path: str, text: str) -> None:

@@ -26,7 +26,7 @@ def test_traced_boundaries_exist_and_count_gates(spans, protocol, tmp_path):
     rec = spans.Recorder()
     cfg = validate_config({"protocol": protocol, "n_steps": 12, "oracle_steps": 50})
     with spans.instrument(rec), rec.op_span(0):
-        scenarios.export_qasm(cfg, str(tmp_path / "qasm"))
+        qasm_files = scenarios.export_qasm(cfg, str(tmp_path / "qasm"))
         scenarios.run_scenario(cfg, str(tmp_path / "run"))
     assert rec.missing == set()
     assert rec.nesting_errors() == []
@@ -43,3 +43,10 @@ def test_traced_boundaries_exist_and_count_gates(spans, protocol, tmp_path):
     schedule = cfg.build_schedule()
     t_mid = (np.arange(50) + 0.5) * (schedule.duration / 50)
     assert counts["propagate.oracle_steps"] == np.count_nonzero(t_mid >= schedule.t_split)
+    # the text writers: one QASM span per file, one CSV span per oracle and
+    # circuit trace of each hand, and the traced text is what was written
+    assert len(qasm_files) == 2 and traced.count("scenarios.qasm") == 2
+    assert counts["scenarios.qasm_bytes"] == sum(Path(f).stat().st_size for f in qasm_files)
+    csv_files = list((tmp_path / "run").glob("*.csv"))
+    assert len(csv_files) == 4 and traced.count("propagate.to_csv") == 4
+    assert counts["propagate.csv_bytes"] == sum(f.stat().st_size for f in csv_files)
