@@ -13,6 +13,7 @@ import sys
 
 from .config import ScenarioConfig, read_config, validate_config
 from .errors import ChiralGateError, ConfigError
+from .pulses import PROTOCOLS
 from .scenarios import (dump_pulses, export_qasm, ingest_counts,
                         molecule_report, run_scenario, sweep_trotter, _write)
 
@@ -34,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
         p.add_argument("--steps", type=int, help="Trotter steps (overrides config)")
-        p.add_argument("--protocol", choices=["stirap", "stap"])
+        p.add_argument("--protocol", choices=list(PROTOCOLS))
         p.add_argument("--enantiomer", choices=["L", "R", "both"])
         p.add_argument("--erratum-s-gate", action="store_true",
                        help="compile the Stokes step with the XX+YY "
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"I/O error: {exc}", file=sys.stderr)
                 return EXIT_IO
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON, bad bytes, deep nesting
                 raise ConfigError(f"malformed counts JSON: {exc}") from exc
             result = ingest_counts(raw)
             print(json.dumps(result, indent=2, sort_keys=True))

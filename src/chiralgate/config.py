@@ -14,12 +14,8 @@ import yaml
 from .errors import ConfigError
 from .molecule import (BUILTINS, DipoleComponents, FieldConfig,
                        RotorConstants, TransitionTable)
-from .pulses import (StapSchedule, StirapSchedule, default_stap_schedule,
-                     default_stirap_schedule)
+from .pulses import PROTOCOLS, StapSchedule, StirapSchedule
 
-_STIRAP_PULSE_KEYS = {"t1", "t_f", "ps_amplitude", "tau", "ps_width", "q_width"}
-_STAP_PULSE_KEYS = {"t_split", "t_f", "alpha_m", "t_alpha2",
-                    "alpha1_profile", "q_width"}
 # Nested numbers are times (us), rates (rad/us), frequencies (MHz), fields
 # (V/cm) or dipoles (D); far outside [1/SCALE_LIMIT, SCALE_LIMIT] in magnitude
 # the pulse arithmetic overflows.
@@ -52,9 +48,7 @@ class ScenarioConfig:
 
     def build_schedule(self) -> StirapSchedule | StapSchedule:
         try:
-            if self.protocol == "stirap":
-                return default_stirap_schedule(**self.pulses)
-            return default_stap_schedule(**self.pulses)
+            return PROTOCOLS[self.protocol](**self.pulses)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid pulse parameters: {exc}") from exc
 
@@ -112,10 +106,13 @@ def validate_config(raw: dict) -> ScenarioConfig:
     _require_keys(raw, _TOP_KEYS, "config")
     for key, value in raw.items():
         if isinstance(value, (dict, list)):  # top-level scalars are checked below
-            _require_scale(value, key)
+            try:
+                _require_scale(value, key)
+            except RecursionError as exc:  # a YAML alias can make a tree contain itself
+                raise ConfigError(f"{key} is nested too deeply or contains itself") from exc
     cfg = ScenarioConfig(**raw)
 
-    for name, choices in (("protocol", ("stirap", "stap")),
+    for name, choices in (("protocol", tuple(PROTOCOLS)),
                           ("enantiomer", ("L", "R", "both")), ("ps_order", ("ps", "sp"))):
         if getattr(cfg, name) not in choices:
             raise ConfigError(f"{name} must be one of {choices}, got {getattr(cfg, name)!r}")
@@ -133,7 +130,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     if not isinstance(cfg.pulses, dict):
         raise ConfigError("pulses must be a mapping")
-    allowed = _STIRAP_PULSE_KEYS if cfg.protocol == "stirap" else _STAP_PULSE_KEYS
+    allowed = {f.name for f in dataclasses.fields(PROTOCOLS[cfg.protocol]) if f.init}
     _require_keys(cfg.pulses, allowed, f"pulses ({cfg.protocol})")
 
     if isinstance(cfg.molecule, str):
@@ -155,12 +152,14 @@ def validate_config(raw: dict) -> ScenarioConfig:
 def read_config(path: str):
     """The unvalidated YAML tree of a config file ({} for an empty file)."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:    # yaml decodes, so bad bytes are a YAMLError
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply") from exc
     return raw if raw is not None else {}
 
 

@@ -20,13 +20,10 @@ from .pulses import (
     Handedness,
     StapSchedule,
     StirapSchedule,
-    eval_ps,
     eval_q,
     gauss_legendre,
-    ps_values,
     stap_angles,
     stap_corrected_pulses,
-    stap_dressed_splitting,
     total_rabi,
 )
 
@@ -64,15 +61,14 @@ def build_h_q(omega_q, handedness: Handedness) -> np.ndarray:
 
 def build_h_ps(omega_p, omega_s) -> np.ndarray:
     """Real pump and Stokes drives, the chirality lives in the Q phase alone;
-    amplitudes may be negative (phase-flipped effective STAP drives)."""
+    amplitudes may be negative (phase-flipped effective STAP drives) but
+    must be finite."""
+    if not (np.all(np.isfinite(omega_p)) and np.all(np.isfinite(omega_s))):
+        raise ValueError("P/S amplitudes must be finite")
     return _drive_sum([omega_p, omega_s], [coupling(DRIVES["P"]), coupling(DRIVES["S"])])
 
 
-def build_h_stap(p_eff, s_eff) -> np.ndarray:
-    """Generator for the corrected drives; same sparsity as build_h_ps."""
-    if not (np.all(np.isfinite(p_eff)) and np.all(np.isfinite(s_eff))):
-        raise ValueError("effective amplitudes must be finite")
-    return build_h_ps(p_eff, s_eff)
+build_h_stap = build_h_ps
 
 
 def dark_state(alpha1: float) -> np.ndarray:
@@ -173,7 +169,7 @@ def adiabatic_frame_couplings(schedule: StirapSchedule, t: float,
     Hamiltonian; the frame derivative is a central finite difference with
     phase continuity enforced by maximal-overlap matching.  The coupling
     magnitude equals |alpha1_dot| / sqrt(2)."""
-    omega_p, omega_s = eval_ps(schedule, t)
+    omega_p, omega_s = schedule.ps(t)
     omega = total_rabi(omega_p, omega_s)
     if omega <= 0.0:
         raise ValueError(f"total Rabi frequency vanishes at t={t}")
@@ -181,8 +177,8 @@ def adiabatic_frame_couplings(schedule: StirapSchedule, t: float,
         h_step = 1e-5 * schedule.duration
 
     w0 = _eigenframe(build_h_ps(omega_p, omega_s))
-    wm = _match_frame(w0, _eigenframe(build_h_ps(*eval_ps(schedule, t - h_step))))
-    wp = _match_frame(w0, _eigenframe(build_h_ps(*eval_ps(schedule, t + h_step))))
+    wm = _match_frame(w0, _eigenframe(build_h_ps(*schedule.ps(t - h_step))))
+    wp = _match_frame(w0, _eigenframe(build_h_ps(*schedule.ps(t + h_step))))
     dw = (wp - wm) / (2.0 * h_step)
 
     sub = build_h_ps(omega_p, omega_s)[np.ix_(SUBSPACE, SUBSPACE)]
@@ -233,12 +229,9 @@ def predict_r_final(schedule: StirapSchedule | StapSchedule) -> np.ndarray:
     The R superposition is orthogonal to the transfer path and splits over
     the two split-off frame states, accumulating opposite dynamic phases:
     rho = (1/2) int Omega dt for STIRAP, rho = (1/2) int Upsilon dt for STAP
-    (composite Gauss-Legendre quadrature over the P/S stage)."""
-    if isinstance(schedule, StirapSchedule):
-        splitting = lambda t: total_rabi(*eval_ps(schedule, t))
-    else:
-        splitting = lambda t: stap_dressed_splitting(schedule.path, t)
-    area = gauss_legendre(splitting, schedule.t_split, schedule.duration,
+    (composite Gauss-Legendre quadrature of schedule.splitting over the P/S
+    stage)."""
+    area = gauss_legendre(schedule.splitting, schedule.t_split, schedule.duration,
                           PREDICT_PANELS)
     rho = 0.5 * float(area)
     v = np.zeros(4, dtype=complex)
@@ -253,8 +246,10 @@ def predict_r_final(schedule: StirapSchedule | StapSchedule) -> np.ndarray:
 # shape t.shape + (4, 4) (one 4x4 matrix for a plain float), each with the
 # spectrum {0, +-w} that evolve_piecewise_exact relies on.
 
-def _two_stage_generator(schedule: StirapSchedule | StapSchedule,
-                         handedness: Handedness):
+def stirap_generator(schedule: StirapSchedule | StapSchedule, handedness: Handedness):
+    """t -> H(t) for the full protocol on [0, duration]: the Q drive before
+    t_split, the schedule's P/S drive from then on.  One function serves
+    both protocols; `stap_generator` is the same function."""
     def gen(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         q_stage = t < schedule.t_split
@@ -263,16 +258,9 @@ def _two_stage_generator(schedule: StirapSchedule | StapSchedule,
         if q_stage.any():
             h[q_stage] = build_h_q(eval_q(schedule, t[q_stage]), handedness)
         if not q_stage.all():
-            h[~q_stage] = build_h_stap(*ps_values(schedule, t[~q_stage]))
+            h[~q_stage] = build_h_ps(*schedule.ps(t[~q_stage]))
         return h
     return gen
 
 
-def stirap_generator(schedule: StirapSchedule, handedness: Handedness):
-    """t -> H(t) for the full STIRAP protocol on [0, t_f]."""
-    return _two_stage_generator(schedule, handedness)
-
-
-def stap_generator(schedule: StapSchedule, handedness: Handedness):
-    """t -> H(t) for the full STAP protocol on [0, path.t_f]."""
-    return _two_stage_generator(schedule, handedness)
+stap_generator = stirap_generator

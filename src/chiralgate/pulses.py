@@ -10,7 +10,7 @@ stage window and are identically zero outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,7 +84,8 @@ RIGHT = Handedness(-1)
 
 @dataclass(frozen=True)
 class StirapSchedule:
-    """Q-stage Gaussian plus double-Gaussian pump / single-Gaussian Stokes.
+    """STIRAP from its `pulses` keys: a Q stage [0, t1] of area pi/2, then a
+    double-Gaussian pump and single-Gaussian Stokes on [t1, t_f].
 
     The pump is the sum of p_first and p_second (p_second delayed by tau);
     p_first coincides with the Stokes Gaussian so the mixing angle starts at
@@ -92,19 +93,30 @@ class StirapSchedule:
     pi/2 when the delayed pump component dominates.
     """
 
-    q: GaussianPulse
-    p_first: GaussianPulse
-    p_second: GaussianPulse
-    s: GaussianPulse
-    tau: float
-    t1: float
-    t_f: float
+    t1: float = 2.53
+    t_f: float = 10.0
+    ps_amplitude: float = 2.0
+    tau: float | None = None
+    ps_width: float | None = None
+    q_width: float | None = None
+    q: GaussianPulse = field(init=False)
+    p_first: GaussianPulse = field(init=False)
+    p_second: GaussianPulse = field(init=False)
+    s: GaussianPulse = field(init=False)
 
     def __post_init__(self):
+        span = self.t_f - self.t1
+        width = span / 3.0 if self.ps_width is None else self.ps_width
+        tau = width if self.tau is None else self.tau
+        q = q_stage_pulse(math.pi / 2.0, self.t1, self.q_width)
+        shared = GaussianPulse(self.ps_amplitude, self.t1 + 0.5 * (span - tau), width)
+        second = GaussianPulse(self.ps_amplitude, self.t1 + 0.5 * (span + tau), width)
+        # frozen: the derived fields are set once, past __setattr__
+        vars(self).update(q=q, p_first=shared, p_second=second, s=shared)
         if not 0.0 <= self.t1 < self.t_f:
             raise ValueError(f"need 0 <= t1 < t_f, got t1={self.t1}, t_f={self.t_f}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if tau < 0:
+            raise ValueError(f"tau must be >= 0, got {tau}")
 
     @property
     def duration(self) -> float:
@@ -113,6 +125,21 @@ class StirapSchedule:
     @property
     def t_split(self) -> float:
         return self.t1
+
+    def ps(self, t):
+        """(Omega_P, Omega_S) at times t: (0, 0) before t1, DomainError past t_f."""
+        t = np.asarray(t, dtype=float)
+        bad = t > self.t_f
+        if np.any(bad):
+            raise DomainError(f"t={_first(t, bad)} beyond schedule end t_f={self.t_f}")
+        on = t >= self.t1
+        omega_p = np.where(on, self.p_first(t) + self.p_second(t), 0.0)
+        omega_s = np.where(on, self.s(t), 0.0)
+        return omega_p, omega_s
+
+    def splitting(self, t):
+        """Bright-state splitting Omega(t) the R enantiomer's phase accrues at."""
+        return total_rabi(*self.ps(t))
 
 
 @dataclass(frozen=True)
@@ -152,19 +179,35 @@ class StapAnglePath:
 
 @dataclass(frozen=True)
 class StapSchedule:
-    """Full STAP protocol: Q-stage Gaussian on [0, path.t_i], then the
-    counteradiabatically corrected P/S drive on [path.t_i, path.t_f]."""
+    """STAP from its `pulses` keys: a Q stage [0, t_split] of area pi/2, then
+    the counteradiabatically corrected P/S drive of `path` on [t_split, t_f]."""
 
-    q: GaussianPulse
-    path: StapAnglePath
+    t_split: float = 1.24
+    t_f: float = 2.5
+    alpha_m: float = 0.35
+    t_alpha2: float | None = None
+    alpha1_profile: str = "gauss_match"
+    q_width: float | None = None
+    q: GaussianPulse = field(init=False)
+    path: StapAnglePath = field(init=False)
+
+    def __post_init__(self):
+        path = StapAnglePath(self.alpha_m, self.t_split, self.t_f, self.t_alpha2,
+                             self.alpha1_profile)
+        q = q_stage_pulse(math.pi / 2.0, self.t_split, self.q_width)
+        vars(self).update(path=path, q=q)  # frozen, as in StirapSchedule
 
     @property
     def duration(self) -> float:
-        return self.path.t_f
+        return self.t_f
 
-    @property
-    def t_split(self) -> float:
-        return self.path.t_i
+    def ps(self, t):
+        """The corrected drives (Omega_P_eff, Omega_S_eff) at times t."""
+        return stap_corrected_pulses(self.path, t)
+
+    def splitting(self, t):
+        """Dressed-state splitting Upsilon(t) the R enantiomer's phase accrues at."""
+        return stap_dressed_splitting(self.path, t)
 
 
 @dataclass(frozen=True)
@@ -200,21 +243,6 @@ def eval_q(schedule: StirapSchedule | StapSchedule, t):
     return np.where(t > schedule.t_split, 0.0, schedule.q(t))
 
 
-def eval_ps(schedule: StirapSchedule, t):
-    """(Omega_P, Omega_S) of the STIRAP schedule at times t.
-
-    Times before t1 give (0, 0); times beyond t_f are a domain error.
-    """
-    t = np.asarray(t, dtype=float)
-    bad = t > schedule.t_f
-    if np.any(bad):
-        raise DomainError(f"t={_first(t, bad)} beyond schedule end t_f={schedule.t_f}")
-    on = t >= schedule.t1
-    omega_p = np.where(on, schedule.p_first(t) + schedule.p_second(t), 0.0)
-    omega_s = np.where(on, schedule.s(t), 0.0)
-    return omega_p, omega_s
-
-
 def eval_ps_rates(schedule: StirapSchedule, t):
     """Analytic time derivatives (dOmega_P/dt, dOmega_S/dt) on the P/S stage."""
     t = np.asarray(t, dtype=float)
@@ -237,21 +265,21 @@ def mixing_angle(omega_p: float, omega_s: float) -> float:
     return math.atan2(omega_p, omega_s)
 
 
-def mixing_angle_rate(schedule: StirapSchedule, t: float) -> float:
-    """Analytic d(alpha1)/dt of the STIRAP schedule."""
-    omega_p, omega_s = eval_ps(schedule, t)
-    if omega_p == 0.0 and omega_s == 0.0:
-        return 0.0
+def mixing_angle_rate(schedule: StirapSchedule, t):
+    """Analytic d(alpha1)/dt of the STIRAP schedule; 0 where Omega(t) = 0."""
+    omega_p, omega_s = schedule.ps(t)
     dp, ds = eval_ps_rates(schedule, t)
-    return (dp * omega_s - omega_p * ds) / (omega_p**2 + omega_s**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = (dp * omega_s - omega_p * ds) / (omega_p**2 + omega_s**2)
+    return np.where((omega_p == 0.0) & (omega_s == 0.0), 0.0, rate)[()]
 
 
-def adiabaticity_ratio(schedule: StirapSchedule, t: float) -> float:
-    """|d(alpha1)/dt| / Omega(t); infinity when Omega(t) = 0."""
-    omega = total_rabi(*eval_ps(schedule, t))
-    if omega == 0.0:
-        return math.inf
-    return float(abs(mixing_angle_rate(schedule, t)) / omega)
+def adiabaticity_ratio(schedule: StirapSchedule, t):
+    """|d(alpha1)/dt| / Omega(t); infinity where Omega(t) = 0."""
+    omega = total_rabi(*schedule.ps(t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(mixing_angle_rate(schedule, t)) / omega
+    return np.where(omega == 0.0, math.inf, ratio)[()]
 
 
 # -- STAP control angles -----------------------------------------------------
@@ -366,14 +394,6 @@ def q_stage_pulse(amplitude_area: float, t_end: float, width: float | None = Non
     return GaussianPulse(amplitude_area / probe.area(0.0, t_end), t_end / 2.0, width)
 
 
-def ps_values(schedule: StirapSchedule | StapSchedule, t):
-    """(Omega_P, Omega_S) on the P/S stage: the STIRAP pulses or the
-    corrected STAP drives."""
-    if isinstance(schedule, StirapSchedule):
-        return eval_ps(schedule, t)
-    return stap_corrected_pulses(schedule.path, t)
-
-
 def discretize(
     schedule: StirapSchedule | StapSchedule,
     n_steps: int,
@@ -404,53 +424,14 @@ def discretize(
     omega_p = np.zeros(n_steps)
     omega_s = np.zeros(n_steps)
     omega_q[:k] = schedule.q.area(q_lo, q_hi) / dt
-    areas = gauss_legendre(lambda t: ps_values(schedule, t), ps_lo, ps_hi)
+    areas = gauss_legendre(schedule.ps, ps_lo, ps_hi)
     omega_p[k:], omega_s[k:] = (a / dt for a in areas)
     return DiscretizedSchedule(dt, omega_q, omega_p, omega_s, k)
 
 
-# -- shipped default schedules ----------------------------------------------
+# -- protocols ----------------------------------------------------------------
 
-def default_stirap_schedule(
-    t1: float = 2.53,
-    t_f: float = 10.0,
-    ps_amplitude: float = 2.0,
-    tau: float | None = None,
-    ps_width: float | None = None,
-    q_width: float | None = None,
-) -> StirapSchedule:
-    """STIRAP defaults: Q stage [0, t1] with area pi/2, Stokes-before-pump
-    P/S stage on [t1, t_f]."""
-    span = t_f - t1
-    if ps_width is None:
-        ps_width = span / 3.0
-    if tau is None:
-        tau = ps_width
-    c_first = t1 + 0.5 * (span - tau)
-    c_second = t1 + 0.5 * (span + tau)
-    q = q_stage_pulse(math.pi / 2.0, t1, q_width)
-    shared = GaussianPulse(ps_amplitude, c_first, ps_width)
-    return StirapSchedule(
-        q=q,
-        p_first=shared,
-        p_second=GaussianPulse(ps_amplitude, c_second, ps_width),
-        s=shared,
-        tau=tau,
-        t1=t1,
-        t_f=t_f,
-    )
-
-
-def default_stap_schedule(
-    t_split: float = 1.24,
-    t_f: float = 2.5,
-    alpha_m: float = 0.35,
-    t_alpha2: float | None = None,
-    alpha1_profile: str = "gauss_match",
-    q_width: float | None = None,
-) -> StapSchedule:
-    """STAP defaults: Q stage [0, t_split] with area pi/2, counteradiabatic
-    P/S stage on [t_split, t_f]."""
-    path = StapAnglePath(alpha_m=alpha_m, t_i=t_split, t_f=t_f,
-                         t_alpha2=t_alpha2, alpha1_profile=alpha1_profile)
-    return StapSchedule(q_stage_pulse(math.pi / 2.0, t_split, q_width), path)
+# config's `protocol` names; each class's init fields are its `pulses` keys
+PROTOCOLS = {"stirap": StirapSchedule, "stap": StapSchedule}
+default_stirap_schedule = StirapSchedule
+default_stap_schedule = StapSchedule

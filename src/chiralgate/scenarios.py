@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
 from .propagate import PopulationTrace, _csv, evolve_piecewise_exact
-from .pulses import LEFT, RIGHT, Handedness, discretize, eval_q, ps_values
+from .pulses import LEFT, RIGHT, Handedness, discretize, eval_q
 
 PSI0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
@@ -311,7 +311,7 @@ def dump_pulses(config: ScenarioConfig, n_samples: int = 2000) -> str:
     t = np.linspace(0.0, schedule.duration, n_samples)
     p, s = np.zeros(n_samples), np.zeros(n_samples)
     ps_stage = t >= schedule.t_split
-    p[ps_stage], s[ps_stage] = ps_values(schedule, t[ps_stage])
+    p[ps_stage], s[ps_stage] = schedule.ps(t[ps_stage])
     return _csv("t_us,omega_q,omega_p,omega_s\n", "%.9f,%.12g,%.12g,%.12g\n",
                 [t, eval_q(schedule, t), p, s])
 

@@ -22,7 +22,7 @@ from chiralgate.hamiltonians import (build_h_ps, build_h_q, dark_state,
                                      stirap_generator)
 from chiralgate.propagate import evolve_piecewise_exact
 from chiralgate.pulses import (LEFT, RIGHT, default_stap_schedule,
-                               default_stirap_schedule, discretize, eval_ps,
+                               default_stirap_schedule, discretize,
                                mixing_angle, mixing_angle_rate,
                                stap_corrected_pulses)
 from chiralgate.scenarios import ingest_counts, run_scenario, sweep_trotter
@@ -141,7 +141,7 @@ def test_criterion_07_dark_nullity_and_leakage(stirap_oracles, stap_oracles):
     s = stirap_oracles["schedule"]
     worst = 0.0
     for t in np.linspace(s.t1 + 1e-6, s.t_f, 500):
-        op, os_ = eval_ps(s, t)
+        op, os_ = s.ps(t)
         h = build_h_ps(op, os_)
         worst = max(worst, np.linalg.norm(h @ dark_state(mixing_angle(op, os_))))
     leak = max(np.max(tr.probs[:, 1]) for tr in

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralgate import scenarios
+import chiralgate
+from chiralgate import config, scenarios
 from chiralgate.config import validate_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -50,3 +51,38 @@ def test_traced_boundaries_exist_and_count_gates(spans, protocol, tmp_path):
     csv_files = list((tmp_path / "run").glob("*.csv"))
     assert len(csv_files) == 4 and traced.count("propagate.to_csv") == 4
     assert counts["propagate.csv_bytes"] == sum(f.stat().st_size for f in csv_files)
+
+
+# every name chiralgate/__init__.py exports; bench/ imports some of them
+PUBLIC_NAMES = """
+    Circuit Gate MeasurementRecord compile_p_step compile_protocol compile_q_step
+    compile_s_step circuit_unitary run_statevector sample_measurements
+    ChiralGateError ConfigError DomainError FrameTrackingError IntegrityError
+    SingularScheduleError bright_states build_h_ps build_h_q build_h_stap
+    dark_state dressed_states lambda_pm predict_r_final stap_generator
+    stirap_generator DipoleComponents RotorConstants TransitionTable
+    builtin_propanediol consistency_check j1_energies rabi_frequency
+    PopulationTrace evolve_piecewise_exact evolve_rk4 GaussianPulse Handedness
+    LEFT RIGHT StapAnglePath StapSchedule StirapSchedule default_stap_schedule
+    default_stirap_schedule discretize DiscriminationReport export_qasm
+    ingest_counts report_discrimination run_scenario sweep_trotter
+""".split()
+
+
+@pytest.mark.parametrize("owner, name", [
+    *((chiralgate, name) for name in PUBLIC_NAMES),
+    (scenarios, "PSI0"), (scenarios, "run_scenario"), (scenarios, "sweep_trotter"),
+    (scenarios, "export_qasm"), (config, "validate_config"), (config, "ScenarioConfig"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_names_bench_imports_resolve(owner, name):
+    assert getattr(owner, name, None) is not None
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_both_generator_names_build_one_h(protocol):
+    # bench/oracle_ref.py picks a name by protocol; either must give the same H(t)
+    schedule = validate_config({"protocol": protocol}).build_schedule()
+    t = np.linspace(0.0, schedule.duration, 41)
+    for hand in (chiralgate.LEFT, chiralgate.RIGHT):
+        np.testing.assert_array_equal(chiralgate.stirap_generator(schedule, hand)(t),
+                                      chiralgate.stap_generator(schedule, hand)(t))

@@ -1,15 +1,18 @@
-"""Fuzz of the CLI exit-code contract: whatever the YAML config and the
-command-line arguments hold, `chiralgate` exits with 0, 2, 3 or 4 and never
-prints a traceback."""
+"""Fuzz of the CLI exit-code contract: whatever the YAML config, the counts
+file and the command-line arguments hold, `chiralgate` exits with 0, 2, 3 or
+4 and never prints a traceback."""
 
 import contextlib
+import dataclasses
 import io
+import json
 
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chiralgate.cli import main
+from chiralgate.pulses import PROTOCOLS
 
 JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
                  st.lists(st.integers(-3, 3), max_size=2),
@@ -23,8 +26,8 @@ def mostly(valid, junk=JUNK):
     return st.sampled_from([valid] * 7 + [junk]).flatmap(lambda s: s)
 
 
-STAP_KEYS = ["t_split", "t_f", "alpha_m", "t_alpha2", "alpha1_profile", "q_width"]
-STIRAP_KEYS = ["t1", "t_f", "ps_amplitude", "tau", "ps_width", "q_width"]
+STAP_KEYS, STIRAP_KEYS = ([f.name for f in dataclasses.fields(PROTOCOLS[p]) if f.init]
+                          for p in ("stap", "stirap"))
 PULSE_VALUE = mostly(st.one_of(NUMBER, st.sampled_from(["gauss_match", "sin2"])))
 MOLECULE = st.fixed_dictionaries({
     "constants": st.fixed_dictionaries({k: NUMBER for k in "abc"}),
@@ -54,7 +57,7 @@ OPTIONAL = {
 
 @st.composite
 def config_texts(draw):
-    protocol = draw(mostly(st.sampled_from(["stap", "stirap"])))
+    protocol = draw(mostly(st.sampled_from(list(PROTOCOLS))))
     keys = STIRAP_KEYS if protocol == "stirap" else STAP_KEYS
     pulses = draw(mostly(st.dictionaries(st.sampled_from(keys * 4 + ["typo"]),
                                          PULSE_VALUE, max_size=4)))
@@ -65,9 +68,29 @@ def config_texts(draw):
     return yaml.safe_dump(raw)
 
 
+def nested(depth: int) -> bytes:
+    return b"[" * depth + b"]" * depth
+
+
+# files a parser chokes on: invalid UTF-8 (no UTF-8 text holds the byte 0xff),
+# lists nested past the recursion limit or short of it, a YAML alias inside itself
+RAW_BYTES = st.one_of(
+    st.binary(max_size=12).map(lambda b: b"seed: 1\n# " + b + b"\xff\n"),
+    st.integers(1, 1500).map(lambda d: b"checkpoints_us: " + nested(d) + b"\n"),
+    st.just(b"checkpoints_us: &a [1, *a]\n"))
 CONFIG = st.one_of(st.none(), mostly(config_texts(),
-                                     st.sampled_from(["", "- 1\n", "42\n", "{: [\n"])))
-COMMAND = st.sampled_from(["run", "export-qasm", "dump-pulses", "molecule-check"])
+                                     st.sampled_from(["", "- 1\n", "42\n", "{: [\n"])
+                                     | RAW_BYTES))
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+                    lambda kids: st.lists(kids, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
+COUNTS = st.one_of(
+    st.dictionaries(st.sampled_from(["00", "01", "10", "11", "shots", "x"]),
+                    mostly(st.integers(0, 9)), max_size=5).map(json.dumps),
+    JSON.map(json.dumps), st.binary(max_size=12),
+    st.integers(1, 200_000).map(nested))
+COMMAND = st.sampled_from(["run", "export-qasm", "dump-pulses", "molecule-check",
+                           "ingest-counts"])
 OPTIONS = st.fixed_dictionaries({}, optional={
     "--seed": mostly(BIG_INT.map(str), st.text(max_size=3)),
     "--steps": mostly(st.integers(-3, 12).map(str), st.text(max_size=3)),
@@ -78,22 +101,29 @@ OPTIONS = st.fixed_dictionaries({}, optional={
 })
 
 
+def write(path, data: str | bytes) -> None:
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=COMMAND, options=OPTIONS, config=CONFIG)
-def test_cli_exit_code_contract(tmp_path, monkeypatch, command, options, config):
+@given(command=COMMAND, options=OPTIONS, config=CONFIG, counts=COUNTS)
+def test_cli_exit_code_contract(tmp_path, monkeypatch, command, options, config, counts):
     monkeypatch.chdir(tmp_path)     # relative out_dir values land here
     argv = [command]
     for flag, value in options.items():
         argv += [flag] if value is None else [flag, value]
     if config is not None:
-        (tmp_path / "fuzz.yaml").write_text(config)
+        write(tmp_path / "fuzz.yaml", config)
         argv += ["--config", "fuzz.yaml"]
+    if command == "ingest-counts":
+        write(tmp_path / "counts.json", counts)
+        argv += ["counts.json"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:   # argparse usage errors
             code = exc.code
-    assert code in (0, 2, 3, 4), (argv, config, err.getvalue())
+    assert code in (0, 2, 3, 4), (argv, config, counts, err.getvalue())
     assert "Traceback" not in err.getvalue()

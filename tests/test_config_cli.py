@@ -37,6 +37,14 @@ def test_wrong_protocol_pulse_keys_rejected():
         validate_config({"protocol": "stirap", "pulses": {"alpha_m": 0.3}})
 
 
+@pytest.mark.parametrize("protocol, key", [("stirap", "q"), ("stirap", "p_first"),
+                                           ("stap", "q"), ("stap", "path")])
+def test_derived_schedule_fields_are_not_pulse_keys(protocol, key):
+    # the pulse keys are a schedule's init fields, not the Gaussians it builds
+    with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+        validate_config({"protocol": protocol, "pulses": {key: 1.0}})
+
+
 def test_bad_values_rejected():
     for raw in ({"protocol": "adiabatic"},
                 {"enantiomer": "both-ish"},
@@ -197,6 +205,24 @@ def test_cli_exit_codes(tmp_path):
     garbage.write_text("{not json")
     assert main(["ingest-counts", str(garbage)]) == 2
     assert main(["ingest-counts", str(tmp_path / "nope.json")]) == 4
+
+
+@pytest.mark.parametrize("command, data", [
+    ("ingest-counts", b'\xff\xfe{"shots": 1}'),
+    ("ingest-counts", b"[" * 100_000 + b"]" * 100_000),
+    ("molecule-check", b'seed: 1\nout_dir: "a\xffb"\n'),
+    ("molecule-check", b"checkpoints_us: " + b"[" * 500 + b"]" * 500 + b"\n"),
+    ("molecule-check", b"checkpoints_us: &a [*a]\n"),
+    ("molecule-check", b"pulses: &a {t_f: *a}\n"),
+], ids=["counts-utf16-bom", "counts-deep", "config-xff", "config-deep",
+        "config-self-list", "config-self-mapping"])
+def test_cli_undecodable_deep_or_cyclic_files_exit_2(tmp_path, capsys, command, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    argv = ([command, str(path)] if command == "ingest-counts"
+            else [command, "--config", str(path)])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):

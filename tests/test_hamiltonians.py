@@ -13,7 +13,7 @@ from chiralgate.hamiltonians import (IDX_00, IDX_01, IDX_10, IDX_11,
 from chiralgate.propagate import evolve_piecewise_exact
 from chiralgate.pulses import (LEFT, RIGHT, StirapSchedule,
                                default_stap_schedule, default_stirap_schedule,
-                               eval_ps, mixing_angle_rate, stap_angles,
+                               mixing_angle_rate, stap_angles,
                                stap_corrected_pulses, stap_dressed_splitting,
                                total_rabi)
 
@@ -104,7 +104,7 @@ def test_adiabatic_frame_coupling_is_mixing_rate_over_sqrt2():
         gap, coupling = adiabatic_frame_couplings(s, t)
         want = abs(mixing_angle_rate(s, t)) / math.sqrt(2)
         np.testing.assert_allclose(coupling, want, rtol=1e-6)
-        np.testing.assert_allclose(gap, total_rabi(*eval_ps(s, t)) / 2, rtol=1e-6)
+        np.testing.assert_allclose(gap, total_rabi(*s.ps(t)) / 2, rtol=1e-6)
 
 
 def test_predict_r_final_matches_propagation_stap():
@@ -130,7 +130,7 @@ def test_predict_r_final_matches_quad():
     for s in (default_stap_schedule(), default_stap_schedule(alpha1_profile="sin2"),
               default_stirap_schedule()):
         if isinstance(s, StirapSchedule):
-            splitting = lambda t: float(total_rabi(*eval_ps(s, t)))
+            splitting = lambda t: float(total_rabi(*s.ps(t)))
         else:
             splitting = lambda t: float(stap_dressed_splitting(s.path, t))
         area, _ = quad(splitting, s.t_split, s.duration, epsabs=1e-11,

@@ -11,9 +11,9 @@ from chiralgate.errors import DomainError
 from chiralgate.pulses import (ALPHA1_PROFILES, GaussianPulse, Handedness,
                                LEFT, RIGHT, StapAnglePath, StirapSchedule,
                                adiabaticity_ratio, default_stap_schedule,
-                               default_stirap_schedule, discretize, eval_ps,
+                               default_stirap_schedule, discretize,
                                eval_ps_rates, eval_q, mixing_angle,
-                               mixing_angle_rate, ps_values, q_stage_pulse,
+                               mixing_angle_rate, q_stage_pulse,
                                stap_angles, stap_corrected_pulses,
                                stap_dressed_splitting, total_rabi)
 
@@ -58,15 +58,15 @@ def test_eval_q_zero_after_split_and_domain_error():
 
 def test_eval_ps_before_split_and_past_end():
     s = default_stirap_schedule()
-    assert eval_ps(s, 0.5) == (0.0, 0.0)
+    assert s.ps(0.5) == (0.0, 0.0)
     with pytest.raises(DomainError):
-        eval_ps(s, s.t_f + 1e-9)
+        s.ps(s.t_f + 1e-9)
 
 
 def test_stirap_mixing_angle_ramps_quarter_to_half_pi():
     s = default_stirap_schedule()
-    a_start = mixing_angle(*eval_ps(s, s.t1))
-    a_end = mixing_angle(*eval_ps(s, s.t_f))
+    a_start = mixing_angle(*s.ps(s.t1))
+    a_end = mixing_angle(*s.ps(s.t_f))
     # the delayed pump component has an e^-3 tail at the stage boundaries,
     # so the angle misses the ideal endpoints by ~0.025 rad
     assert abs(a_start - math.pi / 4) < 0.05
@@ -79,7 +79,7 @@ def test_mixing_angle_rate_matches_finite_difference():
     s = default_stirap_schedule()
     h = 1e-6
     for t in (4.0, 5.5, 7.0, 8.5):
-        fd = (mixing_angle(*eval_ps(s, t + h)) - mixing_angle(*eval_ps(s, t - h))) / (2 * h)
+        fd = (mixing_angle(*s.ps(t + h)) - mixing_angle(*s.ps(t - h))) / (2 * h)
         np.testing.assert_allclose(mixing_angle_rate(s, t), fd, rtol=1e-6)
 
 
@@ -88,8 +88,8 @@ def test_ps_rates_match_finite_difference():
     h = 1e-6
     for t in (4.0, 6.0, 8.0):
         dp, ds = eval_ps_rates(s, t)
-        fdp = (eval_ps(s, t + h)[0] - eval_ps(s, t - h)[0]) / (2 * h)
-        fds = (eval_ps(s, t + h)[1] - eval_ps(s, t - h)[1]) / (2 * h)
+        fdp = (s.ps(t + h)[0] - s.ps(t - h)[0]) / (2 * h)
+        fds = (s.ps(t + h)[1] - s.ps(t - h)[1]) / (2 * h)
         np.testing.assert_allclose([dp, ds], [fdp, fds], rtol=1e-6, atol=1e-9)
 
 
@@ -100,26 +100,54 @@ def test_adiabaticity_ratio_small_on_default_schedule():
     assert adiabaticity_ratio(s, 0.1) == math.inf  # no P/S drive yet
 
 
+def _rate_and_ratio_reference(s, t: float) -> tuple[float, float]:
+    """The scalar-only mixing_angle_rate and adiabaticity_ratio: an if on Omega."""
+    omega_p, omega_s = s.ps(t)
+    rate = 0.0
+    if not (omega_p == 0.0 and omega_s == 0.0):
+        dp, ds = eval_ps_rates(s, t)
+        rate = (dp * omega_s - omega_p * ds) / (omega_p**2 + omega_s**2)
+    omega = total_rabi(omega_p, omega_s)
+    return rate, (math.inf if omega == 0.0 else float(abs(rate) / omega))
+
+
+@settings(max_examples=60, deadline=None)
+@given(t1=st.floats(0.5, 4.0), span=st.floats(0.5, 8.0),
+       frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_rate_and_ratio_map_arrays_elementwise(t1, span, frac):
+    s = StirapSchedule(t1=t1, t_f=t1 + span)
+    # before the P/S stage (Omega = 0), on it, and at both of its ends
+    t = np.array([0.0, t1, s.t_f] + [x * s.t_f for x in frac])
+    rates, ratios = mixing_angle_rate(s, t), adiabaticity_ratio(s, t)
+    assert rates.shape == ratios.shape == t.shape
+    assert rates[0] == 0.0 and ratios[0] == math.inf
+    for i, ti in enumerate(t.tolist()):
+        rate, ratio = mixing_angle_rate(s, ti), adiabaticity_ratio(s, ti)
+        assert np.ndim(rate) == np.ndim(ratio) == 0
+        assert (rate, ratio) == _rate_and_ratio_reference(s, ti)
+        assert rates[i].tobytes() == np.float64(rate).tobytes()
+        assert ratios[i].tobytes() == np.float64(ratio).tobytes()
+
+
 def test_adiabaticity_ratio_is_the_analytic_rate_over_omega():
     s = default_stirap_schedule()
     for t in np.linspace(s.t1, s.t_f, 9):
-        omega = total_rabi(*eval_ps(s, t))
+        omega = total_rabi(*s.ps(t))
         want = abs(mixing_angle_rate(s, t)) / omega
         assert abs(adiabaticity_ratio(s, t) - want) <= 1e-12
         h = 1e-5
         if s.t1 + h <= t <= s.t_f - h:
-            fd = (mixing_angle(*eval_ps(s, t + h))
-                  - mixing_angle(*eval_ps(s, t - h))) / (2 * h)
+            fd = (mixing_angle(*s.ps(t + h))
+                  - mixing_angle(*s.ps(t - h))) / (2 * h)
             np.testing.assert_allclose(adiabaticity_ratio(s, t), abs(fd) / omega,
                                        rtol=1e-6)
 
 
 def test_schedule_validation():
-    g = GaussianPulse(1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        StirapSchedule(g, g, g, g, tau=-0.1, t1=1.0, t_f=2.0)
-    with pytest.raises(ValueError):
-        StirapSchedule(g, g, g, g, tau=0.1, t1=2.0, t_f=2.0)
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        StirapSchedule(t1=1.0, t_f=2.0, tau=-0.1)
+    with pytest.raises(ValueError, match="t1 < t_f"):
+        StirapSchedule(t1=2.0, t_f=2.0, ps_width=0.5, tau=0.1)
     with pytest.raises(ValueError):
         StapAnglePath(alpha_m=0.0, t_i=0.0, t_f=1.0)
     with pytest.raises(ValueError):
@@ -202,7 +230,7 @@ def test_discretize_preserves_pulse_areas():
     np.testing.assert_allclose(q_area, s.q.area(0.0, d.k * d.delta_t), rtol=1e-9)
     np.testing.assert_allclose(q_area, math.pi / 2, rtol=1e-4)
     p_area = np.sum(d.omega_p) * d.delta_t
-    want_p, _ = quad(lambda t: eval_ps(s, t)[0], s.t1, s.t_f, epsabs=1e-12, limit=200)
+    want_p, _ = quad(lambda t: s.ps(t)[0], s.t1, s.t_f, epsabs=1e-12, limit=200)
     np.testing.assert_allclose(p_area, want_p, rtol=1e-8)
 
 
@@ -220,7 +248,7 @@ def test_discretize_matches_quad_per_slice(schedule, n):
     for i in range(d.k, n):
         lo, hi = max(i * d.delta_t, schedule.t_split), (i + 1) * d.delta_t
         for j, got in enumerate((d.omega_p[i], d.omega_s[i])):
-            area, _ = quad(lambda t: float(ps_values(schedule, t)[j]), lo, hi,
+            area, _ = quad(lambda t: float(schedule.ps(t)[j]), lo, hi,
                            epsabs=1e-12, epsrel=1e-12, limit=200)
             worst = max(worst, abs(got - area / d.delta_t))
     assert worst <= 1e-11
