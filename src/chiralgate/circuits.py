@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .hamiltonians import DRIVES, IDX_01, IDX_10, coupling
-from .propagate import BASIS_LABELS, PopulationTrace, populations, propagate
+from .propagate import BASIS_LABELS, PopulationTrace, _block, _propagate_blocks, propagate
 from .pulses import DiscretizedSchedule, Handedness
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
@@ -156,19 +156,31 @@ def _row(circuit: Circuit) -> np.ndarray:
 
 # -- gate matrices -----------------------------------------------------------
 
-# B = 1 - p, p and G per row; X and CX have B = the gate and p = G = 0, and
-# CROT builds its G per gate from its axis_phi and the target's X and Y
-_B, _P, _G = (np.zeros((len(_CONFIGS), 4, 4), complex) for _ in range(3))
+# The real blocks of B = 1 - p, p, -i G_X and -i G_Y per row: X and CX have
+# B = the gate, CROT G_X = p X and G_Y = p Y on its target, the rest G_X = G
+_OPS = np.zeros((len(_CONFIGS), 4, 4, 4), complex)
 for _j, (_k, _t, _v) in enumerate(_CONFIGS):
     if _k in ("X", "CX"):
-        _B[_j] = _ON["X", _t] if _k == "X" else _CX[1 - _t, _t]
-        continue
-    if _k == "CROT":
-        _P[_j] = _ON[f"P{_v}", 1 - _t]
+        _OPS[_j, 0] = _ON["X", _t] if _k == "X" else _CX[1 - _t, _t]
+    elif _k == "CROT":
+        _p = _ON[f"P{_v}", 1 - _t]
+        _OPS[_j] = _I4 - _p, _p, -1j * _p @ _ON["X", _t], -1j * _p @ _ON["Y", _t]
     else:
-        _P[_j], _G[_j] = _HOP[_k] if _k in _HOP else (_I4, _ON[_k[1], _t])
-    _B[_j] = _I4 - _P[_j]
-_XY = np.array([[_ON["X", t], _ON["Y", t]] for t in (0, 1)])
+        _p, _g = _HOP[_k] if _k in _HOP else (_I4, _ON[_k[1], _t])
+        _OPS[_j, :3] = _I4 - _p, _p, -1j * _g
+_TABLE = _block(_OPS.real, _OPS.imag).reshape(len(_CONFIGS), 4, 64)
+
+
+def _gate_blocks(circuit: Circuit) -> np.ndarray:
+    """gate_matrices as real blocks: a gate's row of _TABLE weighted by [1, cos(angle/2),
+    sin(angle/2) cos(phi), sin(angle/2) sin(phi)], phi its axis_phi if a CROT, else 0."""
+    half, phi = circuit.angle / 2, np.where(circuit.kind == CODE["CROT"], circuit.axis_phi, 0.0)
+    coef = np.stack([np.ones_like(half), np.cos(half), np.sin(half) * np.cos(phi),
+                     np.sin(half) * np.sin(phi)], axis=1)[:, None]
+    row, out = _row(circuit), np.empty((len(circuit), 1, 64))
+    for b in (slice(lo, lo + 256) for lo in range(0, len(circuit), 256)):  # bounds the gather
+        np.matmul(coef[b], _TABLE[row[b]], out=out[b])
+    return out.reshape(-1, 8, 8)
 
 
 def gate_matrices(circuit: Circuit) -> np.ndarray:
@@ -184,15 +196,8 @@ def gate_matrices(circuit: Circuit) -> np.ndarray:
     control and G = p (cos phi X + sin phi Y) on the target; for XX-YY and
     XX+YY p projects onto the level pair that G = (XX -+ YY)/2 hops.
     """
-    row, half = _row(circuit), circuit.angle[:, None, None] / 2
-    out = np.empty((len(circuit), 4, 4), complex)
-    for b in (slice(lo, lo + 4096) for lo in range(0, len(circuit), 4096)):  # bounds temporaries
-        p, g = _P[row[b]], _G[row[b]]
-        crot = np.flatnonzero(circuit.kind[b] == CODE["CROT"])
-        phi, axes = circuit.axis_phi[b][crot, None, None], _XY[circuit.target[b][crot]]
-        g[crot] = p[crot] @ (np.cos(phi) * axes[:, 0] + np.sin(phi) * axes[:, 1])
-        out[b] = _B[row[b]] + np.cos(half[b]) * p - 1j * np.sin(half[b]) * g
-    return out
+    u = _gate_blocks(circuit)
+    return u[:, :4, :4] + 1j * u[:, 4:, :4]
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -338,12 +343,12 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
     statevector).  Populations are recorded at Trotter-step boundaries when
     the circuit has them in metadata, else after every gate.
     """
-    states = propagate(gate_matrices(circuit), psi0, tol=1e-10)
+    x = _propagate_blocks(_gate_blocks(circuit), psi0, tol=1e-10)
     bounds = circuit.metadata.get("step_bounds")
-    probs = populations(states if bounds is None else states[[0, *bounds]])
-    times = circuit.metadata.get("delta_t", 1.0) * np.arange(len(probs))
-    return PopulationTrace(times, probs,
-                           circuit.metadata.get("handedness", "")), states[-1]
+    at = x if bounds is None else x[[0, *bounds]]
+    times = circuit.metadata.get("delta_t", 1.0) * np.arange(len(at))
+    return PopulationTrace(times, at[..., :4] ** 2 + at[..., 4:] ** 2, circuit.metadata.get(
+        "handedness", "")), x[-1, ..., :4] + 1j * x[-1, ..., 4:]
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

@@ -20,12 +20,14 @@ from .pulses import PROTOCOLS, StapSchedule, StirapSchedule
 # (V/cm) or dipoles (D); far outside [1/SCALE_LIMIT, SCALE_LIMIT] in magnitude
 # the pulse arithmetic overflows.
 SCALE_LIMIT = 1e9
-# Every Trotter or oracle step keeps its gates, 4x4 matrix and state in
-# memory, and export-qasm its text too.  At MAX_STEPS, peak RSS from getrusage
-# in the process on a shared 2-core x86-64 host: export-qasm 206-208 MB in
-# 1.5-1.8 s (STIRAP; STAP 181-183 MB), run 131 MB in 1.3-1.5 s (STIRAP; STAP
-# 119 MB).
+# Every Trotter or oracle step keeps its gates, real 8x8 matrix block and
+# state in memory, and export-qasm its text too.  At MAX_STEPS, peak RSS from
+# getrusage in the process on a shared 2-core x86-64 host: export-qasm 208 MB
+# in 1.3 s (STIRAP), run 174 MB in 1.3 s (STIRAP; STAP 157 MB).
 MAX_STEPS = 100_000
+# Nodes in one top-level entry once YAML aliases are expanded: bounds the
+# work (and the text of an error message) that any later walk of it costs
+MAX_NODES = 100_000
 _INT_RANGES = {"n_steps": (2, MAX_STEPS), "shots": (1, 2**63 - 1),   # numpy's int64
                "oracle_steps": (1, MAX_STEPS), "seed": (0, 2**63 - 1)}
 
@@ -87,17 +89,28 @@ def _require_keys(actual: dict, allowed: set, context: str) -> None:
             f"unknown key(s) in {context}: {', '.join(sorted(map(str, unknown)))}")
 
 
-def _require_scale(value, context: str) -> None:
+def _require_scale(value, context: str, sizes: dict) -> int:
     """Every number in the tree 0 or of magnitude in [1/SCALE_LIMIT, SCALE_LIMIT]
-    and none a boolean (YAML's true/false would pass as 1/0)."""
+    and none a boolean (YAML's true/false would pass as 1/0); returns the
+    number of nodes in the tree.
+
+    A YAML alias shares one node among its uses, so a short file can hold a
+    tree of exponential size.  `sizes` memoises each node by id once its
+    subtree is done, so each shared node is walked once and a tree that
+    contains itself still recurses until RecursionError."""
+    if id(value) in sizes:
+        return sizes[id(value)]
     items = (value.items() if isinstance(value, dict)
              else enumerate(value) if isinstance(value, list) else ())
+    size = 1
     for key, v in items:
-        _require_scale(v, f"{context}.{key}")
+        size += _require_scale(v, f"{context}.{key}", sizes)
     if isinstance(value, bool) or isinstance(value, (int, float)) and not (
             value == 0 or 1 / SCALE_LIMIT <= abs(value) <= SCALE_LIMIT):
         raise ConfigError(f"{context} must be 0 or a finite number of magnitude "
                           f"{1 / SCALE_LIMIT:g} to {SCALE_LIMIT:g}, got {value}")
+    sizes[id(value)] = size
+    return size
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
@@ -107,9 +120,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
     for key, value in raw.items():
         if isinstance(value, (dict, list)):  # top-level scalars are checked below
             try:
-                _require_scale(value, key)
+                size = _require_scale(value, key, {})
             except RecursionError as exc:  # a YAML alias can make a tree contain itself
                 raise ConfigError(f"{key} is nested too deeply or contains itself") from exc
+            if size > MAX_NODES:
+                raise ConfigError(f"{key} holds more than {MAX_NODES} entries once its "
+                                  "YAML aliases are expanded")
     cfg = ScenarioConfig(**raw)
 
     for name, choices in (("protocol", tuple(PROTOCOLS)),
@@ -143,7 +159,15 @@ def validate_config(raw: dict) -> ScenarioConfig:
     else:
         raise ConfigError("molecule must be a builtin name or an inline mapping")
 
-    cfg.build_schedule()  # surface bad pulse values at validation time
+    schedule = cfg.build_schedule()  # surface bad pulse values at validation time
+    # the corrected STAP drives grow as 1 / (t_f - t_split): a P/S stage
+    # shorter than one oracle step is resolved by no oracle step at all
+    if isinstance(schedule, StapSchedule) and (
+            schedule.t_f - schedule.t_split < schedule.t_f / cfg.oracle_steps):
+        raise ConfigError(
+            f"the STAP P/S stage t_f - t_split = {schedule.t_f - schedule.t_split:g} us "
+            f"is shorter than one oracle step t_f / oracle_steps = "
+            f"{schedule.t_f / cfg.oracle_steps:g} us: lower pulses.t_split or raise oracle_steps")
     cfg.molecule_params()
     cfg.field_config()
     return cfg

@@ -192,9 +192,9 @@ def adiabatic_frame_couplings(schedule: StirapSchedule, t: float,
 
 # -- STAP dressed-frame couplings --------------------------------------------
 
-def lambda_pm(schedule: StapSchedule, t: float,
-              effective: tuple[float, float] | None = None) -> tuple[complex, complex]:
-    """Dressed-frame couplings lambda_pm between phi0 and phi_pm.
+def lambda_pm(schedule: StapSchedule, t, effective=None):
+    """Dressed-frame couplings lambda_pm between phi0 and phi_pm at times t
+    (an array gives arrays of its shape).
 
     `effective` overrides the drive amplitudes (Omega_P_eff, Omega_S_eff);
     by default the schedule's designed corrected pulses are used, for which
@@ -206,8 +206,8 @@ def lambda_pm(schedule: StapSchedule, t: float,
     if effective is None:
         effective = stap_corrected_pulses(path, t)
     a_p, b_s = effective
-    c1, s1 = math.cos(a1), math.sin(a1)
-    c2, s2 = math.cos(a2), math.sin(a2)
+    c1, s1 = np.cos(a1), np.sin(a1)
+    c2, s2 = np.cos(a2), np.sin(a2)
 
     x_g = 0.5 * a_p * s2 + da2 * s2 * c1 + da1 * c2 * s1
     x_e = 0.5 * (a_p * c1 - b_s * s1) * c2 + da2 * c2
@@ -215,7 +215,7 @@ def lambda_pm(schedule: StapSchedule, t: float,
 
     imag = s1 * x_g + c1 * x_t
     real = s2 * c1 * x_g + c2 * x_e - s2 * s1 * x_t
-    return complex(real, imag), complex(-real, imag)
+    return real + 1j * imag, -real + 1j * imag
 
 
 # -- final-state predictions -------------------------------------------------

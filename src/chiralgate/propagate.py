@@ -74,6 +74,30 @@ def _csv(header: str, row: str, columns) -> str:
     return "".join(text)
 
 
+def _block(re, im) -> np.ndarray:
+    """The real 8x8 blocks [[re, -im], [im, re]] of the 4x4 matrices re + i im."""
+    out = np.empty(np.shape(re)[:-2] + (8, 8))
+    out[..., :4, :4] = out[..., 4:, 4:] = re
+    out[..., 4:, :4], out[..., :4, 4:] = im, -im
+    return out
+
+
+def _closed_form_blocks(h: np.ndarray, dt: float) -> np.ndarray:
+    """closed_form_unitaries as real blocks; h^2 = aa - bb + i(ab + ba), h = a + ib."""
+    h = np.asarray(h)
+    defect = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))
+    if not defect <= HERMITICITY_TOL:   # NaN fails too
+        raise IntegrityError(
+            f"generator is non-Hermitian (defect {defect:.3g})")
+    a, b = h.real, h.imag
+    h2_re, h2_im = (a @ a - b @ b, a @ b + b @ a) if b.any() else (a @ a, 0.0)
+    wdt = dt * np.sqrt(0.5 * np.einsum("...ii->...", h2_re))
+    sin_over_w = (dt * np.sinc(wdt / np.pi))[..., None, None]
+    cos_minus_1_over_w2 = (-0.5 * dt * dt * np.sinc(wdt / (2.0 * np.pi)) ** 2)[..., None, None]
+    return _block(np.eye(4) + sin_over_w * b + cos_minus_1_over_w2 * h2_re,
+                  cos_minus_1_over_w2 * h2_im - sin_over_w * a)
+
+
 def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) for a stack of Hermitian generators with spectrum {0, +-w}.
 
@@ -85,18 +109,8 @@ def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     whose row and column of h vanish (|01> for every drive here) is left
     exactly invariant, because h and h^2 vanish there too.
     """
-    h = np.asarray(h)
-    defect = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))
-    if not defect <= HERMITICITY_TOL:   # NaN fails too
-        raise IntegrityError(
-            f"generator is non-Hermitian (defect {defect:.3g})")
-    h2 = h @ h
-    wdt = dt * np.sqrt(0.5 * np.einsum("...ii->...", h2).real)
-    sin_over_w = dt * np.sinc(wdt / np.pi)
-    cos_minus_1_over_w2 = -0.5 * dt * dt * np.sinc(wdt / (2.0 * np.pi)) ** 2
-    return (np.eye(h.shape[-1])
-            - 1j * sin_over_w[..., None, None] * h
-            + cos_minus_1_over_w2[..., None, None] * h2)
+    u = _closed_form_blocks(h, dt)
+    return u[..., :4, :4] + 1j * u[..., 4:, :4]
 
 
 def propagate(steps, psi0: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
@@ -105,32 +119,36 @@ def propagate(steps, psi0: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
     stack of states (m, 4).  An unnormalized psi0 raises ValueError, a final
     norm off by more than tol (or NaN) raises IntegrityError.
 
-    Blocked prefix products: `steps` is cut into blocks of about sqrt(n)
-    and, in place, each entry becomes the product of its block up to it,
-    one batched matmul per block position for all blocks at once; one pass
-    over the blocks then carries the state from block start to block start.
-    That is about 2 sqrt(n) Python steps instead of n.  A writeable complex
-    ndarray given as `steps` is overwritten.
+    Blocked prefix products of the real blocks (_block) of `steps`, which is
+    never modified: cut into runs of about sqrt(n), in place each becomes the
+    product of its run up to it, one batched matmul per run position; one
+    pass over the runs then carries the state, as [Re psi, Im psi], one
+    matmul per run.  That is about 2 sqrt(n) Python steps instead of n.
     """
+    u = np.asarray(steps, dtype=complex)
+    x = _propagate_blocks(_block(u.real, u.imag), psi0, tol)
+    return x[..., :4] + 1j * x[..., 4:]
+
+
+def _propagate_blocks(u: np.ndarray, psi0: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
+    """propagate on real blocks u, which it overwrites; the states are real."""
     psi = np.asarray(psi0, dtype=complex)
     if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-10):
         raise ValueError("initial state is not normalized")
-    u = np.asarray(steps, dtype=complex)
-    if not u.flags.writeable:
-        u = u.copy()
     n = len(u)
     b = max(1, math.isqrt(n))
     for j in range(1, b):
         cur = u[j::b]
         np.matmul(cur, u[j - 1::b][:len(cur)], out=cur)
-    states = np.empty((n + 1,) + psi.shape, dtype=complex)
-    states[0] = psi
-    for lo in range(0, n, b):   # x U^T is (U x)^T, for a stack of rows x too
-        np.matmul(states[lo], u[lo:lo + b].swapaxes(1, 2), out=states[lo + 1:lo + b + 1])
-    norm_err = np.max(np.abs(np.linalg.norm(states[-1], axis=-1) - 1.0))
+    states = np.empty((n + 1, 8) + psi.shape[:-1])     # each state as a column
+    states[0] = np.concatenate((psi.real, psi.imag), axis=-1).T
+    for lo in range(0, n, b):
+        np.matmul(u[lo:lo + b].reshape(-1, 8), states[lo],
+                  out=states[lo + 1:lo + b + 1].reshape((-1,) + psi.shape[:-1]))
+    norm_err = np.max(np.abs(np.linalg.norm(states[-1], axis=0) - 1.0))
     if not norm_err <= tol:
         raise IntegrityError(f"norm drifted by {norm_err:.3g} despite unitary steps")
-    return states
+    return np.moveaxis(states, 1, -1)
 
 
 def evolve_piecewise_exact(
@@ -155,11 +173,10 @@ def evolve_piecewise_exact(
     dt = (t1 - t0) / n_steps
     times = np.linspace(t0, t1, n_steps + 1)
     t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
-    steps = closed_form_unitaries(generator(t_mid), dt)
-    if steps.shape != (n_steps, 4, 4):  # a generator that ignores t gives one matrix
-        steps = np.broadcast_to(steps, (n_steps, 4, 4))
-    states = propagate(steps, psi0)
-    return PopulationTrace(times, populations(states), handedness, states[-1])
+    h = np.broadcast_to(generator(t_mid), (n_steps, 4, 4))  # one matrix if it ignores t
+    x = _propagate_blocks(_closed_form_blocks(h, dt), psi0)
+    return PopulationTrace(times, x[..., :4] ** 2 + x[..., 4:] ** 2, handedness,
+                           x[-1, ..., :4] + 1j * x[-1, ..., 4:])
 
 
 def evolve_rk4(

@@ -258,11 +258,13 @@ def total_rabi(omega_p, omega_s):
     return np.hypot(omega_p, omega_s)
 
 
-def mixing_angle(omega_p: float, omega_s: float) -> float:
-    """alpha1 = atan(Omega_P / Omega_S), in [0, pi/2]."""
-    if omega_p == 0.0 and omega_s == 0.0:
+def mixing_angle(omega_p, omega_s):
+    """alpha1 = atan(Omega_P / Omega_S), in [0, pi/2], for amplitude arrays of
+    one shape; ValueError where both amplitudes vanish."""
+    omega_p, omega_s = np.asarray(omega_p, dtype=float), np.asarray(omega_s, dtype=float)
+    if np.any((omega_p == 0.0) & (omega_s == 0.0)):
         raise ValueError("mixing angle undefined when both amplitudes vanish")
-    return math.atan2(omega_p, omega_s)
+    return np.arctan2(omega_p, omega_s)[()]
 
 
 def mixing_angle_rate(schedule: StirapSchedule, t):

@@ -15,6 +15,7 @@ from .circuits import (CODE, NATIVE_KINDS, Circuit, compile_protocol,
                        expand_circuit, run_statevector, sample_measurements)
 from .config import MAX_STEPS, ScenarioConfig
 from .errors import ConfigError
+# stap_generator is stirap_generator; bench/spans.py traces both names here
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
 from .propagate import PopulationTrace, _csv, evolve_piecewise_exact
@@ -80,8 +81,7 @@ def _oracle(config: ScenarioConfig, schedule,
     psi[:, 2] = [-1j * np.exp(-1j * hand.phi_q) * sin[-1] for hand in hands]
     ps_probs, finals = np.empty((0, len(hands), 4)), psi
     if k < n:
-        gen = (stirap_generator if config.protocol == "stirap" else stap_generator)(
-            schedule, hands[0])
+        gen = stirap_generator(schedule, hands[0])
         ps = evolve_piecewise_exact(lambda _: gen(t_mid[k:]), psi, times[k], t_f, n - k)
         ps_probs, finals = ps.probs[1:], ps.final_state
     return {hand.label: PopulationTrace(times, np.concatenate([q_probs, ps_probs[:, i]]),

@@ -6,12 +6,16 @@ import contextlib
 import dataclasses
 import io
 import json
+from time import perf_counter
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chiralgate.cli import main
+from chiralgate.config import ScenarioConfig, validate_config
+from chiralgate.errors import ConfigError
 from chiralgate.pulses import PROTOCOLS
 
 JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
@@ -26,6 +30,7 @@ def mostly(valid, junk=JUNK):
     return st.sampled_from([valid] * 7 + [junk]).flatmap(lambda s: s)
 
 
+TOP_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)]
 STAP_KEYS, STIRAP_KEYS = ([f.name for f in dataclasses.fields(PROTOCOLS[p]) if f.init]
                           for p in ("stap", "stirap"))
 PULSE_VALUE = mostly(st.one_of(NUMBER, st.sampled_from(["gauss_match", "sin2"])))
@@ -72,12 +77,21 @@ def nested(depth: int) -> bytes:
     return b"[" * depth + b"]" * depth
 
 
+def alias_bomb(levels: int, key: str) -> bytes:
+    """A config whose `key` lists YAML aliases ten-fold deep: about
+    10**levels values from a file of a few hundred bytes."""
+    rows = [f"  - &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, levels + 1)]
+    return "\n".join([f"{key}:", "  - &a0 [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]", *rows, ""]).encode()
+
+
 # files a parser chokes on: invalid UTF-8 (no UTF-8 text holds the byte 0xff),
-# lists nested past the recursion limit or short of it, a YAML alias inside itself
+# lists nested past the recursion limit or short of it, a YAML alias inside
+# itself, an alias tree of up to a billion values under any top-level key
 RAW_BYTES = st.one_of(
     st.binary(max_size=12).map(lambda b: b"seed: 1\n# " + b + b"\xff\n"),
     st.integers(1, 1500).map(lambda d: b"checkpoints_us: " + nested(d) + b"\n"),
-    st.just(b"checkpoints_us: &a [1, *a]\n"))
+    st.just(b"checkpoints_us: &a [1, *a]\n"),
+    st.builds(alias_bomb, st.integers(1, 9), st.sampled_from(sorted(TOP_KEYS))))
 CONFIG = st.one_of(st.none(), mostly(config_texts(),
                                      st.sampled_from(["", "- 1\n", "42\n", "{: [\n"])
                                      | RAW_BYTES))
@@ -127,3 +141,15 @@ def test_cli_exit_code_contract(tmp_path, monkeypatch, command, options, config,
             code = exc.code
     assert code in (0, 2, 3, 4), (argv, config, counts, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("key", ["checkpoints_us", "seed", "pulses", "molecule"])
+def test_alias_bomb_rejected_in_linear_time(tmp_path, key):
+    raw = yaml.safe_load(alias_bomb(9, key))
+    start = perf_counter()
+    with pytest.raises(ConfigError, match=f"{key} holds more than"):
+        validate_config(raw)
+    assert perf_counter() - start < 0.1
+    path = tmp_path / "bomb.yaml"
+    path.write_bytes(alias_bomb(9, key))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -21,6 +21,23 @@ def test_default_config_valid():
     validate_config({"n_steps": MAX_STEPS, "oracle_steps": MAX_STEPS})
 
 
+def test_stap_ps_stage_shorter_than_one_oracle_step_rejected(tmp_path):
+    # t_f / oracle_steps = 2.5 / 10 = 0.25 = t_f - 2.25, all exact in binary
+    validate_config({"protocol": "stap", "oracle_steps": 10, "pulses": {"t_split": 2.25}})
+    short = {"protocol": "stap", "oracle_steps": 10,
+             "pulses": {"t_split": float(np.nextafter(2.25, 3.0))}}
+    with pytest.raises(ConfigError, match=r"t_split.*oracle_steps"):
+        validate_config(short)
+    with pytest.raises(ConfigError, match="oracle_steps"):
+        validate_config({**short, "oracle_steps": 9, "pulses": {"t_split": 2.25}})
+    validate_config({**short, "oracle_steps": 11})
+    # the STIRAP drives do not grow with a short P/S stage
+    validate_config({"protocol": "stirap", "oracle_steps": 10, "pulses": {"t1": 9.9}})
+    path = tmp_path / "short.yaml"
+    path.write_text(yaml.safe_dump(short))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError, match="tpyo"):
         validate_config({"tpyo": 1})

@@ -30,41 +30,41 @@ QASM_SIZES = (531, 972)
 
 GOLDEN = {
     "stap/default/run":
-        "2fc4bf1329c8e6901080b2e4930a0ce00e2aa545ca0ebfdef16073199ef8a72d",
+        "bfc0d697631e1c344526279ee41f8112a10675725760b93f6acbd618957a657e",
     "stap/default/export-qasm":
         "4dca5f6348c7581747ee461e904135c4d71f33d62208e5351144015131b88fbf",
     "stap/default/sweep-trotter":
-        "bc08ec40fa1830bec0e76f22537127e535738476968e030cc0f6dea9e7716d73",
+        "5dd0121c13c75a60474b5993efc486a9fbb899c57417afa6e2cf60176552c72c",
     "stap/erratum/run":
-        "664b32a6252149b9698c7dfd88aad3c2f2a949f4ffe074c829832d2c48daad11",
+        "84c4983af85e751a592a86e39a00287f774e945bdcf92210421811c95c0fe6dd",
     "stap/erratum/export-qasm":
         "62a218f5f78ee3618ac97153413b673a1496d07048a3be6110f5d23ddb6e57d8",
     "stap/erratum/sweep-trotter":
-        "75f9a776b1a78b70e8176c617f830af8daf6db7e37519cfa73159dba7f3a9651",
+        "4d9a6b70ae0545a4ec916a3ce79504b755af09529fdbf4fc846ec1f3270c3a1e",
     "stap/sp/run":
-        "0c47fcf1e69e7bac415f6ca6b8b0aeed11a94eb59476dddd515f76957d00fa96",
+        "debabb331d30e56210728a943913be0683252db7624414b43f9e994b76e47b19",
     "stap/sp/export-qasm":
         "9c2aed9bdad02245560a3c519a64a0f3d63c8e2e54747cbee2468e8ff370b72d",
     "stap/sp/sweep-trotter":
-        "55e592beb38cdb2d9ed64512c209f7f1e2f572570f069981e99b85b521c18c00",
+        "25c658818b497337d39749a5aa29b8d998f93705dfa52b3344da433f67c67fa3",
     "stirap/default/run":
-        "822bf1add20c415940cb576d7059dcca6237891b65a587425da4d71ee127ae2c",
+        "4af453cb56d753569108e9727dd1085577936f6ede5b9e52013b61c45ef78b3e",
     "stirap/default/export-qasm":
         "1feb0af413f0a5684da6d3d3598a00ea1399139c82b15ca55692c6be3642f4ac",
     "stirap/default/sweep-trotter":
-        "9a7972d03b05e72210b1790e822d564bf9f21a22ef1617508c8fbfb9efb4cbb5",
+        "d8d390a4d828aa2896c9c2b340d1c216a74e425ff0fac5c9891900b2cd8d0ffa",
     "stirap/erratum/run":
-        "15f64134a79816b256d5138d0f4236c12152525cbc7822760d186d275e3fc309",
+        "858ac976c12913b7c9da7b0785a123adbcfada4427a3417fc2aba4dc3b885eb9",
     "stirap/erratum/export-qasm":
         "7b892160cbae654f9d0172a01a6a4b68f2178066e53c9beb3db54483697d399b",
     "stirap/erratum/sweep-trotter":
-        "8f1e44a6831341f701ca8292e063d57da25cd2cd18f1f624c24b14d9071bcdeb",
+        "f4128d588d219898562ef5c8e975312d797ebc7d95e5b3b2212dbca3384b3a4a",
     "stirap/sp/run":
-        "4f148346eb4f109d78dd82e6c24c3e170572b913046dd8799b011223bd7b017c",
+        "3f18e6a2b494eb0c874f6ea9c53d4a877db57acdec81003c4c32489265f63f5d",
     "stirap/sp/export-qasm":
         "e6e0f9a4ade5b67c651a6baba655f6942dc26f857dbee74a7bc1fc1eb17b3545",
     "stirap/sp/sweep-trotter":
-        "ab3ac48fb6cc92628e5c4accf4e2805ff67d88da5d1719adae3328bcd84541f4",
+        "719287bd7f47cbed0e2fee0833458f491625bdc4e91db01fce582c84802bd04d",
     "stap/default/dump-pulses":
         "37415da7b64d99a8e07605a5d2b368ce77571153b1e79b60b6de3bb570fa31a5",
     "stirap/default/dump-pulses":

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chiralgate.hamiltonians import (IDX_00, IDX_01, IDX_10, IDX_11,
@@ -11,7 +13,7 @@ from chiralgate.hamiltonians import (IDX_00, IDX_01, IDX_10, IDX_11,
                                      predict_r_final, stap_generator,
                                      stirap_generator)
 from chiralgate.propagate import evolve_piecewise_exact
-from chiralgate.pulses import (LEFT, RIGHT, StirapSchedule,
+from chiralgate.pulses import (LEFT, RIGHT, StapSchedule, StirapSchedule,
                                default_stap_schedule, default_stirap_schedule,
                                mixing_angle_rate, stap_angles,
                                stap_corrected_pulses, stap_dressed_splitting,
@@ -84,6 +86,24 @@ def test_lambda_pm_vanishes_with_designed_pulses():
     peak_amp = max(max(abs(x) for x in stap_corrected_pulses(s.path, t)) for t in ts)
     worst = max(max(abs(l) for l in lambda_pm(s, t)) for t in ts)
     assert worst < 1e-9 * peak_amp
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_split=st.floats(0.5, 2.0), span=st.floats(0.5, 4.0),
+       frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6), drives=st.booleans())
+def test_lambda_pm_maps_arrays_elementwise(t_split, span, frac, drives):
+    s = StapSchedule(t_split=t_split, t_f=t_split + span)
+    t = np.array([s.t_split, s.t_f] + [s.t_split + x * span for x in frac])
+    # the designed pulses, or arbitrary effective drives
+    effective = (np.linspace(-3.0, 2.0, len(t)), np.linspace(1.0, -1.5, len(t))) if drives else None
+    plus, minus = lambda_pm(s, t, effective)
+    assert plus.shape == minus.shape == t.shape
+    for i, ti in enumerate(t.tolist()):
+        p, m = lambda_pm(s, ti, None if effective is None
+                         else (effective[0][i].item(), effective[1][i].item()))
+        assert np.ndim(p) == np.ndim(m) == 0
+        assert plus[i].tobytes() == np.complex128(p).tobytes()
+        assert minus[i].tobytes() == np.complex128(m).tobytes()
 
 
 def test_lambda_pm_reduces_to_mixing_rate_without_corrections():

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralgate.config import validate_config
+from chiralgate.config import ScenarioConfig
 from chiralgate.hamiltonians import stap_generator, stirap_generator
 from chiralgate.propagate import evolve_piecewise_exact
 from chiralgate.pulses import LEFT, RIGHT
@@ -43,8 +43,10 @@ def t_split_at(where: str, frac: float, n: int, t_f: float) -> float:
 @settings(max_examples=60, deadline=None)
 def test_staged_oracle_matches_full_grid_per_hand(protocol, hands, n, where, frac):
     t_f = T_F[protocol]
-    cfg = validate_config({"protocol": protocol, "oracle_steps": n,
-                           "pulses": {SPLIT_KEY[protocol]: t_split_at(where, frac, n, t_f)}})
+    # built directly: validate_config rejects the STAP P/S stages shorter than
+    # one step that "near_end" draws, and the staged oracle must hold there too
+    cfg = ScenarioConfig(protocol=protocol, oracle_steps=n,
+                         pulses={SPLIT_KEY[protocol]: t_split_at(where, frac, n, t_f)})
     schedule = cfg.build_schedule()
     got = _oracle(cfg, schedule, HANDS[hands])
     make = stirap_generator if protocol == "stirap" else stap_generator

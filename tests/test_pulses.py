@@ -127,6 +127,16 @@ def test_rate_and_ratio_map_arrays_elementwise(t1, span, frac):
         assert (rate, ratio) == _rate_and_ratio_reference(s, ti)
         assert rates[i].tobytes() == np.float64(rate).tobytes()
         assert ratios[i].tobytes() == np.float64(ratio).tobytes()
+    # mixing_angle too, where the P/S drive is on; t = 0 has none and raises
+    omega_p, omega_s = s.ps(t)
+    on = (omega_p != 0.0) | (omega_s != 0.0)
+    angles = mixing_angle(omega_p[on], omega_s[on])
+    assert angles.shape == (np.count_nonzero(on),)
+    for angle, p, q in zip(angles, omega_p[on].tolist(), omega_s[on].tolist()):
+        assert np.ndim(mixing_angle(p, q)) == 0
+        assert angle.tobytes() == np.float64(mixing_angle(p, q)).tobytes()
+    with pytest.raises(ValueError, match="both amplitudes vanish"):
+        mixing_angle(omega_p, omega_s)
 
 
 def test_adiabaticity_ratio_is_the_analytic_rate_over_omega():

@@ -1,0 +1,77 @@
+"""The real-arithmetic product kernel: closed_form_unitaries, propagate and
+the gate matrices all work on the 8x8 blocks [[Re U, -Im U], [Im U, Re U]]
+and the states [Re psi, Im psi], and convert at the public boundary."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+from chiralgate.propagate import _block, closed_form_unitaries, propagate
+
+PSI0 = np.array([1, 0, 0, 0], dtype=complex)
+STACK = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0.6, 0, 0, 0.8j]])
+
+
+def spectrum_0_w(kind: str, w: float, seed: int) -> np.ndarray:
+    """A random Hermitian 4x4 with spectrum {+w, -w, 0, 0}: complex, purely
+    real (w (u v^T + v u^T)) or purely imaginary (i w (u v^T - v u^T)), u
+    and v orthonormal."""
+    rng = np.random.default_rng(seed)
+    if kind == "complex":
+        q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        h = (q * [w, -w, 0.0, 0.0]) @ q.conj().T
+        return 0.5 * (h + h.conj().T)
+    u, v = np.linalg.qr(rng.normal(size=(4, 2)))[0].T
+    pair = np.outer(u, v)
+    return w * (pair + pair.T) if kind == "real" else 1j * w * (pair - pair.T)
+
+
+@given(kinds=st.lists(st.sampled_from(["complex", "real", "imaginary"]), min_size=1,
+                      max_size=6),
+       w=st.one_of(st.just(0.0), st.just(1e-9), st.floats(1e-6, 30.0)),
+       dt=st.floats(1e-4, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(kinds=["real", "imaginary", "complex"], w=0.0, dt=0.3, seed=0)
+@example(kinds=["imaginary"], w=1e-9, dt=1.0, seed=1)
+@example(kinds=["real"], w=1e-9, dt=0.5, seed=2)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_matches_expm_on_real_imaginary_and_complex_generators(kinds, w, dt, seed):
+    h = np.array([spectrum_0_w(kind, w, seed + j) for j, kind in enumerate(kinds)])
+    if all(kind == "real" for kind in kinds):
+        h = h.real      # a real dtype too, not only a zero imaginary part
+    want = np.array([expm(-1j * dt * m) for m in h])
+    np.testing.assert_allclose(closed_form_unitaries(h, dt), want, rtol=0, atol=1e-12)
+
+
+def test_block_is_the_real_form_of_a_matrix():
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    b = _block(u.real, u.imag)
+    assert b.shape == (5, 8, 8)
+    np.testing.assert_array_equal(b[:, :4, :4] + 1j * b[:, 4:, :4], u)
+    np.testing.assert_array_equal(b[:, 4:, 4:], u.real)
+    np.testing.assert_array_equal(b[:, :4, 4:], -u.imag)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    np.testing.assert_allclose(b[2] @ np.concatenate([psi.real, psi.imag]),
+                               np.concatenate([(u[2] @ psi).real, (u[2] @ psi).imag]),
+                               rtol=0, atol=1e-14)
+
+
+def random_unitaries(n, seed=0):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 1001])
+@pytest.mark.parametrize("psi0", [PSI0, STACK], ids=["state", "stack"])
+def test_propagate_same_for_writeable_and_read_only_steps(n, psi0):
+    steps = random_unitaries(n, seed=n)
+    kept = steps.copy()
+    from_writeable = propagate(steps, psi0)
+    from_read_only = propagate(np.broadcast_to(kept, kept.shape), psi0)
+    np.testing.assert_array_equal(from_writeable, from_read_only)
+    assert steps.tobytes() == kept.tobytes()    # neither stack is modified
+    assert from_writeable.shape == (n + 1,) + psi0.shape
+    assert from_writeable.dtype == complex
