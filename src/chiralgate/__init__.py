@@ -19,8 +19,8 @@ from .molecule import (DipoleComponents, RotorConstants, TransitionTable,
                        builtin_propanediol, consistency_check, j1_energies,
                        rabi_frequency)
 from .propagate import PopulationTrace, evolve_piecewise_exact, evolve_rk4
-from .pulses import (GaussianPulse, Handedness, LEFT, RIGHT, StapAnglePath,
-                     StapSchedule, StirapSchedule, default_stap_schedule,
+from .pulses import (GaussianPulse, Handedness, LEFT, RIGHT, StapSchedule,
+                     StirapSchedule, default_stap_schedule,
                      default_stirap_schedule, discretize)
 from .scenarios import (DiscriminationReport, export_qasm, ingest_counts,
                         report_discrimination, run_scenario, sweep_trotter)

@@ -20,15 +20,15 @@ import numpy as np
 
 from .errors import IntegrityError
 from .hamiltonians import DRIVES, IDX_01, IDX_10, coupling
-from .propagate import BASIS_LABELS, PopulationTrace, _block, _propagate_blocks, propagate
+from .propagate import BASIS_LABELS, PopulationTrace, _block, _propagate_blocks
 from .pulses import DiscretizedSchedule, Handedness
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
 MACRO_KINDS = ("CROT", "XX-YY", "XX+YY")
 KINDS = NATIVE_KINDS + MACRO_KINDS      # Circuit.kind indexes this; from CX on, two qubits
 CODE = {kind: code for code, kind in enumerate(KINDS)}
-_COLUMNS = {"kind": np.int8, "control": np.int8, "target": np.int8, "angle": float,
-            "axis_phi": float, "control_value": np.int8}
+_COLUMNS = {"kind": np.int8, "target": np.int8, "angle": float, "axis_phi": float,
+            "control_value": np.int8}
 
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
@@ -76,8 +76,8 @@ class Gate:
 
 class Circuit:
     """Gates as parallel arrays, entry j for gate j: `kind` (an index into
-    KINDS), `control` (-1 for one-qubit kinds), `target`, `angle`,
-    `axis_phi` and `control_value`; plus free-form `metadata`.
+    KINDS), `target`, `angle`, `axis_phi` and `control_value`; plus
+    free-form `metadata`.  A two-qubit gate's control is 1 - target.
 
     Circuit(gates) reads the arrays off Gates, the keywords give them all
     directly; either way Gate's rules check them once, with its messages,
@@ -85,10 +85,10 @@ class Circuit:
     """
 
     def __init__(self, gates: Iterable[Gate] = (), metadata: dict | None = None, *,
-                 kind=(), control=(), target=(), angle=(), axis_phi=(), control_value=()):
-        rows = [(CODE[g.kind], g.qubits[0] if len(g.qubits) == 2 else -1, g.qubits[-1],
-                 g.angle, g.axis_phi, g.control_value) for g in gates]
-        columns = tuple(zip(*rows)) or (kind, control, target, angle, axis_phi, control_value)
+                 kind=(), target=(), angle=(), axis_phi=(), control_value=()):
+        rows = [(CODE[g.kind], g.qubits[-1], g.angle, g.axis_phi, g.control_value)
+                for g in gates]
+        columns = tuple(zip(*rows)) or (kind, target, angle, axis_phi, control_value)
         for (name, dtype), values in zip(_COLUMNS.items(), columns):
             setattr(self, name, np.array(values, dtype))
             getattr(self, name).flags.writeable = False
@@ -96,9 +96,8 @@ class Circuit:
             raise ValueError("circuit arrays must be 1-D and of one length")
         self.metadata = {} if metadata is None else metadata
         bad = ((self.kind < 0) | (self.kind >= len(KINDS)) | (self.target < 0) | (self.target > 1)
-               | (self.control < -1) | (self.control > 1) | (self.control == self.target)
-               | ((self.kind >= CODE["CX"]) != (self.control >= 0)) | ~np.isfinite(self.angle)
-               | ~np.isfinite(self.axis_phi) | (self.control_value < 0) | (self.control_value > 1))
+               | ~np.isfinite(self.angle) | ~np.isfinite(self.axis_phi)
+               | (self.control_value < 0) | (self.control_value > 1))
         if bad.any():
             self.gates[int(np.argmax(bad))]     # builds the Gate, whose check raises
 
@@ -125,10 +124,9 @@ class _GateView(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        k, control, target, angle, phi, v = (a[range(len(self))[i]].item()
-                                             for a in self._c._columns())
+        k, target, angle, phi, v = (a[range(len(self))[i]].item() for a in self._c._columns())
         return Gate(KINDS[k] if 0 <= k < len(KINDS) else k,
-                    (target,) if control == -1 else (control, target), angle, phi, v)
+                    (1 - target, target) if k >= CODE["CX"] else (target,), angle, phi, v)
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -209,7 +207,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 def _template(kind: str, t: int, v: int) -> list[tuple]:
     """The natives a `kind` gate on target t (control 1 - t) with
-    control_value v lowers to, as (kind, control, target, source, value):
+    control_value v lowers to, as (kind, target, source, value):
     the angle is value times 1, the gate's angle or its axis_phi for source
     0, 1 or 2.  Natives pass through.
 
@@ -223,24 +221,22 @@ def _template(kind: str, t: int, v: int) -> list[tuple]:
     """
     c = 1 - t
     if kind in NATIVE_KINDS:
-        return [(kind, c if kind == "CX" else -1, t, 1, 1.0)]
-    cx = ("CX", c, t, 0, 0.0)
+        return [(kind, t, 1, 1.0)]
+    cx = ("CX", t, 0, 0.0)
     if kind == "CROT":
-        flip, half = [("X", -1, c, 0, 0.0)] * (1 - v), math.pi / 2
-        return [*flip, ("RZ", -1, t, 2, -1.0), ("RY", -1, t, 0, -half), ("RZ", -1, t, 1, 0.5),
-                cx, ("RZ", -1, t, 1, -0.5), cx, ("RY", -1, t, 0, half), ("RZ", -1, t, 2, 1.0),
-                *flip]
+        flip, half = [("X", c, 0, 0.0)] * (1 - v), math.pi / 2
+        return [*flip, ("RZ", t, 2, -1.0), ("RY", t, 0, -half), ("RZ", t, 1, 0.5),
+                cx, ("RZ", t, 1, -0.5), cx, ("RY", t, 0, half), ("RZ", t, 2, 1.0), *flip]
     yy = -0.5 if kind == "XX-YY" else 0.5
     return [row for basis, turn, a in (("RY", -math.pi / 2, 0.5), ("RX", math.pi / 2, yy))
-            for row in ((basis, -1, c, 0, turn), (basis, -1, t, 0, turn), cx,
-                        ("RZ", -1, t, 1, a), cx, (basis, -1, c, 0, -turn),
-                        (basis, -1, t, 0, -turn))]
+            for row in ((basis, c, 0, turn), (basis, t, 0, turn), cx, ("RZ", t, 1, a), cx,
+                        (basis, c, 0, -turn), (basis, t, 0, -turn))]
 
 
 _TEMPLATES = [_template(*config) for config in _CONFIGS]
 _T_LEN = np.array([len(rows) for rows in _TEMPLATES])
 _T_START = np.cumsum(_T_LEN) - _T_LEN
-_T_KIND, _T_CONTROL, _T_TARGET, _T_SOURCE, _T_VALUE = (
+_T_KIND, _T_TARGET, _T_SOURCE, _T_VALUE = (
     np.array(col) for col in zip(*[(CODE[r[0]], *r[1:]) for rows in _TEMPLATES for r in rows]))
 
 
@@ -257,7 +253,7 @@ def expand_circuit(circuit: Circuit) -> Circuit:
     if "step_bounds" in meta:
         meta["step_bounds"] = ends[meta["step_bounds"]].tolist()
     return Circuit(
-        metadata=meta, kind=_T_KIND[nat], control=_T_CONTROL[nat], target=_T_TARGET[nat],
+        metadata=meta, kind=_T_KIND[nat], target=_T_TARGET[nat],
         angle=sources[src, _T_SOURCE[nat]] * _T_VALUE[nat],
         axis_phi=np.where(passed, circuit.axis_phi[src], 0.0),
         control_value=np.where(passed, circuit.control_value[src], 1))
@@ -266,24 +262,24 @@ def expand_circuit(circuit: Circuit) -> Circuit:
 # -- Trotter-step compilation ------------------------------------------------
 
 def _macro(pair: tuple[int, int], phase: float = 0.0) -> tuple:
-    """(kind, control, target, axis_phi, control_value) of the one macro
+    """(kind, target, axis_phi, control_value) of the one macro
     exp(-i theta/2 coupling(pair, phase)): CROT on the one qubit the levels
     differ in, else XX-YY or XX+YY (phase 0 only)."""
     a, b = (divmod(level, 2) for level in pair)     # (b0, b1) of each level
     if a[0] != b[0] and a[1] != b[1]:
-        return CODE["XX-YY" if a[0] == a[1] else "XX+YY"], 0, 1, 0.0, 1
+        return CODE["XX-YY" if a[0] == a[1] else "XX+YY"], 1, 0.0, 1
     t = int(a[0] == b[0])                           # the qubit that flips
-    return CODE["CROT"], 1 - t, t, phase if a[t] else -phase, a[1 - t]
+    return CODE["CROT"], t, phase if a[t] else -phase, a[1 - t]
 
 
 def _rotations(macros: list[tuple], drive, theta, metadata: dict | None = None) -> Circuit:
     """Gate j is macros[drive[j]] by theta[j]; a theta of 0 emits no gate."""
     theta = np.asarray(theta, dtype=float)
     keep = theta != 0.0
-    kind, control, target, axis_phi, control_value = (
+    kind, target, axis_phi, control_value = (
         np.array(col)[np.asarray(drive)[keep]] for col in zip(*macros))
-    return Circuit(metadata=metadata, kind=kind, control=control, target=target,
-                   angle=theta[keep], axis_phi=axis_phi, control_value=control_value)
+    return Circuit(metadata=metadata, kind=kind, target=target, angle=theta[keep],
+                   axis_phi=axis_phi, control_value=control_value)
 
 
 def compile_q_step(theta: float, handedness: Handedness) -> list[Gate]:
@@ -354,7 +350,8 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """The circuit's 4x4 unitary: propagating the basis states as a stack,
     row j of the last one is U e_j."""
-    u = propagate(gate_matrices(circuit), np.eye(4), tol=1e-10)[-1].T
+    x = _propagate_blocks(_gate_blocks(circuit), np.eye(4), tol=1e-10)[-1].T
+    u = x[:4] + 1j * x[4:]
     defect = np.max(np.abs(u @ u.conj().T - np.eye(4)))
     if not defect <= 1e-10:
         raise IntegrityError(f"compiled unitary defect {defect:.3g}")

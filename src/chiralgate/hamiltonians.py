@@ -23,7 +23,6 @@ from .pulses import (
     eval_q,
     gauss_legendre,
     stap_angles,
-    stap_corrected_pulses,
     total_rabi,
 )
 
@@ -73,22 +72,13 @@ build_h_stap = build_h_ps
 
 def dark_state(alpha1: float) -> np.ndarray:
     """cos(alpha1)|00> - sin(alpha1)|10>: the zero-eigenvalue null vector."""
-    v = np.zeros(4, dtype=complex)
-    v[IDX_00] = math.cos(alpha1)
-    v[IDX_10] = -math.sin(alpha1)
-    return v
+    return dressed_states(alpha1, 0.0).phi0
 
 
 def bright_states(alpha1: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized +-Omega/2 eigenvectors of build_h_ps at mixing angle alpha1."""
-    plus = np.zeros(4, dtype=complex)
-    minus = np.zeros(4, dtype=complex)
-    inv = 1.0 / math.sqrt(2.0)
-    g = inv * math.sin(alpha1)
-    t = inv * math.cos(alpha1)
-    plus[IDX_00], plus[IDX_11], plus[IDX_10] = g, inv, t
-    minus[IDX_00], minus[IDX_11], minus[IDX_10] = g, -inv, t
-    return plus, minus
+    frame = dressed_states(alpha1, 0.0)
+    return frame.phi_plus, frame.phi_minus
 
 
 @dataclass(frozen=True)
@@ -201,10 +191,9 @@ def lambda_pm(schedule: StapSchedule, t, effective=None):
     both couplings vanish identically.  Normalized so that with zero drive
     and alpha2 = 0 the magnitude is |alpha1_dot| (the bare STIRAP
     nonadiabatic coupling)."""
-    path = schedule.path
-    a1, da1, a2, da2 = stap_angles(path, t)
+    a1, da1, a2, da2 = stap_angles(schedule, t)
     if effective is None:
-        effective = stap_corrected_pulses(path, t)
+        effective = schedule.ps(t)
     a_p, b_s = effective
     c1, s1 = np.cos(a1), np.sin(a1)
     c2, s2 = np.cos(a2), np.sin(a2)

@@ -36,8 +36,10 @@ class GaussianPulse:
     def __post_init__(self):
         if not 0 <= self.amplitude < math.inf:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if self.width <= 0:
-            raise ValueError(f"width must be > 0, got {self.width}")
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"width must be finite and > 0, got {self.width}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
 
     def __call__(self, t):
         u = (np.asarray(t, dtype=float) - self.center) / self.width
@@ -105,6 +107,8 @@ class StirapSchedule:
     s: GaussianPulse = field(init=False)
 
     def __post_init__(self):
+        if not 0.0 < self.t1 < self.t_f:
+            raise ValueError(f"need 0 < t1 < t_f, got t1={self.t1}, t_f={self.t_f}")
         span = self.t_f - self.t1
         width = span / 3.0 if self.ps_width is None else self.ps_width
         tau = width if self.tau is None else self.tau
@@ -113,8 +117,6 @@ class StirapSchedule:
         second = GaussianPulse(self.ps_amplitude, self.t1 + 0.5 * (span + tau), width)
         # frozen: the derived fields are set once, past __setattr__
         vars(self).update(q=q, p_first=shared, p_second=second, s=shared)
-        if not 0.0 <= self.t1 < self.t_f:
-            raise ValueError(f"need 0 <= t1 < t_f, got t1={self.t1}, t_f={self.t_f}")
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
 
@@ -143,44 +145,15 @@ class StirapSchedule:
 
 
 @dataclass(frozen=True)
-class StapAnglePath:
-    """Control angles for the counteradiabatic stage on [t_i, t_f].
-
-    alpha1 ramps pi/4 -> pi/2 (monotone, flat at both ends); alpha2 is a
-    Gaussian bump of height alpha_m and width t_alpha2, zero at both ends to
-    within alpha_m * e^-9.
-    """
-
-    alpha_m: float
-    t_i: float
-    t_f: float
-    t_alpha2: float | None = None
-    alpha1_profile: str = "gauss_match"
-
-    def __post_init__(self):
-        if self.t_f <= self.t_i:
-            raise ValueError(f"need t_f > t_i, got t_i={self.t_i}, t_f={self.t_f}")
-        if not 0.0 < self.alpha_m < math.pi / 2:
-            raise ValueError(f"alpha_m must be in (0, pi/2), got {self.alpha_m}")
-        if self.alpha1_profile not in ALPHA1_PROFILES:
-            raise ValueError(
-                f"unknown alpha1 profile {self.alpha1_profile!r}; "
-                f"choices: {ALPHA1_PROFILES}"
-            )
-        if self.t_alpha2 is None:
-            object.__setattr__(self, "t_alpha2", (self.t_f - self.t_i) / 6.0)
-        elif self.t_alpha2 <= 0:
-            raise ValueError(f"t_alpha2 must be > 0, got {self.t_alpha2}")
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.t_i + self.t_f)
-
-
-@dataclass(frozen=True)
 class StapSchedule:
     """STAP from its `pulses` keys: a Q stage [0, t_split] of area pi/2, then
-    the counteradiabatically corrected P/S drive of `path` on [t_split, t_f]."""
+    the counteradiabatically corrected P/S drive on [t_split, t_f].
+
+    The drive follows two control angles (stap_angles): alpha1 ramps
+    pi/4 -> pi/2 (monotone, flat at both ends); alpha2 is a Gaussian bump of
+    height alpha_m and width t_alpha2, by default (t_f - t_split)/6, zero at
+    both ends to within alpha_m * e^-9.
+    """
 
     t_split: float = 1.24
     t_f: float = 2.5
@@ -189,25 +162,63 @@ class StapSchedule:
     alpha1_profile: str = "gauss_match"
     q_width: float | None = None
     q: GaussianPulse = field(init=False)
-    path: StapAnglePath = field(init=False)
 
     def __post_init__(self):
-        path = StapAnglePath(self.alpha_m, self.t_split, self.t_f, self.t_alpha2,
-                             self.alpha1_profile)
+        if not 0.0 < self.t_split < self.t_f:
+            raise ValueError(
+                f"need 0 < t_split < t_f, got t_split={self.t_split}, t_f={self.t_f}")
+        if not 0.0 < self.alpha_m < math.pi / 2:
+            raise ValueError(f"alpha_m must be in (0, pi/2), got {self.alpha_m}")
+        if self.alpha1_profile not in ALPHA1_PROFILES:
+            raise ValueError(
+                f"unknown alpha1 profile {self.alpha1_profile!r}; "
+                f"choices: {ALPHA1_PROFILES}"
+            )
+        t_alpha2 = (self.t_f - self.t_split) / 6.0 if self.t_alpha2 is None else self.t_alpha2
+        if t_alpha2 <= 0:
+            raise ValueError(f"t_alpha2 must be > 0, got {t_alpha2}")
         q = q_stage_pulse(math.pi / 2.0, self.t_split, self.q_width)
-        vars(self).update(path=path, q=q)  # frozen, as in StirapSchedule
+        vars(self).update(t_alpha2=t_alpha2, q=q)  # frozen, as in StirapSchedule
 
     @property
     def duration(self) -> float:
         return self.t_f
 
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.t_split + self.t_f)
+
     def ps(self, t):
-        """The corrected drives (Omega_P_eff, Omega_S_eff) at times t."""
-        return stap_corrected_pulses(self.path, t)
+        """Effective drive amplitudes (Omega_P + Omega_P', Omega_S + Omega_S')
+        at times t.
+
+        Solving for a vanishing dressed-frame coupling (lambda_pm = 0) under
+        the global Omega/2 matrix convention gives, for the control angles
+        alpha1 and alpha2,
+
+            P_eff = -2 [ alpha1_dot sin(alpha1) cot(alpha2) + alpha2_dot cos(alpha1) ]
+            S_eff = -2 [ alpha1_dot cos(alpha1) cot(alpha2) - alpha2_dot sin(alpha1) ]
+
+        independent of how the total is split into a bare pulse plus
+        correction.  Amplitudes may be negative: a sign flip is a pi phase
+        flip of the drive.
+        """
+        t = np.asarray(t, dtype=float)
+        return _corrected(t, *stap_angles(self, t))
 
     def splitting(self, t):
-        """Dressed-state splitting Upsilon(t) the R enantiomer's phase accrues at."""
-        return stap_dressed_splitting(self.path, t)
+        """Energy splitting Upsilon(t) between the two excited dressed states,
+        the rate the R enantiomer's phase accrues at.
+
+        The dressed-frame generator is diag(+Upsilon/2, 0, -Upsilon/2) once
+        the corrected pulses cancel the off-diagonal couplings; the splitting
+        includes the geometric (frame-derivative) contribution and reduces to
+        -2 alpha1_dot / sin(alpha2) for the designed pulses.
+        """
+        t = np.asarray(t, dtype=float)
+        a1, da1, a2, da2 = stap_angles(self, t)
+        p_eff, s_eff = _corrected(t, a1, da1, a2, da2)
+        return (p_eff * np.sin(a1) + s_eff * np.cos(a1)) * np.cos(a2) - 2.0 * np.sin(a2) * da1
 
 
 @dataclass(frozen=True)
@@ -286,33 +297,33 @@ def adiabaticity_ratio(schedule: StirapSchedule, t):
 
 # -- STAP control angles -----------------------------------------------------
 
-def stap_angles(path: StapAnglePath, t):
+def stap_angles(schedule: StapSchedule, t):
     """(alpha1, alpha1_dot, alpha2, alpha2_dot) at times t.
 
-    alpha1 ramps pi/4 -> pi/2 over [t_i, t_f]; alpha2 is the Gaussian
+    alpha1 ramps pi/4 -> pi/2 over [t_split, t_f]; alpha2 is the Gaussian
     counteradiabatic angle, alpha_m * e^-9 at both endpoints when t_alpha2
-    keeps its default (t_f - t_i)/6.
+    keeps its default (t_f - t_split)/6.
     """
     t = np.asarray(t, dtype=float)
-    u = (t - path.center) / path.t_alpha2
+    u = (t - schedule.center) / schedule.t_alpha2
     bump = np.exp(-u * u)
-    a2 = path.alpha_m * bump
-    da2 = a2 * (-2.0 * u / path.t_alpha2)
-    if path.alpha1_profile == "sin2":
-        span = path.t_f - path.t_i
-        s = (t - path.t_i) / span
+    a2 = schedule.alpha_m * bump
+    da2 = a2 * (-2.0 * u / schedule.t_alpha2)
+    if schedule.alpha1_profile == "sin2":
+        span = schedule.t_f - schedule.t_split
+        s = (t - schedule.t_split) / span
         a1 = math.pi / 4 + (math.pi / 4) * np.sin(math.pi * s / 2) ** 2
         da1 = (math.pi**2 / (8.0 * span)) * np.sin(math.pi * s)
         return a1, da1, a2, da2
     # "gauss_match": alpha1_dot proportional to the alpha2 Gaussian, so the
     # ratio alpha1_dot / alpha2 stays bounded by its endpoint value and the
-    # corrected drives remain modest everywhere (see stap_corrected_pulses).
-    ue = 0.5 * (path.t_f - path.t_i) / path.t_alpha2
+    # corrected drives remain modest everywhere (see StapSchedule.ps).
+    ue = 0.5 * (schedule.t_f - schedule.t_split) / schedule.t_alpha2
     clipped = np.clip(u, -ue, ue)
     a1 = math.pi / 4 + (math.pi / 8) * (_erf(clipped) + math.erf(ue)) / math.erf(ue)
-    peak = (math.pi / 4) / (math.sqrt(math.pi) * path.t_alpha2 * math.erf(ue))
-    # the window test is on t: at t = t_i, u rounds to just below -ue
-    inside = (t >= path.t_i) & (t <= path.t_f)
+    peak = (math.pi / 4) / (math.sqrt(math.pi) * schedule.t_alpha2 * math.erf(ue))
+    # the window test is on t: at t = t_split, u rounds to just below -ue
+    inside = (t >= schedule.t_split) & (t <= schedule.t_f)
     da1 = np.where(inside, peak * bump, 0.0)
     return a1, da1, a2, da2
 
@@ -320,25 +331,8 @@ def stap_angles(path: StapAnglePath, t):
 _COT_OVERFLOW = 1e9
 
 
-def stap_corrected_pulses(path: StapAnglePath, t):
-    """Effective drive amplitudes (Omega_P + Omega_P', Omega_S + Omega_S').
-
-    Solving for a vanishing dressed-frame coupling (lambda_pm = 0) under the
-    global Omega/2 matrix convention gives, for the path angles alpha1 and
-    alpha2,
-
-        P_eff = -2 [ alpha1_dot sin(alpha1) cot(alpha2) + alpha2_dot cos(alpha1) ]
-        S_eff = -2 [ alpha1_dot cos(alpha1) cot(alpha2) - alpha2_dot sin(alpha1) ]
-
-    independent of how the total is split into a bare pulse plus correction.
-    Amplitudes may be negative: a sign flip is a pi phase flip of the drive.
-    """
-    t = np.asarray(t, dtype=float)
-    return _corrected(t, *stap_angles(path, t))
-
-
 def _corrected(t, a1, da1, a2, da2):
-    """stap_corrected_pulses from the angles stap_angles gives at t."""
+    """StapSchedule.ps from the angles stap_angles gives at t."""
     with np.errstate(divide="ignore", invalid="ignore"):
         core = da1 * (np.cos(a2) / np.sin(a2))  # alpha2 > 0 on the closed window
     bad = ~(np.abs(core) <= _COT_OVERFLOW)      # also an alpha2 that underflowed
@@ -347,20 +341,6 @@ def _corrected(t, a1, da1, a2, da2):
     p_eff = -2.0 * (core * np.sin(a1) + da2 * np.cos(a1))
     s_eff = -2.0 * (core * np.cos(a1) - da2 * np.sin(a1))
     return p_eff, s_eff
-
-
-def stap_dressed_splitting(path: StapAnglePath, t):
-    """Energy splitting Upsilon(t) between the two excited dressed states.
-
-    The dressed-frame generator is diag(+Upsilon/2, 0, -Upsilon/2) once the
-    corrected pulses cancel the off-diagonal couplings; the splitting
-    includes the geometric (frame-derivative) contribution and reduces to
-    -2 alpha1_dot / sin(alpha2) for the designed pulses.
-    """
-    t = np.asarray(t, dtype=float)
-    a1, da1, a2, da2 = stap_angles(path, t)
-    p_eff, s_eff = _corrected(t, a1, da1, a2, da2)
-    return (p_eff * np.sin(a1) + s_eff * np.cos(a1)) * np.cos(a2) - 2.0 * np.sin(a2) * da1
 
 
 # -- quadrature and discretization -------------------------------------------

@@ -63,7 +63,7 @@ PUBLIC_NAMES = """
     stirap_generator DipoleComponents RotorConstants TransitionTable
     builtin_propanediol consistency_check j1_energies rabi_frequency
     PopulationTrace evolve_piecewise_exact evolve_rk4 GaussianPulse Handedness
-    LEFT RIGHT StapAnglePath StapSchedule StirapSchedule default_stap_schedule
+    LEFT RIGHT StapSchedule StirapSchedule default_stap_schedule
     default_stirap_schedule discretize DiscriminationReport export_qasm
     ingest_counts report_discrimination run_scenario sweep_trotter
 """.split()

@@ -38,6 +38,8 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("CX", (0, 0))
     with pytest.raises(ValueError):
+        Gate("CX", (1,))
+    with pytest.raises(ValueError):
         Gate("RX", (0, 1))
     with pytest.raises(ValueError):
         Gate("RX", (0,), angle=math.nan)
@@ -49,21 +51,22 @@ def test_gate_validation():
         with pytest.raises(ValueError, match="axis_phi"):
             Gate("CROT", (0, 1), 1.0, axis_phi=phi)
         with pytest.raises(ValueError, match="axis_phi"):
-            Circuit(kind=[CODE["CROT"]], control=[0], target=[1], angle=[1.0],
-                    axis_phi=[phi], control_value=[1])
+            Circuit(kind=[CODE["CROT"]], target=[1], angle=[1.0], axis_phi=[phi],
+                    control_value=[1])
 
 
-COLUMNS = ("kind", "control", "target", "angle", "axis_phi", "control_value")
-# the columns of one invalid gate, and the Gate arguments that break the same rule
+COLUMNS = ("kind", "target", "angle", "axis_phi", "control_value")
+# the columns of one invalid gate, and the Gate arguments that break the same
+# rule; a two-qubit kind's control is 1 - target
 RX, CX, CROT = CODE["RX"], CODE["CX"], CODE["CROT"]
 BAD_COLUMNS = [
-    ((RX, -1, 2, 0.0, 0.0, 1), ("RX", (2,))),
-    ((CX, 0, 0, 0.0, 0.0, 1), ("CX", (0, 0))),
-    ((CX, -1, 1, 0.0, 0.0, 1), ("CX", (1,))),
-    ((RX, 0, 1, 0.0, 0.0, 1), ("RX", (0, 1))),
-    ((RX, -1, 0, math.inf, 0.0, 1), ("RX", (0,), math.inf)),
-    ((CROT, 0, 1, 1.0, math.nan, 1), ("CROT", (0, 1), 1.0, math.nan)),
-    ((CROT, 0, 1, 1.0, 0.0, 2), ("CROT", (0, 1), 1.0, 0.0, 2)),
+    ((RX, 2, 0.0, 0.0, 1), ("RX", (2,))),
+    ((CX, 2, 0.0, 0.0, 1), ("CX", (-1, 2))),
+    ((CX, -1, 0.0, 0.0, 1), ("CX", (2, -1))),
+    ((RX, -1, 0.0, 0.0, 1), ("RX", (-1,))),
+    ((RX, 0, math.inf, 0.0, 1), ("RX", (0,), math.inf)),
+    ((CROT, 1, 1.0, math.nan, 1), ("CROT", (0, 1), 1.0, math.nan)),
+    ((CROT, 1, 1.0, 0.0, 2), ("CROT", (0, 1), 1.0, 0.0, 2)),
 ]
 
 
@@ -73,14 +76,14 @@ def test_circuit_arrays_validate_like_gate(columns, gate_args):
         Gate(*gate_args)
     # the bad gate second, after a valid one
     arrays = {name: [good, bad] for name, good, bad
-              in zip(COLUMNS, (RX, -1, 1, 0.5, 0.0, 1), columns)}
+              in zip(COLUMNS, (RX, 1, 0.5, 0.0, 1), columns)}
     with pytest.raises(ValueError) as from_arrays:
         Circuit(**arrays)
     assert str(from_arrays.value) == str(from_gate.value)
 
 
 def test_circuit_arrays_reject_unknown_kind_and_ragged_columns():
-    arrays = dict(zip(COLUMNS, ([v] for v in (len(KINDS), -1, 0, 0.0, 0.0, 1))))
+    arrays = dict(zip(COLUMNS, ([v] for v in (len(KINDS), 0, 0.0, 0.0, 1))))
     with pytest.raises(ValueError, match=f"unknown gate kind {len(KINDS)}"):
         Circuit(**arrays)
     with pytest.raises(ValueError, match="one length"):

@@ -33,7 +33,8 @@ def mostly(valid, junk=JUNK):
 TOP_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)]
 STAP_KEYS, STIRAP_KEYS = ([f.name for f in dataclasses.fields(PROTOCOLS[p]) if f.init]
                           for p in ("stap", "stirap"))
-PULSE_VALUE = mostly(st.one_of(NUMBER, st.sampled_from(["gauss_match", "sin2"])))
+# 0.0 reaches a zero-length Q stage (t1 or t_split = 0)
+PULSE_VALUE = mostly(st.one_of(NUMBER, st.just(0.0), st.sampled_from(["gauss_match", "sin2"])))
 MOLECULE = st.fixed_dictionaries({
     "constants": st.fixed_dictionaries({k: NUMBER for k in "abc"}),
     "dipoles": st.fixed_dictionaries({k: NUMBER for k in ("mu_a", "mu_b", "mu_c")}),

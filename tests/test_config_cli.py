@@ -62,6 +62,19 @@ def test_derived_schedule_fields_are_not_pulse_keys(protocol, key):
         validate_config({"protocol": protocol, "pulses": {key: 1.0}})
 
 
+@pytest.mark.parametrize("protocol, pulses, key", [
+    ("stirap", {"t1": 0, "q_width": 0.5}, "t1"),
+    ("stirap", {"t1": 3, "t_f": 2}, "t1"),
+    ("stap", {"t_split": 0}, "t_split"),
+    ("stap", {"t_split": 3, "t_f": 2}, "t_split"),
+])
+def test_q_stage_interval_checked_before_any_pulse(protocol, pulses, key):
+    # a zero-length or reversed Q stage is named by its key, not reported
+    # as a pulse width or an infinite amplitude (warnings are errors here)
+    with pytest.raises(ConfigError, match=f"need 0 < {key} < t_f"):
+        validate_config({"protocol": protocol, "pulses": pulses})
+
+
 def test_bad_values_rejected():
     for raw in ({"protocol": "adiabatic"},
                 {"enantiomer": "both-ish"},

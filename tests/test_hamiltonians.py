@@ -15,9 +15,7 @@ from chiralgate.hamiltonians import (IDX_00, IDX_01, IDX_10, IDX_11,
 from chiralgate.propagate import evolve_piecewise_exact
 from chiralgate.pulses import (LEFT, RIGHT, StapSchedule, StirapSchedule,
                                default_stap_schedule, default_stirap_schedule,
-                               mixing_angle_rate, stap_angles,
-                               stap_corrected_pulses, stap_dressed_splitting,
-                               total_rabi)
+                               mixing_angle_rate, stap_angles, total_rabi)
 
 
 def test_h_q_structure_and_hermiticity():
@@ -82,8 +80,8 @@ def test_dressed_frame_orthonormal_and_limits():
 
 def test_lambda_pm_vanishes_with_designed_pulses():
     s = default_stap_schedule()
-    ts = np.linspace(s.path.t_i, s.path.t_f, 400)
-    peak_amp = max(max(abs(x) for x in stap_corrected_pulses(s.path, t)) for t in ts)
+    ts = np.linspace(s.t_split, s.t_f, 400)
+    peak_amp = max(max(abs(x) for x in s.ps(t)) for t in ts)
     worst = max(max(abs(l) for l in lambda_pm(s, t)) for t in ts)
     assert worst < 1e-9 * peak_amp
 
@@ -111,9 +109,9 @@ def test_lambda_pm_reduces_to_mixing_rate_without_corrections():
     # nonadiabatic coupling |alpha1_dot|; probe at the window center where
     # alpha2_dot vanishes and alpha2 equals the (tiny) bump height
     s = default_stap_schedule(alpha_m=1e-6)
-    t = s.path.center
+    t = s.center
     lp, lm = lambda_pm(s, t, effective=(0.0, 0.0))
-    da1 = stap_angles(s.path, t)[1]
+    da1 = stap_angles(s, t)[1]
     np.testing.assert_allclose(abs(lp), abs(da1), rtol=1e-6)
     np.testing.assert_allclose(abs(lm), abs(da1), rtol=1e-6)
 
@@ -152,7 +150,7 @@ def test_predict_r_final_matches_quad():
         if isinstance(s, StirapSchedule):
             splitting = lambda t: float(total_rabi(*s.ps(t)))
         else:
-            splitting = lambda t: float(stap_dressed_splitting(s.path, t))
+            splitting = lambda t: float(s.splitting(t))
         area, _ = quad(splitting, s.t_split, s.duration, epsabs=1e-11,
                        epsrel=1e-11, limit=400)
         rho = 0.5 * area

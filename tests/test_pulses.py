@@ -9,13 +9,12 @@ from scipy.integrate import quad
 
 from chiralgate.errors import DomainError
 from chiralgate.pulses import (ALPHA1_PROFILES, GaussianPulse, Handedness,
-                               LEFT, RIGHT, StapAnglePath, StirapSchedule,
+                               LEFT, RIGHT, StapSchedule, StirapSchedule,
                                adiabaticity_ratio, default_stap_schedule,
                                default_stirap_schedule, discretize,
                                eval_ps_rates, eval_q, mixing_angle,
                                mixing_angle_rate, q_stage_pulse,
-                               stap_angles, stap_corrected_pulses,
-                               stap_dressed_splitting, total_rabi)
+                               stap_angles, total_rabi)
 
 
 def test_gaussian_area_matches_quadrature():
@@ -29,6 +28,10 @@ def test_gaussian_rejects_bad_parameters():
         GaussianPulse(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         GaussianPulse(1.0, 0.0, 0.0)
+    # a NaN or infinite width and a NaN center would give NaN amplitudes
+    for center, width in ((0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="width" if center == 0.0 else "center"):
+            GaussianPulse(1.0, center, width)
 
 
 def test_handedness_labels_and_phases():
@@ -157,40 +160,40 @@ def test_schedule_validation():
     with pytest.raises(ValueError, match="tau must be >= 0"):
         StirapSchedule(t1=1.0, t_f=2.0, tau=-0.1)
     with pytest.raises(ValueError, match="t1 < t_f"):
-        StirapSchedule(t1=2.0, t_f=2.0, ps_width=0.5, tau=0.1)
-    with pytest.raises(ValueError):
-        StapAnglePath(alpha_m=0.0, t_i=0.0, t_f=1.0)
-    with pytest.raises(ValueError):
-        StapAnglePath(alpha_m=0.3, t_i=0.0, t_f=1.0, alpha1_profile="nope")
+        StirapSchedule(t1=2.0, t_f=2.0)
+    with pytest.raises(ValueError, match="alpha_m"):
+        StapSchedule(alpha_m=0.0, t_split=0.5, t_f=1.0)
+    with pytest.raises(ValueError, match="profile"):
+        StapSchedule(alpha_m=0.3, t_split=0.5, t_f=1.0, alpha1_profile="nope")
 
 
 @given(alpha_m=st.floats(0.1, 1.2), t_alpha2=st.floats(0.1, 0.5),
        profile=st.sampled_from(["gauss_match", "sin2"]))
 @settings(max_examples=40, deadline=None)
 def test_alpha1_boundary_conditions(alpha_m, t_alpha2, profile):
-    path = StapAnglePath(alpha_m=alpha_m, t_i=1.24, t_f=2.5,
-                         t_alpha2=t_alpha2, alpha1_profile=profile)
-    assert stap_angles(path, path.t_i)[0] == pytest.approx(math.pi / 4, abs=1e-12)
-    assert stap_angles(path, path.t_f)[0] == pytest.approx(math.pi / 2, abs=1e-12)
+    s = StapSchedule(alpha_m=alpha_m, t_split=1.24, t_f=2.5,
+                     t_alpha2=t_alpha2, alpha1_profile=profile)
+    assert stap_angles(s, s.t_split)[0] == pytest.approx(math.pi / 4, abs=1e-12)
+    assert stap_angles(s, s.t_f)[0] == pytest.approx(math.pi / 2, abs=1e-12)
     # monotone ramp
-    ts = np.linspace(path.t_i, path.t_f, 200)
-    vals = [stap_angles(path, t)[0] for t in ts]
+    ts = np.linspace(s.t_split, s.t_f, 200)
+    vals = [stap_angles(s, t)[0] for t in ts]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_alpha2_gaussian_bump_shape():
-    path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5)
-    assert stap_angles(path, path.center)[2] == pytest.approx(0.35)
-    edge = stap_angles(path, path.t_i)[2]
+    s = StapSchedule(alpha_m=0.35, t_split=1.24, t_f=2.5)
+    assert stap_angles(s, s.center)[2] == pytest.approx(0.35)
+    edge = stap_angles(s, s.t_split)[2]
     assert edge == pytest.approx(0.35 * math.exp(-9), rel=1e-10)
 
 
 def test_alpha_dots_match_finite_difference():
     h = 1e-7
     for profile, t in itertools.product(ALPHA1_PROFILES, (1.4, 1.87, 2.2)):
-        path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5, alpha1_profile=profile)
-        _, da1, _, da2 = stap_angles(path, t)
-        up, down = stap_angles(path, t + h), stap_angles(path, t - h)
+        s = StapSchedule(alpha_m=0.35, t_split=1.24, t_f=2.5, alpha1_profile=profile)
+        _, da1, _, da2 = stap_angles(s, t)
+        up, down = stap_angles(s, t + h), stap_angles(s, t - h)
         np.testing.assert_allclose(da1, (up[0] - down[0]) / (2 * h), rtol=1e-5)
         np.testing.assert_allclose(da2, (up[2] - down[2]) / (2 * h), rtol=1e-5)
 
@@ -199,10 +202,10 @@ def test_corrected_pulse_identities():
     # Projecting the effective amplitudes back onto the angle rates:
     #   P sin(a1) + S cos(a1) = -2 a1_dot cot(a2)
     #   P cos(a1) - S sin(a1) = -2 a2_dot
-    path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5)
+    sched = StapSchedule(alpha_m=0.35, t_split=1.24, t_f=2.5)
     for t in np.linspace(1.25, 2.49, 40):
-        p, s = stap_corrected_pulses(path, t)
-        a1, da1, a2, da2 = stap_angles(path, t)
+        p, s = sched.ps(t)
+        a1, da1, a2, da2 = stap_angles(sched, t)
         lhs1 = p * math.sin(a1) + s * math.cos(a1)
         lhs2 = p * math.cos(a1) - s * math.sin(a1)
         np.testing.assert_allclose(lhs1, -2 * da1 / math.tan(a2), rtol=1e-10, atol=1e-12)
@@ -214,8 +217,8 @@ def test_gauss_match_profile_keeps_amplitudes_bounded():
     # the matched profile keeps the effective amplitudes flat
     ts = np.linspace(1.2401, 2.4999, 800)
     for profile, bound in (("gauss_match", 30.0), ("sin2", 200.0)):
-        path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5, alpha1_profile=profile)
-        peak = max(max(abs(x) for x in stap_corrected_pulses(path, t)) for t in ts)
+        s = StapSchedule(alpha_m=0.35, t_split=1.24, t_f=2.5, alpha1_profile=profile)
+        peak = max(max(abs(x) for x in s.ps(t)) for t in ts)
         if profile == "gauss_match":
             assert peak < bound
         else:
@@ -224,11 +227,11 @@ def test_gauss_match_profile_keeps_amplitudes_bounded():
 
 def test_dressed_splitting_closed_form():
     # with the designed pulses the splitting is -2 alpha1_dot / sin(alpha2)
-    path = StapAnglePath(alpha_m=0.35, t_i=1.24, t_f=2.5)
+    s = StapSchedule(alpha_m=0.35, t_split=1.24, t_f=2.5)
     for t in (1.4, 1.87, 2.3):
-        _, da1, a2, _ = stap_angles(path, t)
+        _, da1, a2, _ = stap_angles(s, t)
         want = -2.0 * da1 / math.sin(a2)
-        np.testing.assert_allclose(stap_dressed_splitting(path, t), want, rtol=1e-10)
+        np.testing.assert_allclose(s.splitting(t), want, rtol=1e-10)
 
 
 def test_discretize_preserves_pulse_areas():
