@@ -143,6 +143,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if not isinstance(cfg.checkpoints_us, list) or not all(
             isinstance(t, (int, float)) for t in cfg.checkpoints_us):
         raise ConfigError("checkpoints_us must be a list of numbers")
+    if len({f"{t:g}" for t in cfg.checkpoints_us}) < len(cfg.checkpoints_us):
+        raise ConfigError("checkpoints_us has two entries with one %g label, report.json's key")
 
     if not isinstance(cfg.pulses, dict):
         raise ConfigError("pulses must be a mapping")

@@ -1,10 +1,10 @@
 """Pulse envelopes and control angles for the STIRAP and STAP drive schedules.
 
 All amplitudes are angular frequencies in rad/us, all times in us.  The
-protocol timeline has two disjoint stages: a Q stage [0, t_split] that
+protocol timeline has two disjoint stages: a Q stage [0, t_split) that
 prepares the chirality-signed superposition, and a P/S stage [t_split, t_f]
-that performs the Raman transfer.  Gaussians are evaluated exactly on their
-stage window and are identically zero outside it.
+that performs the Raman transfer.  Each drive is evaluated on its own
+stage's times only, zero on the other stage; other times are a DomainError.
 """
 
 from __future__ import annotations
@@ -84,9 +84,47 @@ LEFT = Handedness(+1)
 RIGHT = Handedness(-1)
 
 
+class _Timeline:
+    """The one stage-and-domain rule of both schedules, around their Q pulse
+    `q` and their P/S formulas `_ps(t)` and `_splitting(t)`."""
+
+    @property
+    def duration(self) -> float:
+        return self.t_f
+
+    def _on_stage(self, t, formula, ps: bool = True):
+        """formula (an array or a tuple of arrays) on the times of t in the
+        P/S stage (or the Q stage), 0 on the other; DomainError outside [0, t_f]."""
+        t = np.asarray(t, dtype=float)
+        bad = ~((t >= 0.0) & (t <= self.t_f))
+        if np.any(bad):
+            raise DomainError(f"t={_first(t, bad)} outside schedule domain [0, {self.t_f}]")
+        on = (t >= self.t_split) == ps
+        vals = formula(t[on])
+
+        def place(v):
+            out = np.zeros(t.shape)
+            out[on] = v
+            return out
+
+        return tuple(map(place, vals)) if isinstance(vals, tuple) else place(vals)
+
+    def drives(self, t):
+        """(Omega_Q, Omega_P, Omega_S) at times t: Q on [0, t_split), P/S on [t_split, t_f]."""
+        return (self._on_stage(t, self.q, ps=False), *self.ps(t))
+
+    def ps(self, t):
+        """(Omega_P, Omega_S) at times t, (0, 0) on the Q stage."""
+        return self._on_stage(t, self._ps)
+
+    def splitting(self, t):
+        """The rate the R enantiomer's dynamic phase accrues at, 0 on the Q stage."""
+        return self._on_stage(t, self._splitting)
+
+
 @dataclass(frozen=True)
-class StirapSchedule:
-    """STIRAP from its `pulses` keys: a Q stage [0, t1] of area pi/2, then a
+class StirapSchedule(_Timeline):
+    """STIRAP from its `pulses` keys: a Q stage [0, t1) of area pi/2, then a
     double-Gaussian pump and single-Gaussian Stokes on [t1, t_f].
 
     The pump is the sum of p_first and p_second (p_second delayed by tau);
@@ -121,32 +159,19 @@ class StirapSchedule:
             raise ValueError(f"tau must be >= 0, got {tau}")
 
     @property
-    def duration(self) -> float:
-        return self.t_f
-
-    @property
     def t_split(self) -> float:
         return self.t1
 
-    def ps(self, t):
-        """(Omega_P, Omega_S) at times t: (0, 0) before t1, DomainError past t_f."""
-        t = np.asarray(t, dtype=float)
-        bad = t > self.t_f
-        if np.any(bad):
-            raise DomainError(f"t={_first(t, bad)} beyond schedule end t_f={self.t_f}")
-        on = t >= self.t1
-        omega_p = np.where(on, self.p_first(t) + self.p_second(t), 0.0)
-        omega_s = np.where(on, self.s(t), 0.0)
-        return omega_p, omega_s
+    def _ps(self, t):
+        return self.p_first(t) + self.p_second(t), self.s(t)
 
-    def splitting(self, t):
-        """Bright-state splitting Omega(t) the R enantiomer's phase accrues at."""
-        return total_rabi(*self.ps(t))
+    def _splitting(self, t):
+        return total_rabi(*self._ps(t))
 
 
 @dataclass(frozen=True)
-class StapSchedule:
-    """STAP from its `pulses` keys: a Q stage [0, t_split] of area pi/2, then
+class StapSchedule(_Timeline):
+    """STAP from its `pulses` keys: a Q stage [0, t_split) of area pi/2, then
     the counteradiabatically corrected P/S drive on [t_split, t_f].
 
     The drive follows two control angles (stap_angles): alpha1 ramps
@@ -181,16 +206,11 @@ class StapSchedule:
         vars(self).update(t_alpha2=t_alpha2, q=q)  # frozen, as in StirapSchedule
 
     @property
-    def duration(self) -> float:
-        return self.t_f
-
-    @property
     def center(self) -> float:
         return 0.5 * (self.t_split + self.t_f)
 
-    def ps(self, t):
-        """Effective drive amplitudes (Omega_P + Omega_P', Omega_S + Omega_S')
-        at times t.
+    def _ps(self, t):
+        """Effective drive amplitudes (Omega_P + Omega_P', Omega_S + Omega_S').
 
         Solving for a vanishing dressed-frame coupling (lambda_pm = 0) under
         the global Omega/2 matrix convention gives, for the control angles
@@ -203,19 +223,16 @@ class StapSchedule:
         correction.  Amplitudes may be negative: a sign flip is a pi phase
         flip of the drive.
         """
-        t = np.asarray(t, dtype=float)
         return _corrected(t, *stap_angles(self, t))
 
-    def splitting(self, t):
-        """Energy splitting Upsilon(t) between the two excited dressed states,
-        the rate the R enantiomer's phase accrues at.
+    def _splitting(self, t):
+        """Energy splitting Upsilon(t) between the two excited dressed states.
 
         The dressed-frame generator is diag(+Upsilon/2, 0, -Upsilon/2) once
         the corrected pulses cancel the off-diagonal couplings; the splitting
         includes the geometric (frame-derivative) contribution and reduces to
         -2 alpha1_dot / sin(alpha2) for the designed pulses.
         """
-        t = np.asarray(t, dtype=float)
         a1, da1, a2, da2 = stap_angles(self, t)
         p_eff, s_eff = _corrected(t, a1, da1, a2, da2)
         return (p_eff * np.sin(a1) + s_eff * np.cos(a1)) * np.cos(a2) - 2.0 * np.sin(a2) * da1
@@ -243,26 +260,14 @@ def _first(t: np.ndarray, bad: np.ndarray) -> float:
     return float(t[bad].flat[0])
 
 
-def eval_q(schedule: StirapSchedule | StapSchedule, t):
-    """Q-pulse amplitude at times t; zero once the P/S stage has begun."""
-    t = np.asarray(t, dtype=float)
-    bad = (t < 0.0) | (t > schedule.duration)
-    if np.any(bad):
-        raise DomainError(
-            f"t={_first(t, bad)} outside schedule domain [0, {schedule.duration}]"
-        )
-    return np.where(t > schedule.t_split, 0.0, schedule.q(t))
-
-
 def eval_ps_rates(schedule: StirapSchedule, t):
-    """Analytic time derivatives (dOmega_P/dt, dOmega_S/dt) on the P/S stage."""
-    t = np.asarray(t, dtype=float)
-    on = (t >= schedule.t1) & (t <= schedule.t_f)
+    """Analytic time derivatives (dOmega_P/dt, dOmega_S/dt), (0, 0) on the Q stage."""
+    def rates(t):
+        p1, p2, s = (g(t) * (-2.0 * (t - g.center) / g.width**2)
+                     for g in (schedule.p_first, schedule.p_second, schedule.s))
+        return p1 + p2, s
 
-    def _dg(g: GaussianPulse) -> np.ndarray:
-        return np.where(on, g(t) * (-2.0 * (t - g.center) / g.width**2), 0.0)
-
-    return _dg(schedule.p_first) + _dg(schedule.p_second), _dg(schedule.s)
+    return schedule._on_stage(t, rates)
 
 
 def total_rabi(omega_p, omega_s):
@@ -317,7 +322,7 @@ def stap_angles(schedule: StapSchedule, t):
         return a1, da1, a2, da2
     # "gauss_match": alpha1_dot proportional to the alpha2 Gaussian, so the
     # ratio alpha1_dot / alpha2 stays bounded by its endpoint value and the
-    # corrected drives remain modest everywhere (see StapSchedule.ps).
+    # corrected drives remain modest everywhere (see StapSchedule._ps).
     ue = 0.5 * (schedule.t_f - schedule.t_split) / schedule.t_alpha2
     clipped = np.clip(u, -ue, ue)
     a1 = math.pi / 4 + (math.pi / 8) * (_erf(clipped) + math.erf(ue)) / math.erf(ue)
@@ -332,7 +337,7 @@ _COT_OVERFLOW = 1e9
 
 
 def _corrected(t, a1, da1, a2, da2):
-    """StapSchedule.ps from the angles stap_angles gives at t."""
+    """StapSchedule._ps from the angles stap_angles gives at t."""
     with np.errstate(divide="ignore", invalid="ignore"):
         core = da1 * (np.cos(a2) / np.sin(a2))  # alpha2 > 0 on the closed window
     bad = ~(np.abs(core) <= _COT_OVERFLOW)      # also an alpha2 that underflowed
@@ -406,7 +411,7 @@ def discretize(
     omega_p = np.zeros(n_steps)
     omega_s = np.zeros(n_steps)
     omega_q[:k] = schedule.q.area(q_lo, q_hi) / dt
-    areas = gauss_legendre(schedule.ps, ps_lo, ps_hi)
+    areas = gauss_legendre(schedule._ps, ps_lo, ps_hi)
     omega_p[k:], omega_s[k:] = (a / dt for a in areas)
     return DiscretizedSchedule(dt, omega_q, omega_p, omega_s, k)
 

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
 from .propagate import PopulationTrace, _csv, evolve_piecewise_exact
-from .pulses import LEFT, RIGHT, Handedness, discretize, eval_q
+from .pulses import LEFT, RIGHT, Handedness, discretize
 
 PSI0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
@@ -73,7 +73,7 @@ def _oracle(config: ScenarioConfig, schedule,
     # switch that step to the Q stage
     t_mid = (np.arange(n) + 0.5) * dt
     k = int(np.searchsorted(t_mid, schedule.t_split))
-    half_area = 0.5 * np.concatenate([[0.0], np.cumsum(eval_q(schedule, t_mid[:k]) * dt)])
+    half_area = 0.5 * np.concatenate([[0.0], np.cumsum(schedule.q(t_mid[:k]) * dt)])
     cos, sin = np.cos(half_area), np.sin(half_area)
     q_probs = np.stack([cos**2, np.zeros(k + 1), sin**2, np.zeros(k + 1)], axis=1)
     psi = np.zeros((len(hands), 4), dtype=complex)
@@ -175,8 +175,7 @@ def _report_dict(report: DiscriminationReport, config: ScenarioConfig) -> dict:
     }
 
 
-def sweep_trotter(config: ScenarioConfig, steps_list: list[int],
-                  hand: Handedness = LEFT) -> dict:
+def sweep_trotter(config: ScenarioConfig, steps_list: list[int]) -> dict:
     """Per-N circuit-vs-oracle deviation table plus a log-log slope fit.
 
     For each N the table records the deviation maximized over Trotter-step
@@ -188,6 +187,7 @@ def sweep_trotter(config: ScenarioConfig, steps_list: list[int],
         raise ConfigError("steps_list needs at least two distinct N (for the slope), "
                           f"every N in [2, {MAX_STEPS}]")
     schedule = config.build_schedule()
+    hand = _hands(config)[0]     # the configured enantiomer, L for "both"
     oracle = _oracle(config, schedule, [hand])[hand.label]
     rows = []
     for n in steps_list:
@@ -309,11 +309,8 @@ def dump_pulses(config: ScenarioConfig, n_samples: int = 2000) -> str:
     """CSV of the continuous drive amplitudes on a uniform grid."""
     schedule = config.build_schedule()
     t = np.linspace(0.0, schedule.duration, n_samples)
-    p, s = np.zeros(n_samples), np.zeros(n_samples)
-    ps_stage = t >= schedule.t_split
-    p[ps_stage], s[ps_stage] = schedule.ps(t[ps_stage])
     return _csv("t_us,omega_q,omega_p,omega_s\n", "%.9f,%.12g,%.12g,%.12g\n",
-                [t, eval_q(schedule, t), p, s])
+                [t, *schedule.drives(t)])
 
 
 def _write(path: str, text: str) -> None:

@@ -223,6 +223,37 @@ def test_dump_pulses_csv():
     assert len(lines) == 51
 
 
+def test_dump_pulses_t_split_row_has_only_the_ps_drive(tmp_path):
+    # sample 1101 of the 2000 lands exactly on t_split
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"protocol": "stap",
+                                    "pulses": {"t_f": 2.9985, "t_split": 1.6515}}))
+    assert main(["dump-pulses", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "pulses_stap.csv").read_text().split()]
+    assert rows[1 + 1101][0] == "1.651500000" and np.linspace(0, 2.9985, 2000)[1101] == 1.6515
+    assert rows[1 + 1100][1] != "0" and rows[1 + 1100][2:] == ["0", "0"]
+    assert rows[1 + 1101][1] == "0" and "0" not in rows[1 + 1101][2:]
+
+
+@pytest.mark.parametrize("hand, row", [
+    ("L", "10,0.382947,0.128625"), ("both", "10,0.382947,0.128625"),
+    ("R", "10,0.262944,0.262944")])
+def test_sweep_trotter_follows_enantiomer(capsys, hand, row):
+    assert main(["sweep-trotter", "--protocol", "stap", "--steps-list", "10,20",
+                 "--enantiomer", hand]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == row
+
+
+@pytest.mark.parametrize("checkpoints", [[1.0, 1.0000001], [2, 2.0], [0.5, 1.0, 0.5]])
+def test_checkpoints_with_one_label_rejected(tmp_path, capsys, checkpoints):
+    with pytest.raises(ConfigError, match="checkpoints_us has two entries with one %g label"):
+        validate_config({"checkpoints_us": checkpoints})
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"checkpoints_us": checkpoints}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("protocol: warp\n")

@@ -2,16 +2,22 @@
 hand) against the per-hand full-grid evolve_piecewise_exact it stands in
 for: the same grid, the same populations and final states to round-off."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralgate.config import ScenarioConfig
+from chiralgate.config import ScenarioConfig, validate_config
 from chiralgate.hamiltonians import stap_generator, stirap_generator
 from chiralgate.propagate import evolve_piecewise_exact
 from chiralgate.pulses import LEFT, RIGHT
 from chiralgate.scenarios import PSI0, _oracle
 
+# final populations by midpoint stepping with scipy's expm on the benchmark's
+# scenario grid, written by bench/oracle_ref.py and only read here
+ORACLE_REF = Path(__file__).resolve().parent.parent / "bench" / "oracle_ref.json"
 T_F = {"stap": 2.5, "stirap": 10.0}            # the default schedules' durations
 SPLIT_KEY = {"stap": "t_split", "stirap": "t1"}
 HANDS = {"L": [LEFT], "R": [RIGHT], "LR": [LEFT, RIGHT], "RL": [RIGHT, LEFT]}
@@ -65,3 +71,17 @@ def test_staged_oracle_matches_full_grid_per_hand(protocol, hands, n, where, fra
         np.testing.assert_allclose(trace.probs, want.probs, rtol=0, atol=tol)
         np.testing.assert_allclose(trace.final_state, want.final_state, rtol=0, atol=tol)
         assert np.all(trace.probs[:, 1] == 0.0) and trace.final_state[1] == 0.0
+
+
+def test_oracle_matches_committed_expm_reference():
+    ref = json.loads(ORACLE_REF.read_text())
+    worst = 0.0
+    for protocol in ("stap", "stirap"):
+        assert len(ref[protocol]) == 16
+        for point in ref[protocol]:
+            cfg = validate_config({"protocol": protocol, "pulses": point["pulses"],
+                                   "oracle_steps": ref["oracle_steps"]})
+            got = _oracle(cfg, cfg.build_schedule(), [LEFT, RIGHT])
+            for label, want in point["final"].items():
+                worst = max(worst, np.max(np.abs(got[label].probs[-1] - want)))
+    assert worst <= 1e-9

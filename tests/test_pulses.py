@@ -12,7 +12,7 @@ from chiralgate.pulses import (ALPHA1_PROFILES, GaussianPulse, Handedness,
                                LEFT, RIGHT, StapSchedule, StirapSchedule,
                                adiabaticity_ratio, default_stap_schedule,
                                default_stirap_schedule, discretize,
-                               eval_ps_rates, eval_q, mixing_angle,
+                               eval_ps_rates, mixing_angle,
                                mixing_angle_rate, q_stage_pulse,
                                stap_angles, total_rabi)
 
@@ -50,13 +50,48 @@ def test_q_stage_pulse_hits_requested_area():
     np.testing.assert_allclose(q.area(0.0, 2.53), math.pi / 2, rtol=1e-12)
 
 
-def test_eval_q_zero_after_split_and_domain_error():
+def test_drives_q_zero_after_split_and_domain_error():
     s = default_stirap_schedule()
-    assert eval_q(s, s.t1 + 0.5) == 0.0
-    with pytest.raises(DomainError):
-        eval_q(s, -0.1)
-    with pytest.raises(DomainError):
-        eval_q(s, s.t_f + 0.1)
+    assert s.drives(s.t1 + 0.5)[0] == 0.0
+    assert s.drives(0.5) == (s.q(0.5), 0.0, 0.0)
+    for t in (-0.1, s.t_f + 0.1, math.nan):
+        with pytest.raises(DomainError):
+            s.drives(t)
+
+
+@pytest.mark.parametrize("schedule", [default_stap_schedule(), default_stirap_schedule()],
+                         ids=["stap", "stirap"])
+def test_one_stage_rule_for_every_answer(schedule):
+    # t_split opens the P/S stage: the Q drive is already off there
+    omega_q, omega_p, omega_s = schedule.drives(schedule.t_split)
+    assert omega_q == 0.0 and omega_p != 0.0 and omega_s != 0.0
+    assert (omega_p, omega_s) == schedule.ps(schedule.t_split)
+    # each answer is zero on the other stage and the same array or per time
+    t = np.append(np.linspace(0.0, schedule.t_f, 51), schedule.t_split)
+    q_stage = t < schedule.t_split
+    drives = np.array(schedule.drives(t))
+    assert drives.shape == (3,) + t.shape
+    assert np.all(drives[0, ~q_stage] == 0.0) and np.all(drives[0, q_stage] > 0.0)
+    assert np.all(drives[1:, q_stage] == 0.0) and np.all(drives[1:, ~q_stage] != 0.0)
+    np.testing.assert_array_equal(drives[1:], schedule.ps(t))
+    np.testing.assert_array_equal(schedule.splitting(t)[q_stage], 0.0)
+    for i, ti in enumerate(t.tolist()):
+        assert np.array_equal(schedule.drives(ti), drives[:, i])
+        assert np.ndim(schedule.splitting(ti)) == 0
+    # and nothing is answered outside [0, t_f], alone or in an array
+    for answer in (schedule.drives, schedule.ps, schedule.splitting):
+        for bad in (-0.1, schedule.t_f + 1e-9, math.nan):
+            for t in (bad, np.array([schedule.t_split, bad])):
+                with pytest.raises(DomainError):
+                    answer(t)
+
+
+def test_stap_ps_zero_on_q_stage_and_domain_error_past_t_f():
+    s = StapSchedule()
+    assert s.ps(0.5) == (0.0, 0.0) and s.splitting(0.5) == 0.0
+    for t in (2.6, 10.0):   # at 10 us alpha2 underflows to 0
+        with pytest.raises(DomainError):
+            s.ps(t)
 
 
 def test_eval_ps_before_split_and_past_end():

@@ -18,7 +18,6 @@ from chiralgate import propagate, scenarios
 from chiralgate.circuits import CODE, KINDS, MACRO_KINDS, Circuit, Gate, expand_circuit
 from chiralgate.config import validate_config
 from chiralgate.propagate import PopulationTrace
-from chiralgate.pulses import eval_q
 
 CSV_VALUES = [0.0, -0.0, 5e-324, 1e-20, 1 - 2**-53, 1e300]
 
@@ -35,12 +34,8 @@ def csv_reference(trace: PopulationTrace) -> str:
 def pulses_reference(config, n_samples: int) -> str:
     schedule = config.build_schedule()
     t = np.linspace(0.0, schedule.duration, n_samples)
-    p, s = np.zeros(n_samples), np.zeros(n_samples)
-    ps_stage = t >= schedule.t_split
-    p[ps_stage], s[ps_stage] = schedule.ps(t[ps_stage])
     lines = ["t_us,omega_q,omega_p,omega_s"]
-    lines += ["%.9f,%.12g,%.12g,%.12g" % row
-              for row in zip(t, eval_q(schedule, t), p, s)]
+    lines += ["%.9f,%.12g,%.12g,%.12g" % row for row in zip(t, *schedule.drives(t))]
     return "\n".join(lines) + "\n"
 
 
