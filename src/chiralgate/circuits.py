@@ -4,7 +4,10 @@ circuits, plus statevector execution and sampled measurement.
 Qubit 0 is the left bit of every bitstring; statevector index = 2*b0 + b1.
 Native gate set is {RX, RY, RZ, X, CX}; the macro kinds CROT, XX-YY, XX+YY
 are expanded into natives with algebraically exact identities (verified in
-the test suite to 1e-10), so export and simulation agree.  A Circuit holds
+the test suite to 1e-13), so export and simulation agree: a CROT is 8
+natives with 2 CX (plus an X pair for control value 0), and XX-+YY =
+W^dag Rx_c(angle/2) Ry_t(-+angle/2) W with W = CX Rx_c(pi/2) is 6 natives
+with 2 CX.  No rotation by exactly +-0 is emitted.  A Circuit holds
 its gates as parallel arrays, and compilation, gate matrices and lowering
 each work on whole arrays; Gate is the one-gate view.
 """
@@ -216,21 +219,21 @@ def _template(kind: str, t: int, v: int) -> list[tuple]:
     axis (R_n(t) = Rz(a) Ry(pi/2) Rz(t) Ry(-pi/2) Rz(-a)) and the inner
     controlled-Rz is the exact CX - Rz - CX echo, which works because X
     anticommutes with Z (it would cancel for an Rx echo).  XX-+YY: the
-    commuting factors exp(-i angle/4 XX) exp(+-i angle/4 YY), each a basis
-    change of the same echo realization of exp(-i a ZZ/2).
+    basis change W = CX Rx_c(pi/2) takes XX to X_c and YY to Y_t, so the
+    commuting factors exp(-i angle/4 XX) exp(+-i angle/4 YY) are
+    W^dag Rx_c(angle/2) Ry_t(-+angle/2) W, with two CX.
     """
     c = 1 - t
     if kind in NATIVE_KINDS:
         return [(kind, t, 1, 1.0)]
-    cx = ("CX", t, 0, 0.0)
+    cx, half = ("CX", t, 0, 0.0), math.pi / 2
     if kind == "CROT":
-        flip, half = [("X", c, 0, 0.0)] * (1 - v), math.pi / 2
+        flip = [("X", c, 0, 0.0)] * (1 - v)
         return [*flip, ("RZ", t, 2, -1.0), ("RY", t, 0, -half), ("RZ", t, 1, 0.5),
                 cx, ("RZ", t, 1, -0.5), cx, ("RY", t, 0, half), ("RZ", t, 2, 1.0), *flip]
     yy = -0.5 if kind == "XX-YY" else 0.5
-    return [row for basis, turn, a in (("RY", -math.pi / 2, 0.5), ("RX", math.pi / 2, yy))
-            for row in ((basis, c, 0, turn), (basis, t, 0, turn), cx, ("RZ", t, 1, a), cx,
-                        (basis, c, 0, -turn), (basis, t, 0, -turn))]
+    return [("RX", c, 0, half), cx, ("RX", c, 1, 0.5), ("RY", t, 1, yy), cx,
+            ("RX", c, 0, -half)]
 
 
 _TEMPLATES = [_template(*config) for config in _CONFIGS]
@@ -241,20 +244,24 @@ _T_KIND, _T_TARGET, _T_SOURCE, _T_VALUE = (
 
 
 def expand_circuit(circuit: Circuit) -> Circuit:
-    """Every gate replaced by the natives of its template (_template), with
-    step_bounds recounted in natives."""
+    """Every gate replaced by the natives of its template (_template), less
+    the rotations by exactly +-0, which are identities; step_bounds
+    recounted in the natives kept."""
     row = _row(circuit)
     ends = np.concatenate([[0], np.cumsum(_T_LEN[row])])  # natives before gate j
     src = np.repeat(np.arange(len(circuit)), _T_LEN[row])  # the gate of each native
     nat = _T_START[row][src] + np.arange(ends[-1]) - ends[src]
     sources = np.stack([np.ones(len(circuit)), circuit.angle, circuit.axis_phi], axis=1)
+    angle = sources[src, _T_SOURCE[nat]] * _T_VALUE[nat]
+    keep = (angle != 0.0) | (_T_KIND[nat] >= CODE["X"])
+    src, nat, angle = src[keep], nat[keep], angle[keep]
     passed = circuit.kind[src] < len(NATIVE_KINDS)         # keeps axis_phi, control_value
     meta = dict(circuit.metadata)
     if "step_bounds" in meta:
-        meta["step_bounds"] = ends[meta["step_bounds"]].tolist()
+        kept = np.concatenate([[0], np.cumsum(keep)])
+        meta["step_bounds"] = kept[ends[meta["step_bounds"]]].tolist()
     return Circuit(
-        metadata=meta, kind=_T_KIND[nat], target=_T_TARGET[nat],
-        angle=sources[src, _T_SOURCE[nat]] * _T_VALUE[nat],
+        metadata=meta, kind=_T_KIND[nat], target=_T_TARGET[nat], angle=angle,
         axis_phi=np.where(passed, circuit.axis_phi[src], 0.0),
         control_value=np.where(passed, circuit.control_value[src], 1))
 

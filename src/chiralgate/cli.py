@@ -81,6 +81,9 @@ def main(argv=None) -> int:
                 for t, row in report.checkpoints.items():
                     print(f"  checkpoint t={t:g} us: L p10={row['L'][2]:.4f} "
                           f"R p10={row['R'][2]:.4f} D={row['D']:.4f}")
+                for t in report.skipped_checkpoints:
+                    print(f"warning: checkpoint t={t:g} us lies outside [0, "
+                          f"{report.times[-1]:g}] us and was skipped", file=sys.stderr)
             print(f"outputs written to {cfg.out_dir}")
         elif args.command == "sweep-trotter":
             table = sweep_trotter(cfg, args.steps_list)

@@ -40,6 +40,7 @@ class DiscriminationReport:
     checkpoints: dict[float, dict]
     fidelities: dict[str, float]
     trotter_table: list[dict] = field(default_factory=list)
+    skipped_checkpoints: list[float] = field(default_factory=list)  # outside the oracle grid
 
     def final_d(self) -> float:
         return float(self.d_of_t[-1])
@@ -99,15 +100,17 @@ def report_discrimination(left: EnantiomerResult, right: EnantiomerResult,
                           config: ScenarioConfig, schedule) -> DiscriminationReport:
     """D(t) := |P_L,10(t) - P_R,10(t)| on the shared oracle grid, plus
     checkpoint populations and final-state fidelities against the ideal
-    targets (-|10> for L, the dynamic-phase prediction for R)."""
+    targets (-|10> for L, the dynamic-phase prediction for R).  A checkpoint
+    outside the grid is listed in skipped_checkpoints instead."""
     tl, tr = left.oracle, right.oracle
     if tl.times.shape != tr.times.shape or not np.allclose(tl.times, tr.times):
         raise ValueError("L and R traces are on different time grids")
     d = np.abs(tl.probs[:, 2] - tr.probs[:, 2])
 
-    checkpoints = {}
+    checkpoints, skipped = {}, []
     for t in config.checkpoints_us:
         if t < tl.times[0] or t > tl.times[-1]:
+            skipped.append(t)
             continue
         pl, pr = tl.at(t), tr.at(t)
         checkpoints[t] = {"L": pl.tolist(), "R": pr.tolist(),
@@ -121,7 +124,8 @@ def report_discrimination(left: EnantiomerResult, right: EnantiomerResult,
         "R_oracle": float(abs(np.vdot(pred_r, tr.final_state)) ** 2),
         "R_circuit": float(abs(np.vdot(pred_r, right.final_state_circuit)) ** 2),
     }
-    return DiscriminationReport(tl.times, d, checkpoints, fidelities)
+    return DiscriminationReport(tl.times, d, checkpoints, fidelities,
+                                skipped_checkpoints=skipped)
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> DiscriminationReport | None:
@@ -210,7 +214,7 @@ _QASM_FOOTER = "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
 # one line per (native kind, target, sign bit of the angle), at
 # 4 * code + 2 * target + sign, with the qubits baked in.  A rotation line
 # keeps one %s for the text of |angle|: "%.12g" % -a is "-" + "%.12g" % a,
-# so the sign lives in the template and -0.0 still prints "-0".
+# so the sign lives in the template.
 _QASM_LINES = np.array([{"X": f"x q[{t}];\n", "CX": f"cx q[{1 - t}],q[{t}];\n"}.get(
                             k, f"{k.lower()}({sign}%s) q[{t}];\n")
                         for k in NATIVE_KINDS for t in (0, 1) for sign in ("", "-")],
@@ -223,7 +227,7 @@ def circuit_to_qasm(circuit: Circuit) -> str:
     fixed 12-significant-digit angles for golden-file stability.
 
     Each distinct |angle| of a block is formatted once; the sign comes from
-    the sign bit, so -0.0 is not merged with 0.0.
+    the sign bit.
     """
     native = expand_circuit(circuit)
     text = [_QASM_HEADER]

@@ -171,7 +171,7 @@ def test_macro_expansion_equivalence(theta, axis_phi, cv, ctrl, kind):
     g = Gate(kind, (ctrl, 1 - ctrl), theta, axis_phi=axis_phi, control_value=cv)
     u_macro = gate_matrix(g)
     u_native = circuit_unitary(expand_circuit(Circuit([g])))
-    assert phase_aligned_distance(u_native, u_macro) < 1e-10
+    assert phase_aligned_distance(u_native, u_macro) < 1e-13
     if kind == "CROT":
         axis = math.cos(axis_phi) * PAULI["X"] + math.sin(axis_phi) * PAULI["Y"]
         gen = _on({ctrl: np.diag([1.0 - cv, cv]), 1 - ctrl: axis})
@@ -180,6 +180,36 @@ def test_macro_expansion_equivalence(theta, axis_phi, cv, ctrl, kind):
         gen = 0.5 * (_on({0: PAULI["X"], 1: PAULI["X"]})
                      + sign * _on({0: PAULI["Y"], 1: PAULI["Y"]}))
     np.testing.assert_allclose(u_macro, expm(-0.5j * theta * gen), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ctrl", [0, 1])
+def test_macro_lowering_native_and_cx_counts(ctrl):
+    def counts(gate):     # (natives, CX, X)
+        kind = expand_circuit(Circuit([gate])).kind
+        return len(kind), int(np.sum(kind == CODE["CX"])), int(np.sum(kind == CODE["X"]))
+    for kind in ("XX-YY", "XX+YY"):     # W^dag Rx_c Ry_t W
+        assert counts(Gate(kind, (ctrl, 1 - ctrl), 0.7)) == (6, 2, 0)
+        assert counts(Gate(kind, (ctrl, 1 - ctrl), -0.0)) == (4, 2, 0)
+    for cv in (0, 1):
+        # (angle, axis_phi, rotations by exactly +-0 among the 4 Rz)
+        for angle, phi, zeros in ((0.7, 0.3, 0), (0.7, 0.0, 2), (-0.7, -0.0, 2),
+                                  (0.0, 0.4, 2), (-0.0, 0.0, 4)):
+            gate = Gate("CROT", (ctrl, 1 - ctrl), angle, axis_phi=phi, control_value=cv)
+            assert counts(gate) == (8 + 2 * (1 - cv) - zeros, 2, 2 * (1 - cv))
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+@pytest.mark.parametrize("n_steps", [531, 972])     # the sizes qasm-export draws from
+def test_exported_circuit_matches_macro_circuit(protocol, n_steps):
+    d = discretize(default_stap_schedule() if protocol == "stap"
+                   else default_stirap_schedule(), n_steps)
+    for hand in (LEFT, RIGHT):
+        for erratum, ps_order in ((False, "ps"), (True, "ps"), (False, "sp")):
+            c = compile_protocol(d, hand, protocol, ps_order=ps_order, erratum_s_gate=erratum)
+            native = expand_circuit(c)
+            u, v = circuit_unitary(native), circuit_unitary(c)
+            assert phase_aligned_distance(u, v) < 1e-13
+            assert not np.any((native.angle == 0.0) & (native.kind < CODE["X"]))
 
 
 # The per-gate code that the array kernels replaced, kept as their reference:
@@ -218,22 +248,21 @@ def reference_matrix(gate):
 def reference_expand(gate):
     k, a = gate.kind, gate.angle
     if k not in MACRO_KINDS:
-        return [gate]
-    if k == "CROT":
+        out = [gate]
+    elif k == "CROT":
         c, t = gate.qubits
         flip = [Gate("X", (c,))] if gate.control_value == 0 else []
-        return [*flip, Gate("RZ", (t,), -gate.axis_phi), Gate("RY", (t,), -math.pi / 2),
-                Gate("RZ", (t,), a / 2), Gate("CX", (c, t)), Gate("RZ", (t,), -a / 2),
-                Gate("CX", (c, t)), Gate("RY", (t,), math.pi / 2),
-                Gate("RZ", (t,), gate.axis_phi), *flip]
-    q0, q1 = gate.qubits
-    out = []
-    for basis, turn, z in (("RY", -math.pi / 2, a / 2),
-                           ("RX", math.pi / 2, -a / 2 if k == "XX-YY" else a / 2)):
-        out += [Gate(basis, (q0,), turn), Gate(basis, (q1,), turn), Gate("CX", (q0, q1)),
-                Gate("RZ", (q1,), z), Gate("CX", (q0, q1)), Gate(basis, (q0,), -turn),
-                Gate(basis, (q1,), -turn)]
-    return out
+        out = [*flip, Gate("RZ", (t,), -gate.axis_phi), Gate("RY", (t,), -math.pi / 2),
+               Gate("RZ", (t,), a / 2), Gate("CX", (c, t)), Gate("RZ", (t,), -a / 2),
+               Gate("CX", (c, t)), Gate("RY", (t,), math.pi / 2),
+               Gate("RZ", (t,), gate.axis_phi), *flip]
+    else:
+        c, t = gate.qubits
+        out = [Gate("RX", (c,), math.pi / 2), Gate("CX", (c, t)), Gate("RX", (c,), a / 2),
+               Gate("RY", (t,), -a / 2 if k == "XX-YY" else a / 2), Gate("CX", (c, t)),
+               Gate("RX", (c,), -math.pi / 2)]
+    # a rotation by exactly +-0 is an identity and is not emitted
+    return [g for g in out if g.kind not in ("RX", "RY", "RZ") or g.angle != 0.0]
 
 
 ANGLES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-6.0, 6.0))

@@ -359,3 +359,16 @@ def test_run_scenario_single_enantiomer_returns_none(tmp_path):
     assert run_scenario(cfg, str(tmp_path)) is None
     assert sorted(os.listdir(tmp_path)) == ["circuit_R.csv", "counts_R.json",
                                             "oracle_R.csv"]
+
+
+def test_cli_run_reports_skipped_checkpoints(tmp_path, capsys):
+    # the default STAP run ends at t_f = 2.5 us, before the 2.53 us checkpoint
+    assert validate_config({"protocol": "stap"}).checkpoints_us == [0.61, 1.24, 2.53]
+    assert main(["run", "--protocol", "stap", "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: checkpoint t=2.53 us lies outside [0, 2.5] us and was skipped"]
+    assert "checkpoint t=2.53" not in captured.out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert sorted(report["checkpoints"]) == ["0.61", "1.24"]
+    assert "skipped_checkpoints" not in report

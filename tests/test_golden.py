@@ -32,37 +32,37 @@ GOLDEN = {
     "stap/default/run":
         "bfc0d697631e1c344526279ee41f8112a10675725760b93f6acbd618957a657e",
     "stap/default/export-qasm":
-        "4dca5f6348c7581747ee461e904135c4d71f33d62208e5351144015131b88fbf",
+        "2ef793a38995462db10f86f8b8ac65fa8bd7b1160c3421a6a6442422334d72de",
     "stap/default/sweep-trotter":
         "5dd0121c13c75a60474b5993efc486a9fbb899c57417afa6e2cf60176552c72c",
     "stap/erratum/run":
         "84c4983af85e751a592a86e39a00287f774e945bdcf92210421811c95c0fe6dd",
     "stap/erratum/export-qasm":
-        "62a218f5f78ee3618ac97153413b673a1496d07048a3be6110f5d23ddb6e57d8",
+        "44e8132b07799a825b4a2ff8c784608add06be6a67cd4d4260e7bb866d319e9a",
     "stap/erratum/sweep-trotter":
         "4d9a6b70ae0545a4ec916a3ce79504b755af09529fdbf4fc846ec1f3270c3a1e",
     "stap/sp/run":
         "debabb331d30e56210728a943913be0683252db7624414b43f9e994b76e47b19",
     "stap/sp/export-qasm":
-        "9c2aed9bdad02245560a3c519a64a0f3d63c8e2e54747cbee2468e8ff370b72d",
+        "15594afe406b140208e55ade3746b05f6b4ef34bc5c54cbc1aa6759d092a3b1f",
     "stap/sp/sweep-trotter":
         "25c658818b497337d39749a5aa29b8d998f93705dfa52b3344da433f67c67fa3",
     "stirap/default/run":
         "4af453cb56d753569108e9727dd1085577936f6ede5b9e52013b61c45ef78b3e",
     "stirap/default/export-qasm":
-        "1feb0af413f0a5684da6d3d3598a00ea1399139c82b15ca55692c6be3642f4ac",
+        "005353cb233e667de9334da19d7ddb02aa91b82705d6e42be16119456a93c21b",
     "stirap/default/sweep-trotter":
         "d8d390a4d828aa2896c9c2b340d1c216a74e425ff0fac5c9891900b2cd8d0ffa",
     "stirap/erratum/run":
         "858ac976c12913b7c9da7b0785a123adbcfada4427a3417fc2aba4dc3b885eb9",
     "stirap/erratum/export-qasm":
-        "7b892160cbae654f9d0172a01a6a4b68f2178066e53c9beb3db54483697d399b",
+        "737732e6e874901a5403bd023bfdf4f7111c3d1c3c8db80561e24b5c9434f159",
     "stirap/erratum/sweep-trotter":
         "f4128d588d219898562ef5c8e975312d797ebc7d95e5b3b2212dbca3384b3a4a",
     "stirap/sp/run":
         "3f18e6a2b494eb0c874f6ea9c53d4a877db57acdec81003c4c32489265f63f5d",
     "stirap/sp/export-qasm":
-        "e6e0f9a4ade5b67c651a6baba655f6942dc26f857dbee74a7bc1fc1eb17b3545",
+        "50be1a92c16ac46372fc7bc41dad526fbb917e1f9b65cff96f04c9b5eaa2c949",
     "stirap/sp/sweep-trotter":
         "719287bd7f47cbed0e2fee0833458f491625bdc4e91db01fce582c84802bd04d",
     "stap/default/dump-pulses":
@@ -70,29 +70,29 @@ GOLDEN = {
     "stirap/default/dump-pulses":
         "aa3c188f80692127715d6576f19ef2e9eb7b59858dd4711a0aac3b405d81dffa",
     "stap/default/export-qasm@531":
-        "e9fc6181e7eddf53fa1e336dbfe2b519305576a2f18b1fddc6d03399a97f25dd",
+        "bd3091a835f4aeb79b86529fbbbaf225610ef6666e03be14a94c67a2d403ff95",
     "stap/erratum/export-qasm@531":
-        "9efb1a03d5ce140cb75dabf9cb2569292538a2659dd20a943b80141ab354efaf",
+        "f21d9bbdd1be01dabcf697c22fa657167143ce9e68829a2ed9d3125191ad78ad",
     "stap/sp/export-qasm@531":
-        "a81ca20abc08082be113b0283e0c95405a2c38b644128f277c0beaff1c9eca5c",
+        "9ac48b467d8bf5b7a0ef2115df687937ca0c9819cdb622b8dd883eabc3a7a0a3",
     "stirap/default/export-qasm@531":
-        "919a8b4668a28c97ac079e4d6a66d3bdfae5d22aa539f1bb81f63f7085db94b6",
+        "7aa105499334acb32a2d6ee41c1accf235679557addc5d55a78d9230882d633f",
     "stirap/erratum/export-qasm@531":
-        "0b68157d63fae358ec97c722f9d66044371180ee934cb8f1ffbbc1f2b425d062",
+        "9bbb10a704f908f526de542b0f58b814f88cd50abf887ea1b2b3b2777fa1bc64",
     "stirap/sp/export-qasm@531":
-        "09aa0062a804f420c20dde4252a751c589839da10e8d866afc8d3826be1fd12e",
+        "5ae7940981d2c2b01218fa6a325a0bc0e054123a4789bea7ccbe06444e4b1fd6",
     "stap/default/export-qasm@972":
-        "6eaadb87d348420a7ccfe2e21f3e03b08ec1803112ba9e9d5f6ce08eb841a1b8",
+        "e5f2c3ad13f17612f52b729eee197ea3fd8e09b31cd7da8a6415fec99d6a57cb",
     "stap/erratum/export-qasm@972":
-        "28e74585d330d0f7c81ad7aae1c5f76f33eb9eeb03b043b1064db733c19dc3c6",
+        "517b6c0eab2ab9e736e4bd0e34073cbaa144f4480ac91db35bd397bee76f3394",
     "stap/sp/export-qasm@972":
-        "930dbbce386f52b6b941541fc320a9d2acb9770c845295dbfbdba1cce181d748",
+        "958c70477bb48985a73eb9e549adf93746fb736bb327cfa668cfe03431d55c74",
     "stirap/default/export-qasm@972":
-        "f99e2bcb2574a19019be764f719543409cdd96852d40b919e99199c83a62ebc0",
+        "8d3df08ba118f73ddd722b0dde10cb0c366325e88f841e0197e7a193e8ec81d6",
     "stirap/erratum/export-qasm@972":
-        "8a162537b2806fbcdfb0d966d2547f6b95079897fa563e838b5331bde4383b62",
+        "4a738e05084c3f7bd9b823ec3290b8fc7a23575c4b8ab23380e086ff9078c867",
     "stirap/sp/export-qasm@972":
-        "6fc017e0550e24097ca56d84189ca0648cf169a4514a1d379439535adf869919",
+        "b33d02ce86db017a4257fdcd477dabb273cba3651fceaff874e1a0f311e8df97",
 }
 
 

@@ -74,7 +74,7 @@ def test_dump_pulses_matches_row_loop():
                 assert scenarios.dump_pulses(cfg, n_samples) == pulses_reference(cfg, n_samples)
 
 
-# repeated, negative and signed-zero angles; -0.0 must keep its text "-0"
+# repeated, negative and signed-zero angles; expand_circuit drops the zeros
 ANGLES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, math.pi, -math.pi / 2, 5e-324]),
                    st.floats(-1e6, 1e6))
 
@@ -97,17 +97,19 @@ def test_qasm_matches_line_loop(gates, block):
 
 
 def test_qasm_blocks_mid_macro_and_without_rotations():
-    gates = [Gate("CX", (0, 1)), Gate("CX", (1, 0)), Gate("X", (1,)),
+    gates = [Gate("CX", (0, 1)), Gate("CX", (1, 0)), Gate("X", (1,)), Gate("X", (0,)),
+             Gate("XX-YY", (1, 0), 0.25),
              Gate("CROT", (0, 1), -0.0, axis_phi=0.0, control_value=0),
-             Gate("XX-YY", (1, 0), 0.25), Gate("RZ", (0,), 0.0), Gate("RZ", (1,), -0.0)]
+             Gate("RZ", (0,), 0.0), Gate("RZ", (1,), -0.0)]
     c = Circuit(gates)
     native = expand_circuit(c)
-    # lines 0-3 are CX, CX, X and the CROT's flip, so block sizes 1 to 4 give
-    # a block without rotations; lines 13-26 are the XX-YY macro, so every
-    # block size below 27 puts an edge inside it
+    # lines 0-3 are CX, CX, X and X, so block sizes 1 to 4 give a block
+    # without rotations; lines 4-9 are the XX-YY macro, so every block size
+    # below 10 puts an edge inside it.  The CROT by -0 about azimuth 0 keeps
+    # its X flips, RYs and CXs, and none of the rotations by +-0 is emitted
     assert np.all(native.kind[:4] >= CODE["X"]) and native.kind[4] < CODE["X"]
-    assert len(expand_circuit(Circuit(gates[:4]))) == 13 and len(native) == 29
-    assert "rz(-0) q[1];" in qasm_reference(c) and "rz(0) q[0];" in qasm_reference(c)
+    assert len(expand_circuit(Circuit(gates[:5]))) == 10 and len(native) == 16
+    assert "(0)" not in qasm_reference(c) and "(-0)" not in qasm_reference(c)
     for block in range(1, len(native) + 2):
         with mock.patch.object(scenarios, "_QASM_BLOCK", block):
             assert scenarios.circuit_to_qasm(c) == qasm_reference(c)
