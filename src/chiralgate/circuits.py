@@ -7,9 +7,10 @@ are expanded into natives with algebraically exact identities (verified in
 the test suite to 1e-13), so export and simulation agree: a CROT is 8
 natives with 2 CX (plus an X pair for control value 0), and XX-+YY =
 W^dag Rx_c(angle/2) Ry_t(-+angle/2) W with W = CX Rx_c(pi/2) is 6 natives
-with 2 CX.  No rotation by exactly +-0 is emitted.  A Circuit holds
-its gates as parallel arrays, and compilation, gate matrices and lowering
-each work on whole arrays; Gate is the one-gate view.
+with 2 CX.  No rotation by exactly +-0 is emitted.  In the exported text
+(junction_keep), consecutive equal CROTs share one conjugation and X pair.
+A Circuit holds its gates as parallel arrays, and compilation, gate
+matrices and lowering each work on whole arrays; Gate is the one-gate view.
 """
 
 from __future__ import annotations
@@ -238,6 +239,11 @@ def _template(kind: str, t: int, v: int) -> list[tuple]:
 
 _TEMPLATES = [_template(*config) for config in _CONFIGS]
 _T_LEN = np.array([len(rows) for rows in _TEMPLATES])
+# A CROT's tail, the rows after its last CX (Ry(pi/2), Rz(a), X flip), is
+# the inverse of its head (X flip, Rz(-a), Ry(-pi/2)) in reverse order
+_T_EDGE = np.array([[r[0] for r in rows[::-1]].index("CX") if kind == "CROT" else 0
+                    for (kind, _, _), rows in zip(_CONFIGS, _TEMPLATES)])
+_T_CX = np.array([sum(r[0] == "CX" for r in rows) for rows in _TEMPLATES])
 _T_START = np.cumsum(_T_LEN) - _T_LEN
 _T_KIND, _T_TARGET, _T_SOURCE, _T_VALUE = (
     np.array(col) for col in zip(*[(CODE[r[0]], *r[1:]) for rows in _TEMPLATES for r in rows]))
@@ -264,6 +270,28 @@ def expand_circuit(circuit: Circuit) -> Circuit:
         metadata=meta, kind=_T_KIND[nat], target=_T_TARGET[nat], angle=angle,
         axis_phi=np.where(passed, circuit.axis_phi[src], 0.0),
         control_value=np.where(passed, circuit.control_value[src], 1))
+
+
+def junction_keep(circuit: Circuit, native: Circuit) -> np.ndarray:
+    """Which natives of native = expand_circuit(circuit) remain once the
+    pairs at CROT junctions cancel.
+
+    Where gate j and gate j + 1 are CROTs of one row and axis_phi, the tail
+    of j and the head of j + 1 multiply to the identity exactly: X X,
+    Rz(a) Rz(-a) and Ry(pi/2) Ry(-pi/2), each on one qubit.  So consecutive
+    equal CROTs share one conjugation and X pair.  The Rz pair is not there
+    when axis_phi is +-0 (expand_circuit emits no rotation by +-0).  A
+    junction may span a step boundary, so only the text takes this mask.
+    """
+    row, phi = _row(circuit), circuit.axis_phi
+    j = np.flatnonzero((_T_EDGE[row[:-1]] > 0) & (row[:-1] == row[1:]) & (phi[:-1] == phi[1:]))
+    edge = _T_EDGE[row[j]] - (phi[j] == 0.0)
+    # no CX is ever dropped, and gate j's tail starts right after its last CX
+    start = np.flatnonzero(native.kind == CODE["CX"])[np.cumsum(_T_CX[row])[j] - 1] + 1
+    flips = np.zeros(len(native) + 1, np.int8)
+    flips[start] = 1                        # the junctions' spans do not overlap
+    flips[start + 2 * edge] = -1
+    return np.cumsum(flips[:-1], dtype=np.int8) == 0
 
 
 # -- Trotter-step compilation ------------------------------------------------

@@ -32,37 +32,37 @@ GOLDEN = {
     "stap/default/run":
         "bfc0d697631e1c344526279ee41f8112a10675725760b93f6acbd618957a657e",
     "stap/default/export-qasm":
-        "2ef793a38995462db10f86f8b8ac65fa8bd7b1160c3421a6a6442422334d72de",
+        "748dddba9e8d66e56e2c97f1e998f62bb337b448b368fff5b7cedc3845652709",
     "stap/default/sweep-trotter":
         "5dd0121c13c75a60474b5993efc486a9fbb899c57417afa6e2cf60176552c72c",
     "stap/erratum/run":
         "84c4983af85e751a592a86e39a00287f774e945bdcf92210421811c95c0fe6dd",
     "stap/erratum/export-qasm":
-        "44e8132b07799a825b4a2ff8c784608add06be6a67cd4d4260e7bb866d319e9a",
+        "3b89ab4443a7f2cae3ada23914ee80e75af2815710c6513900fb82a4bbaf34f4",
     "stap/erratum/sweep-trotter":
         "4d9a6b70ae0545a4ec916a3ce79504b755af09529fdbf4fc846ec1f3270c3a1e",
     "stap/sp/run":
         "debabb331d30e56210728a943913be0683252db7624414b43f9e994b76e47b19",
     "stap/sp/export-qasm":
-        "15594afe406b140208e55ade3746b05f6b4ef34bc5c54cbc1aa6759d092a3b1f",
+        "9c716b453e3b0304803d1dcaf2f3aa630d75f49528e2309d7f6dd9d472cf0b10",
     "stap/sp/sweep-trotter":
         "25c658818b497337d39749a5aa29b8d998f93705dfa52b3344da433f67c67fa3",
     "stirap/default/run":
         "4af453cb56d753569108e9727dd1085577936f6ede5b9e52013b61c45ef78b3e",
     "stirap/default/export-qasm":
-        "005353cb233e667de9334da19d7ddb02aa91b82705d6e42be16119456a93c21b",
+        "931933d79f4549a0a188fc86ebbbe9db47e4a96acc735bd311c3adec7cc5a458",
     "stirap/default/sweep-trotter":
         "d8d390a4d828aa2896c9c2b340d1c216a74e425ff0fac5c9891900b2cd8d0ffa",
     "stirap/erratum/run":
         "858ac976c12913b7c9da7b0785a123adbcfada4427a3417fc2aba4dc3b885eb9",
     "stirap/erratum/export-qasm":
-        "737732e6e874901a5403bd023bfdf4f7111c3d1c3c8db80561e24b5c9434f159",
+        "c898a496ee46db48e037259834b68143a59ab94bdca2ef8ed950aa958ea2f257",
     "stirap/erratum/sweep-trotter":
         "f4128d588d219898562ef5c8e975312d797ebc7d95e5b3b2212dbca3384b3a4a",
     "stirap/sp/run":
         "3f18e6a2b494eb0c874f6ea9c53d4a877db57acdec81003c4c32489265f63f5d",
     "stirap/sp/export-qasm":
-        "50be1a92c16ac46372fc7bc41dad526fbb917e1f9b65cff96f04c9b5eaa2c949",
+        "e64b980820fccef133406dd73beb805ccdfef8affda6fb7fcab617fde4025599",
     "stirap/sp/sweep-trotter":
         "719287bd7f47cbed0e2fee0833458f491625bdc4e91db01fce582c84802bd04d",
     "stap/default/dump-pulses":
@@ -70,29 +70,29 @@ GOLDEN = {
     "stirap/default/dump-pulses":
         "aa3c188f80692127715d6576f19ef2e9eb7b59858dd4711a0aac3b405d81dffa",
     "stap/default/export-qasm@531":
-        "bd3091a835f4aeb79b86529fbbbaf225610ef6666e03be14a94c67a2d403ff95",
+        "ad10e26a6485741728c93cf34b7400f782ea20b5b034cb527761f678e87ee41f",
     "stap/erratum/export-qasm@531":
-        "f21d9bbdd1be01dabcf697c22fa657167143ce9e68829a2ed9d3125191ad78ad",
+        "5bc782efbc35709c90ec3a95e16b614d3e252d6b737c78c7b8ca3acca8ea09be",
     "stap/sp/export-qasm@531":
-        "9ac48b467d8bf5b7a0ef2115df687937ca0c9819cdb622b8dd883eabc3a7a0a3",
+        "a57b67bfb82feec06bfeb518a3fd0835d25edfdaa0608f72261c41413e1f6ac1",
     "stirap/default/export-qasm@531":
-        "7aa105499334acb32a2d6ee41c1accf235679557addc5d55a78d9230882d633f",
+        "c5a0aa92e1eb96a8935eeca985090f4f812a03199af2b86e02b40ce6d0a8ed45",
     "stirap/erratum/export-qasm@531":
-        "9bbb10a704f908f526de542b0f58b814f88cd50abf887ea1b2b3b2777fa1bc64",
+        "8b8cea0cf09d86f7809b6624fb119df147f4ad3e262bf278861e7bb0ee885ff2",
     "stirap/sp/export-qasm@531":
-        "5ae7940981d2c2b01218fa6a325a0bc0e054123a4789bea7ccbe06444e4b1fd6",
+        "4c374b74573a56a6eef2a211de6b228f8d33c7c715d535971e7e659805876f8e",
     "stap/default/export-qasm@972":
-        "e5f2c3ad13f17612f52b729eee197ea3fd8e09b31cd7da8a6415fec99d6a57cb",
+        "b90cf61155bce91d7d99ed501a13c8bfdf102f8106117feb5e8ac9a5f6e57ad3",
     "stap/erratum/export-qasm@972":
-        "517b6c0eab2ab9e736e4bd0e34073cbaa144f4480ac91db35bd397bee76f3394",
+        "953f275afdacd85182b5b9af410af7d15b07c1cff233c3e5610e1995d12dee99",
     "stap/sp/export-qasm@972":
-        "958c70477bb48985a73eb9e549adf93746fb736bb327cfa668cfe03431d55c74",
+        "c30b06035bcdabd2eea6cf77b063e63725bdfda1a2df1d57b15a384aa9b3a15e",
     "stirap/default/export-qasm@972":
-        "8d3df08ba118f73ddd722b0dde10cb0c366325e88f841e0197e7a193e8ec81d6",
+        "5af180baceb64f4b9e525804db893566e51a0ab0021df987b383cd65626a5e0c",
     "stirap/erratum/export-qasm@972":
-        "4a738e05084c3f7bd9b823ec3290b8fc7a23575c4b8ab23380e086ff9078c867",
+        "b6f7264e4cf06c29b6f0a79edfd0702ef6a678302bc21ce88ab91f27c3087c1e",
     "stirap/sp/export-qasm@972":
-        "b33d02ce86db017a4257fdcd477dabb273cba3651fceaff874e1a0f311e8df97",
+        "ab2d37f4e9a3a2c010f1ef15368788db2d24a77f40d2a7b6cdecba3ccda6d4a5",
 }
 
 

@@ -1,22 +1,37 @@
 """The exported OpenQASM text, replayed gate by gate by the benchmark's own
 checker (bench/checks.py), must give run_statevector's final populations
 of the macro circuit it was lowered from.  bench/ lies outside the tier-1
-suite, so without this test a wrong lowering row would only fail there."""
+suite, so without this test a wrong lowering row would only fail there.
+
+Populations cannot see every wrong sign, so the text is also read back
+into a Circuit and its unitary compared with the macro circuit's, up to
+global phase."""
 
 import importlib
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiralgate.circuits import compile_protocol, run_statevector
+from chiralgate.circuits import (CODE, Circuit, Gate, circuit_unitary, compile_protocol,
+                                 expand_circuit, phase_aligned_distance, run_statevector)
 from chiralgate.config import validate_config
 from chiralgate.pulses import LEFT, RIGHT, discretize
-from chiralgate.scenarios import PSI0, export_qasm
+from chiralgate.scenarios import _QASM_FOOTER, _QASM_HEADER, PSI0, circuit_to_qasm, export_qasm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 VARIANTS = {"default": {}, "erratum": {"erratum_s_gate": True}, "sp": {"ps_order": "sp"}}
+# the five native line forms circuit_to_qasm writes
+NATIVE_LINE = re.compile(r"(?P<rot>r[xyz])\((?P<angle>[^)]+)\) q\[(?P<t>[01])\];"
+                         r"|x q\[(?P<x>[01])\];|cx q\[(?P<c>[01])\],q\[(?P<ct>[01])\];")
+# The text's 12 significant digits put the Ry(+-pi/2) and Rx(+-pi/2) basis
+# changes and the Q-step azimuths 4.9e-12 off: the read-back circuits lie
+# up to 2.2e-11 from their macro circuits (measured over EXPORTS)
+TEXT_DIGITS_TOL = 1e-10
 
 
 @pytest.fixture
@@ -65,3 +80,101 @@ def test_exported_qasm_replays_to_statevector(checks, protocol, variant, tmp_pat
         np.testing.assert_allclose(replayed["L"], replayed["R"], rtol=0, atol=1e-10)
     else:
         assert abs(replayed["L"][2] - replayed["R"][2]) > 0.5
+
+
+def read_qasm(text: str) -> Circuit:
+    """The natives of an exported text, one per gate line; any other line
+    between the header and the footer fails."""
+    assert text.startswith(_QASM_HEADER) and text.endswith(_QASM_FOOTER)
+    rows = []                           # (kind, target, angle)
+    for line in text[len(_QASM_HEADER):-len(_QASM_FOOTER)].splitlines():
+        m = NATIVE_LINE.fullmatch(line)
+        assert m is not None, line
+        if m["rot"]:
+            rows.append((CODE[m["rot"].upper()], int(m["t"]), float(m["angle"])))
+        elif m["x"]:
+            rows.append((CODE["X"], int(m["x"]), 0.0))
+        else:
+            assert int(m["c"]) == 1 - int(m["ct"]), line
+            rows.append((CODE["CX"], int(m["ct"]), 0.0))
+    kind, target, angle = zip(*rows) if rows else ((), (), ())
+    return Circuit(kind=kind, target=target, angle=angle,
+                   axis_phi=np.zeros(len(rows)), control_value=np.ones(len(rows)))
+
+
+def as_printed(circuit: Circuit) -> Circuit:
+    """expand_circuit(circuit) with each angle at the text's precision: the
+    natives the text would hold with no pair cancelled."""
+    native = expand_circuit(circuit)
+    return Circuit(kind=native.kind, target=native.target,
+                   angle=[float("%.12g" % a) for a in native.angle.tolist()],
+                   axis_phi=native.axis_phi, control_value=native.control_value)
+
+
+def cx_count(circuit: Circuit) -> int:
+    return int(np.count_nonzero(circuit.kind == CODE["CX"]))
+
+
+def _distances(text: str, macro: Circuit) -> tuple[float, float]:
+    """Phase-aligned distances of the text's unitary from the macro
+    circuit's natives at the text's precision, and from the macro circuit."""
+    u = circuit_unitary(read_qasm(text))
+    return (phase_aligned_distance(u, circuit_unitary(as_printed(macro))),
+            phase_aligned_distance(u, circuit_unitary(macro)))
+
+
+EXPORTS = [(p, v, n) for p in ("stap", "stirap") for v in VARIANTS for n in (531, 972)]
+
+
+@pytest.mark.parametrize("protocol, variant, n", EXPORTS)
+def test_exported_qasm_reads_back_with_phase(protocol, variant, n, tmp_path):
+    cfg = validate_config({"protocol": protocol, "n_steps": n, **VARIANTS[variant]})
+    disc = discretize(cfg.build_schedule(), cfg.n_steps)
+    for path, hand in zip(export_qasm(cfg, str(tmp_path)), (LEFT, RIGHT)):
+        macro = compile_protocol(disc, hand, protocol, ps_order=cfg.ps_order,
+                                 erratum_s_gate=cfg.erratum_s_gate)
+        text = Path(path).read_text()
+        read = read_qasm(text)
+        assert len(read) < len(expand_circuit(macro))
+        assert cx_count(read) == cx_count(expand_circuit(macro))
+        printed, exact = _distances(text, macro)
+        assert printed <= 1e-13 and exact <= TEXT_DIGITS_TOL
+        if variant == "erratum":
+            # the flip the population replay cannot see (test above)
+            flipped = _distances(_flip_largest_rz(text), macro)
+            assert min(flipped) > 0.5
+
+
+# runs of equal CROTs (both control values, azimuths +-0 and +-pi/2) among
+# the other kinds: the junction pairs inside each run are dropped
+PHIS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2]), st.floats(-4.0, 4.0))
+TURNS = st.one_of(st.sampled_from([0.0, -0.0, 1e-3]), st.floats(-7.0, 7.0))
+
+
+@st.composite
+def gate_runs(draw):
+    gates = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["CROT", "CROT", "CROT", "XX-YY", "XX+YY", "RZ", "X", "CX"]))
+        q = draw(st.sampled_from([0, 1]))
+        qubits = (q, 1 - q) if kind in ("CROT", "XX-YY", "XX+YY", "CX") else (q,)
+        phi, value = draw(PHIS), draw(st.sampled_from([0, 1]))
+        gates += [Gate(kind, qubits, draw(TURNS), axis_phi=phi, control_value=value)
+                  for _ in range(draw(st.integers(1, 4)))]
+    return gates
+
+
+@given(gates=gate_runs())
+@settings(max_examples=200, deadline=None)
+def test_junction_pass_shortens_and_keeps_unitary(gates):
+    macro = Circuit(gates)
+    text = circuit_to_qasm(macro)
+    read, native = read_qasm(text), expand_circuit(macro)
+    assert len(read) <= len(native) and cx_count(read) == cx_count(native)
+    # each junction drops at least its Ry(pi/2) Ry(-pi/2) pair
+    junctions = sum(a.kind == "CROT" and (a.kind, a.qubits, a.control_value, a.axis_phi)
+                    == (b.kind, b.qubits, b.control_value, b.axis_phi)
+                    for a, b in zip(gates, gates[1:]))
+    assert len(native) - len(read) >= 2 * junctions
+    printed, _ = _distances(text, macro)
+    assert printed <= 1e-12

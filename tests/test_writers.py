@@ -1,13 +1,17 @@
 """The text writers against per-row and per-line reference formatters.
 
-circuit_to_qasm formats each distinct |angle| of a block once and takes the
-sign from a per-sign line template, and the CSV writers fill one row
-template per block; both must give the bytes of the
-plain loops below, for every block size.
+circuit_to_qasm formats each distinct |angle| of a block once (and keeps
+the last block's table for the next call) and takes the sign from a
+per-sign line template, and the CSV writers fill one row template per
+block; both must give the bytes of the plain loops below, for every block
+size.
 """
 
 import io
 import math
+import sys
+import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -40,8 +44,24 @@ def pulses_reference(config, n_samples: int) -> str:
 
 
 def qasm_reference(circuit: Circuit) -> str:
+    """expand_circuit's natives, gate by gate, less the pairs where two
+    consecutive CROTs of one kind, qubits, control value and axis_phi meet:
+    the first one's last and the second one's first 3 - control_value
+    natives, one fewer for axis_phi +-0 (no Rz(-+a)).  Each dropped tail
+    gate must be the inverse of its mirror in the dropped head."""
+    natives, last = [], None
+    for g in circuit.gates:
+        mine = list(expand_circuit(Circuit([g])).gates)
+        if g.kind == "CROT" and last == (g.qubits, g.control_value, g.axis_phi):
+            edge = 3 - g.control_value - (g.axis_phi == 0.0)
+            tail, head = natives[-edge:], mine[:edge]
+            assert ([(t.kind, t.qubits, -t.angle) for t in reversed(tail)]
+                    == [(h.kind, h.qubits, h.angle) for h in head])
+            del natives[-edge:], mine[:edge]
+        natives += mine
+        last = (g.qubits, g.control_value, g.axis_phi) if g.kind == "CROT" else None
     text = [scenarios._QASM_HEADER]
-    for g in expand_circuit(circuit).gates:
+    for g in natives:
         if g.kind == "X":
             text.append("x q[%d];\n" % g.qubits)
         elif g.kind == "CX":
@@ -88,8 +108,17 @@ def any_gate(draw):
                 control_value=draw(st.sampled_from([0, 1])))
 
 
+def _crot(q, value, phi, angle=0.25):
+    return Gate("CROT", (q, 1 - q), angle, axis_phi=phi, control_value=value)
+
+
 @given(gates=st.lists(any_gate(), max_size=10), block=st.integers(1, 9))
 @settings(max_examples=150, deadline=None)
+# runs of equal CROTs: both control values, azimuths +-pi/2 and +-0, and
+# neighbours that differ only in axis_phi or control value
+@example(gates=[_crot(0, 0, math.pi / 2)] * 3 + [_crot(0, 1, -math.pi / 2)] * 2
+         + [_crot(0, 1, 0.0), _crot(0, 1, -0.0, 0.0), _crot(1, 1, 0.0), _crot(1, 0, 0.0)],
+         block=4)
 def test_qasm_matches_line_loop(gates, block):
     c = Circuit(gates)
     with mock.patch.object(scenarios, "_QASM_BLOCK", block):
@@ -116,3 +145,57 @@ def test_qasm_blocks_mid_macro_and_without_rotations():
     assert scenarios.circuit_to_qasm(Circuit()) == qasm_reference(Circuit())
     assert scenarios.circuit_to_qasm(Circuit()) == (scenarios._QASM_HEADER
                                                    + scenarios._QASM_FOOTER)
+
+
+def _export_texts(config: dict, out_dir: Path) -> dict[str, bytes]:
+    paths = scenarios.export_qasm(validate_config(config), str(out_dir))
+    return {Path(path).name: Path(path).read_bytes() for path in paths}
+
+
+QASM_CONFIGS = [{"protocol": "stap", "n_steps": 60}, {"protocol": "stirap", "n_steps": 45}]
+
+
+def test_qasm_angle_cache_is_invisible(monkeypatch, tmp_path):
+    from chiralgate.circuits import compile_protocol
+    from chiralgate.pulses import LEFT, RIGHT, discretize
+
+    circuits = {}
+    for config in QASM_CONFIGS:
+        cfg = validate_config(config)
+        disc = discretize(cfg.build_schedule(), cfg.n_steps)
+        for hand in (LEFT, RIGHT):
+            circuits[cfg.protocol, hand.label] = compile_protocol(disc, hand, cfg.protocol)
+    cold = {}
+    for key, c in circuits.items():
+        monkeypatch.setattr(scenarios, "_digits_cache", scenarios._NO_DIGITS)
+        cold[key] = scenarios.circuit_to_qasm(c)
+    assert cold["stap", "L"] != cold["stap", "R"]
+    for key in [("stap", "L"), ("stirap", "L"), ("stap", "R"), ("stap", "L"), ("stirap", "R")]:
+        assert scenarios.circuit_to_qasm(circuits[key]) == cold[key]
+    # the hands share every |angle|: R reuses L's formatted table
+    table = scenarios._digits_cache[1]
+    assert scenarios.circuit_to_qasm(circuits["stirap", "L"]) == cold["stirap", "L"]
+    assert scenarios._digits_cache[1] is table
+    # threads exporting different configs write the bytes of a sequential run
+    want = [_export_texts(QASM_CONFIGS[i % 2], tmp_path / f"seq{i}") for i in range(2)]
+    got, errors = {}, []
+
+    def export(i):
+        try:
+            for rep in range(6):
+                got[i, rep] = _export_texts(QASM_CONFIGS[i % 2], tmp_path / f"t{i}_{rep}")
+        except Exception as exc:       # re-raised below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=export, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert got == {(i, rep): want[i % 2] for i in range(4) for rep in range(6)}
