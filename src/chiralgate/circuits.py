@@ -7,8 +7,9 @@ are expanded into natives with algebraically exact identities (verified in
 the test suite to 1e-13), so export and simulation agree: a CROT is 8
 natives with 2 CX (plus an X pair for control value 0), and XX-+YY =
 W^dag Rx_c(angle/2) Ry_t(-+angle/2) W with W = CX Rx_c(pi/2) is 6 natives
-with 2 CX.  No rotation by exactly +-0 is emitted.  In the exported text
-(junction_keep), consecutive equal CROTs share one conjugation and X pair.
+with 2 CX.  No rotation by exactly +-0 is emitted.  The exported text
+lowers merge_runs(circuit), in which each run of consecutive equal macros
+is one gate by the run's summed angle.
 A Circuit holds its gates as parallel arrays, and compilation, gate
 matrices and lowering each work on whole arrays; Gate is the one-gate view.
 """
@@ -239,11 +240,6 @@ def _template(kind: str, t: int, v: int) -> list[tuple]:
 
 _TEMPLATES = [_template(*config) for config in _CONFIGS]
 _T_LEN = np.array([len(rows) for rows in _TEMPLATES])
-# A CROT's tail, the rows after its last CX (Ry(pi/2), Rz(a), X flip), is
-# the inverse of its head (X flip, Rz(-a), Ry(-pi/2)) in reverse order
-_T_EDGE = np.array([[r[0] for r in rows[::-1]].index("CX") if kind == "CROT" else 0
-                    for (kind, _, _), rows in zip(_CONFIGS, _TEMPLATES)])
-_T_CX = np.array([sum(r[0] == "CX" for r in rows) for rows in _TEMPLATES])
 _T_START = np.cumsum(_T_LEN) - _T_LEN
 _T_KIND, _T_TARGET, _T_SOURCE, _T_VALUE = (
     np.array(col) for col in zip(*[(CODE[r[0]], *r[1:]) for rows in _TEMPLATES for r in rows]))
@@ -272,26 +268,29 @@ def expand_circuit(circuit: Circuit) -> Circuit:
         control_value=np.where(passed, circuit.control_value[src], 1))
 
 
-def junction_keep(circuit: Circuit, native: Circuit) -> np.ndarray:
-    """Which natives of native = expand_circuit(circuit) remain once the
-    pairs at CROT junctions cancel.
-
-    Where gate j and gate j + 1 are CROTs of one row and axis_phi, the tail
-    of j and the head of j + 1 multiply to the identity exactly: X X,
-    Rz(a) Rz(-a) and Ry(pi/2) Ry(-pi/2), each on one qubit.  So consecutive
-    equal CROTs share one conjugation and X pair.  The Rz pair is not there
-    when axis_phi is +-0 (expand_circuit emits no rotation by +-0).  A
-    junction may span a step boundary, so only the text takes this mask.
-    """
-    row, phi = _row(circuit), circuit.axis_phi
-    j = np.flatnonzero((_T_EDGE[row[:-1]] > 0) & (row[:-1] == row[1:]) & (phi[:-1] == phi[1:]))
-    edge = _T_EDGE[row[j]] - (phi[j] == 0.0)
-    # no CX is ever dropped, and gate j's tail starts right after its last CX
-    start = np.flatnonzero(native.kind == CODE["CX"])[np.cumsum(_T_CX[row])[j] - 1] + 1
-    flips = np.zeros(len(native) + 1, np.int8)
-    flips[start] = 1                        # the junctions' spans do not overlap
-    flips[start + 2 * edge] = -1
-    return np.cumsum(flips[:-1], dtype=np.int8) == 0
+def merge_runs(circuit: Circuit) -> Circuit:
+    """The circuit with each run of consecutive gates of one row (kind,
+    target, control_value) and axis_phi as one gate by the run's summed
+    angle: they share one generator, so this is exact (rotation merging,
+    Nam et al., npj Quantum Inf. 4, 23 (2018)).  A run that sums to exactly
+    0 emits no gate, and the pass repeats while that joins new neighbours.
+    X and CX never merge.  The metadata drops step_bounds, which index the
+    unmerged gates."""
+    columns = dict(zip(_COLUMNS, circuit._columns()), row=_row(circuit))
+    while True:
+        kind, row, phi = columns["kind"], columns["row"], columns["axis_phi"]
+        turns = (kind != CODE["X"]) & (kind != CODE["CX"])
+        joins = turns[1:] & (row[1:] == row[:-1]) & (phi[1:] == phi[:-1])
+        start = np.flatnonzero(np.concatenate([[len(kind) > 0], ~joins]))
+        angle = np.add.reduceat(columns["angle"], start)
+        keep = (angle != 0.0) | ~turns[start]
+        columns = {name: col[start[keep]] for name, col in columns.items()}
+        columns["angle"] = angle[keep]
+        if keep.all():
+            break
+    del columns["row"]
+    meta = {key: value for key, value in circuit.metadata.items() if key != "step_bounds"}
+    return Circuit(metadata=meta, **columns)
 
 
 # -- Trotter-step compilation ------------------------------------------------

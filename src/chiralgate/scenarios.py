@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (CODE, NATIVE_KINDS, Circuit, compile_protocol, expand_circuit,
-                       junction_keep, run_statevector, sample_measurements)
+                       merge_runs, run_statevector, sample_measurements)
 from .config import MAX_STEPS, ScenarioConfig
 from .errors import ConfigError
 # stap_generator is stirap_generator; bench/spans.py traces both names here
@@ -213,14 +213,14 @@ _QASM_HEADER = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 _QASM_FOOTER = "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
 # one line per (native kind, target, sign bit of the angle), at
 # 4 * code + 2 * target + sign, with the qubits baked in.  A rotation line
-# keeps one %s for the text of |angle|: "%.12g" % -a is "-" + "%.12g" % a,
-# so the sign lives in the template.
+# keeps one %s for the text of |angle|: repr(-a) is "-" + repr(a), so the
+# sign lives in the template.
 _QASM_LINES = np.array([{"X": f"x q[{t}];\n", "CX": f"cx q[{1 - t}],q[{t}];\n"}.get(
                             k, f"{k.lower()}({sign}%s) q[{t}];\n")
                         for k in NATIVE_KINDS for t in (0, 1) for sign in ("", "-")],
                        dtype=object)
 _QASM_BLOCK = 65536     # native lines per %-format: bounds its format string and tuple
-# (sorted |angle| bytes, their "%.12g" texts) of the last block formatted: both
+# (sorted |angle| bytes, their repr texts) of the last block formatted: both
 # hands of an export share every magnitude.  One tuple, read and replaced whole,
 # so a concurrent call never pairs one call's key with another's table
 _NO_DIGITS = (b"", np.array([], dtype=object))
@@ -233,30 +233,26 @@ def _angle_digits(mags: np.ndarray) -> np.ndarray:
     cached = _digits_cache
     if cached[0] != key:
         _digits_cache = cached = _NO_DIGITS     # the old table goes before the new one is built
-        digits = np.array(["%.12g" % a for a in mags.tolist()], dtype=object)
+        digits = np.array([repr(a) for a in mags.tolist()], dtype=object)
         digits.flags.writeable = False
         _digits_cache = cached = (key, digits)
     return cached[1]
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
-    """OpenQASM 2.0 text with macros lowered to {rx, ry, rz, x, cx} and
-    fixed 12-significant-digit angles for golden-file stability.
+    """OpenQASM 2.0 text of merge_runs(circuit) with macros lowered to
+    {rx, ry, rz, x, cx} and each angle written as its shortest round-trip
+    repr, so the text is as exact as the native arrays.
 
-    Consecutive equal CROTs share one conjugation and X pair: the
-    inverse pairs at their junctions (junction_keep) are not written.
     Each distinct |angle| of a block is formatted once, and a block with
     the last table's magnitudes (the other hand of an export) reuses it;
     the sign comes from the sign bit.
     """
-    native = expand_circuit(circuit)
-    keep = junction_keep(circuit, native)
-    kinds, targets, angles = (a[keep] for a in (native.kind, native.target, native.angle))
-    del native, keep        # freed before the text is built, not alive beside it
+    native = expand_circuit(merge_runs(circuit))
     text = [_QASM_HEADER]
-    for lo in range(0, len(kinds), _QASM_BLOCK):
+    for lo in range(0, len(native), _QASM_BLOCK):
         b = slice(lo, lo + _QASM_BLOCK)
-        kind, target, angle = kinds[b], targets[b], angles[b]
+        kind, target, angle = native.kind[b], native.target[b], native.angle[b]
         rotation = kind < CODE["X"]         # RX, RY, RZ come first in NATIVE_KINDS
         mags, which = np.unique(np.abs(angle[rotation]), return_inverse=True)
         lines = _QASM_LINES[4 * kind + 2 * target + np.signbit(angle)]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from chiralgate.circuits import (CODE, KINDS, MACRO_KINDS, Circuit, Gate,
                                  compile_p_step, compile_protocol,
                                  compile_q_step, compile_s_step,
                                  expand_circuit, gate_matrices, gate_matrix,
-                                 phase_aligned_distance, run_statevector,
+                                 merge_runs, phase_aligned_distance, run_statevector,
                                  sample_measurements)
 from chiralgate.hamiltonians import (DRIVES, IDX_01, IDX_10, build_h_ps,
                                      build_h_q, coupling)
@@ -315,6 +316,27 @@ def test_expanded_circuit_keeps_step_populations():
         native_trace, _ = run_statevector(native, PSI0)
         np.testing.assert_allclose(native_trace.probs, macro_trace.probs,
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_merged_protocol_lowers_without_step_bounds(protocol):
+    d = discretize(default_stap_schedule() if protocol == "stap"
+                   else default_stirap_schedule(), 40)
+    for hand in (LEFT, RIGHT):
+        c = compile_protocol(d, hand, protocol)
+        merged = merge_runs(c)
+        # the Q steps share one CROT, so the Q stage is one gate by its area;
+        # the merged gates no longer have Trotter-step bounds
+        q_stage = c.gates[:c.metadata["step_bounds"][d.k - 1]]
+        first = merged.gates[0]
+        assert {replace(g, angle=first.angle) for g in q_stage} == {first}
+        assert first.angle == pytest.approx(math.fsum(g.angle for g in q_stage), abs=1e-14)
+        assert merged.gates[1].kind != "CROT"
+        assert "step_bounds" not in merged.metadata
+        assert merged.metadata == {k: v for k, v in c.metadata.items() if k != "step_bounds"}
+        native = expand_circuit(merged)
+        assert "step_bounds" not in native.metadata
+        assert phase_aligned_distance(circuit_unitary(native), circuit_unitary(c)) < 1e-13
 
 
 def test_compile_protocol_structure():

@@ -32,37 +32,37 @@ GOLDEN = {
     "stap/default/run":
         "bfc0d697631e1c344526279ee41f8112a10675725760b93f6acbd618957a657e",
     "stap/default/export-qasm":
-        "748dddba9e8d66e56e2c97f1e998f62bb337b448b368fff5b7cedc3845652709",
+        "6cd26ca09ccc93a3681100cef47c5932cf5451b9d5f2997a92b98609f326e153",
     "stap/default/sweep-trotter":
         "5dd0121c13c75a60474b5993efc486a9fbb899c57417afa6e2cf60176552c72c",
     "stap/erratum/run":
         "84c4983af85e751a592a86e39a00287f774e945bdcf92210421811c95c0fe6dd",
     "stap/erratum/export-qasm":
-        "3b89ab4443a7f2cae3ada23914ee80e75af2815710c6513900fb82a4bbaf34f4",
+        "364391d71dac2552182d3759df60e56db008772a96861a02ffd095887e4a6ee4",
     "stap/erratum/sweep-trotter":
         "4d9a6b70ae0545a4ec916a3ce79504b755af09529fdbf4fc846ec1f3270c3a1e",
     "stap/sp/run":
         "debabb331d30e56210728a943913be0683252db7624414b43f9e994b76e47b19",
     "stap/sp/export-qasm":
-        "9c716b453e3b0304803d1dcaf2f3aa630d75f49528e2309d7f6dd9d472cf0b10",
+        "dc33650155285b6ea039242c8ca2071d511ab9b9d0ff97779aea1af01c24d545",
     "stap/sp/sweep-trotter":
         "25c658818b497337d39749a5aa29b8d998f93705dfa52b3344da433f67c67fa3",
     "stirap/default/run":
         "4af453cb56d753569108e9727dd1085577936f6ede5b9e52013b61c45ef78b3e",
     "stirap/default/export-qasm":
-        "931933d79f4549a0a188fc86ebbbe9db47e4a96acc735bd311c3adec7cc5a458",
+        "2b4b6b84a943cf80ea7d7aaa7240a6292dd3bbb2e817aa050e1dd37b5f0506e8",
     "stirap/default/sweep-trotter":
         "d8d390a4d828aa2896c9c2b340d1c216a74e425ff0fac5c9891900b2cd8d0ffa",
     "stirap/erratum/run":
         "858ac976c12913b7c9da7b0785a123adbcfada4427a3417fc2aba4dc3b885eb9",
     "stirap/erratum/export-qasm":
-        "c898a496ee46db48e037259834b68143a59ab94bdca2ef8ed950aa958ea2f257",
+        "0ae77f49ecf7c2810b17ce0aabf2666ff2b5eab4ca734ea141e92cd20b366aea",
     "stirap/erratum/sweep-trotter":
         "f4128d588d219898562ef5c8e975312d797ebc7d95e5b3b2212dbca3384b3a4a",
     "stirap/sp/run":
         "3f18e6a2b494eb0c874f6ea9c53d4a877db57acdec81003c4c32489265f63f5d",
     "stirap/sp/export-qasm":
-        "e64b980820fccef133406dd73beb805ccdfef8affda6fb7fcab617fde4025599",
+        "1e3a4fc7bd736b16dcbd0273854ae7847275d9a01f9a36c705381f3d6405aeec",
     "stirap/sp/sweep-trotter":
         "719287bd7f47cbed0e2fee0833458f491625bdc4e91db01fce582c84802bd04d",
     "stap/default/dump-pulses":
@@ -70,29 +70,29 @@ GOLDEN = {
     "stirap/default/dump-pulses":
         "aa3c188f80692127715d6576f19ef2e9eb7b59858dd4711a0aac3b405d81dffa",
     "stap/default/export-qasm@531":
-        "ad10e26a6485741728c93cf34b7400f782ea20b5b034cb527761f678e87ee41f",
+        "b5ef461c732b1a0dd8a216ee97be2c749667963a598a1f1c84ca8ecca509d996",
     "stap/erratum/export-qasm@531":
-        "5bc782efbc35709c90ec3a95e16b614d3e252d6b737c78c7b8ca3acca8ea09be",
+        "75acc0a202eebe90a4da18e5e61ea0a09649282f08ca5f32a2d4404d171d7120",
     "stap/sp/export-qasm@531":
-        "a57b67bfb82feec06bfeb518a3fd0835d25edfdaa0608f72261c41413e1f6ac1",
+        "97ee5dccbf4add5bff91a87b58b2c3fee91e61ac451b2f1758e531305062e98a",
     "stirap/default/export-qasm@531":
-        "c5a0aa92e1eb96a8935eeca985090f4f812a03199af2b86e02b40ce6d0a8ed45",
+        "1e1a4e782baf7d0c886fc6067c3b226da63fdc56b56e1fab36bbcd6b8d3de730",
     "stirap/erratum/export-qasm@531":
-        "8b8cea0cf09d86f7809b6624fb119df147f4ad3e262bf278861e7bb0ee885ff2",
+        "d4aa8e12c823768d6f26a2c2830c4505dcfe6cf9e3f9ec8cd358f2b56926dad7",
     "stirap/sp/export-qasm@531":
-        "4c374b74573a56a6eef2a211de6b228f8d33c7c715d535971e7e659805876f8e",
+        "b38c97e3a8b2bde08706a56c835abbba23e1a2c153aee257483587780cff4889",
     "stap/default/export-qasm@972":
-        "b90cf61155bce91d7d99ed501a13c8bfdf102f8106117feb5e8ac9a5f6e57ad3",
+        "58fc73aa470b9d706d9aab46bf9831e5762ae4cac378239c65ba91c86611c7f7",
     "stap/erratum/export-qasm@972":
-        "953f275afdacd85182b5b9af410af7d15b07c1cff233c3e5610e1995d12dee99",
+        "1c66d43172560b6cffb691c609d3639dd2aa56e5c09fed17b163ebb15f5cfa46",
     "stap/sp/export-qasm@972":
-        "c30b06035bcdabd2eea6cf77b063e63725bdfda1a2df1d57b15a384aa9b3a15e",
+        "65eec9dfa0349c3bb9f8e4215cef10988e1d618236724aa63e7c5a486b660d19",
     "stirap/default/export-qasm@972":
-        "5af180baceb64f4b9e525804db893566e51a0ab0021df987b383cd65626a5e0c",
+        "70781ff48436da9895dc83ee73747ee2c71e6280dde1c8b4950be8b14278bd31",
     "stirap/erratum/export-qasm@972":
-        "b6f7264e4cf06c29b6f0a79edfd0702ef6a678302bc21ce88ab91f27c3087c1e",
+        "9b7cd4a0cbf0b181f060e6334b5aadfb419e5b6a8fd7b5b6ab14e5f301333ea8",
     "stirap/sp/export-qasm@972":
-        "ab2d37f4e9a3a2c010f1ef15368788db2d24a77f40d2a7b6cdecba3ccda6d4a5",
+        "5f8cc964818b39b99957c9cba849e266aa6891cf8f75c5c67df8b31f255069ef",
 }
 
 

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralgate.circuits import (CODE, Circuit, Gate, circuit_unitary, compile_protocol,
-                                 expand_circuit, phase_aligned_distance, run_statevector)
+                                 expand_circuit, merge_runs, phase_aligned_distance,
+                                 run_statevector)
 from chiralgate.config import validate_config
 from chiralgate.pulses import LEFT, RIGHT, discretize
 from chiralgate.scenarios import _QASM_FOOTER, _QASM_HEADER, PSI0, circuit_to_qasm, export_qasm
@@ -28,10 +29,12 @@ VARIANTS = {"default": {}, "erratum": {"erratum_s_gate": True}, "sp": {"ps_order
 # the five native line forms circuit_to_qasm writes
 NATIVE_LINE = re.compile(r"(?P<rot>r[xyz])\((?P<angle>[^)]+)\) q\[(?P<t>[01])\];"
                          r"|x q\[(?P<x>[01])\];|cx q\[(?P<c>[01])\],q\[(?P<ct>[01])\];")
-# The text's 12 significant digits put the Ry(+-pi/2) and Rx(+-pi/2) basis
-# changes and the Q-step azimuths 4.9e-12 off: the read-back circuits lie
-# up to 2.2e-11 from their macro circuits (measured over EXPORTS)
-TEXT_DIGITS_TOL = 1e-10
+# The text writes each angle as its round-trip repr, so a read-back circuit
+# is as exact as the native arrays: up to 3.6e-14 from its macro circuit
+# (measured over EXPORTS), the round-off of merging and lowering
+TEXT_DIGITS_TOL = 1e-13
+# (natives, CX) of the L file of the default variant
+NATIVE_COUNTS = {("stap", 531): (3226, 1074), ("stirap", 972): (8722, 2906)}
 
 
 @pytest.fixture
@@ -67,7 +70,7 @@ def test_exported_qasm_replays_to_statevector(checks, protocol, variant, tmp_pat
         replayed[hand.label] = checks.replay_qasm(text)
         flipped = _flip_largest_rz(text)
         if variant == "erratum":
-            # the largest |rz| is the azimuth of the last Q step; flipping it
+            # the largest |rz| is the azimuth of the one Q CROT; flipping it
             # flips the sign of |10>, and the erratum Stokes step keeps the
             # blocks {00, 11} and {01, 10} apart, so populations cannot see it
             np.testing.assert_allclose(checks.replay_qasm(flipped), ref, rtol=0, atol=1e-10)
@@ -102,25 +105,13 @@ def read_qasm(text: str) -> Circuit:
                    axis_phi=np.zeros(len(rows)), control_value=np.ones(len(rows)))
 
 
-def as_printed(circuit: Circuit) -> Circuit:
-    """expand_circuit(circuit) with each angle at the text's precision: the
-    natives the text would hold with no pair cancelled."""
-    native = expand_circuit(circuit)
-    return Circuit(kind=native.kind, target=native.target,
-                   angle=[float("%.12g" % a) for a in native.angle.tolist()],
-                   axis_phi=native.axis_phi, control_value=native.control_value)
-
-
 def cx_count(circuit: Circuit) -> int:
     return int(np.count_nonzero(circuit.kind == CODE["CX"]))
 
 
-def _distances(text: str, macro: Circuit) -> tuple[float, float]:
-    """Phase-aligned distances of the text's unitary from the macro
-    circuit's natives at the text's precision, and from the macro circuit."""
-    u = circuit_unitary(read_qasm(text))
-    return (phase_aligned_distance(u, circuit_unitary(as_printed(macro))),
-            phase_aligned_distance(u, circuit_unitary(macro)))
+def _distance(text: str, macro: Circuit) -> float:
+    """Phase-aligned distance of the text's unitary from the macro circuit's."""
+    return phase_aligned_distance(circuit_unitary(read_qasm(text)), circuit_unitary(macro))
 
 
 EXPORTS = [(p, v, n) for p in ("stap", "stirap") for v in VARIANTS for n in (531, 972)]
@@ -134,19 +125,20 @@ def test_exported_qasm_reads_back_with_phase(protocol, variant, n, tmp_path):
         macro = compile_protocol(disc, hand, protocol, ps_order=cfg.ps_order,
                                  erratum_s_gate=cfg.erratum_s_gate)
         text = Path(path).read_text()
-        read = read_qasm(text)
-        assert len(read) < len(expand_circuit(macro))
-        assert cx_count(read) == cx_count(expand_circuit(macro))
-        printed, exact = _distances(text, macro)
-        assert printed <= 1e-13 and exact <= TEXT_DIGITS_TOL
+        read, merged = read_qasm(text), expand_circuit(merge_runs(macro))
+        assert len(read) == len(merged) < len(expand_circuit(macro))
+        assert cx_count(read) == cx_count(merged) < cx_count(expand_circuit(macro))
+        if variant == "default" and hand is LEFT and (protocol, n) in NATIVE_COUNTS:
+            assert (len(read), cx_count(read)) == NATIVE_COUNTS[protocol, n]
+        assert _distance(text, macro) <= TEXT_DIGITS_TOL
         if variant == "erratum":
             # the flip the population replay cannot see (test above)
-            flipped = _distances(_flip_largest_rz(text), macro)
-            assert min(flipped) > 0.5
+            assert _distance(_flip_largest_rz(text), macro) > 0.5
 
 
 # runs of equal CROTs (both control values, azimuths +-0 and +-pi/2) among
-# the other kinds: the junction pairs inside each run are dropped
+# the other kinds: merge_runs makes each run one gate, and drops the runs
+# that sum to 0
 PHIS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2]), st.floats(-4.0, 4.0))
 TURNS = st.one_of(st.sampled_from([0.0, -0.0, 1e-3]), st.floats(-7.0, 7.0))
 
@@ -166,15 +158,17 @@ def gate_runs(draw):
 
 @given(gates=gate_runs())
 @settings(max_examples=200, deadline=None)
-def test_junction_pass_shortens_and_keeps_unitary(gates):
+def test_merge_pass_shortens_and_keeps_unitary(gates):
     macro = Circuit(gates)
     text = circuit_to_qasm(macro)
-    read, native = read_qasm(text), expand_circuit(macro)
-    assert len(read) <= len(native) and cx_count(read) == cx_count(native)
-    # each junction drops at least its Ry(pi/2) Ry(-pi/2) pair
-    junctions = sum(a.kind == "CROT" and (a.kind, a.qubits, a.control_value, a.axis_phi)
-                    == (b.kind, b.qubits, b.control_value, b.axis_phi)
-                    for a, b in zip(gates, gates[1:]))
-    assert len(native) - len(read) >= 2 * junctions
-    printed, _ = _distances(text, macro)
-    assert printed <= 1e-12
+    merged = merge_runs(macro)
+    read, native = read_qasm(text), expand_circuit(merged)
+    assert len(read) == len(native) <= len(expand_circuit(macro))
+    assert cx_count(read) == cx_count(native) <= cx_count(expand_circuit(macro))
+    # no run is left to merge, and no rotation is by 0
+    for a, b in zip(merged.gates, merged.gates[1:]):
+        assert a.kind in ("X", "CX") or ((a.kind, a.qubits, a.control_value, a.axis_phi)
+                                         != (b.kind, b.qubits, b.control_value, b.axis_phi))
+    assert all(g.kind in ("X", "CX") or g.angle != 0.0 for g in merged.gates)
+    assert not np.any((read.kind < CODE["X"]) & (read.angle == 0.0))
+    assert _distance(text, macro) <= TEXT_DIGITS_TOL

@@ -11,6 +11,7 @@ import io
 import math
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralgate import propagate, scenarios
-from chiralgate.circuits import CODE, KINDS, MACRO_KINDS, Circuit, Gate, expand_circuit
+from chiralgate.circuits import (CODE, KINDS, MACRO_KINDS, Circuit, Gate, expand_circuit,
+                                 merge_runs)
 from chiralgate.config import validate_config
 from chiralgate.propagate import PopulationTrace
 
@@ -43,31 +45,40 @@ def pulses_reference(config, n_samples: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def merge_reference(gates: list[Gate]) -> list[Gate]:
+    """Each run of consecutive gates of one kind, qubits, control value and
+    axis_phi, other than X and CX, as its first gate by the run's summed
+    angle (summed as np.add.reduceat sums it); the runs that sum to 0
+    dropped, and all of it again until nothing is dropped."""
+    while True:
+        runs = []
+        for g in gates:
+            key = None if g.kind in ("X", "CX") else (g.kind, g.qubits, g.control_value,
+                                                      g.axis_phi)
+            if key is not None and runs and runs[-1][0] == key:
+                runs[-1][1].append(g.angle)
+            else:
+                runs.append((key, [g.angle], g))
+        merged = [replace(g, angle=float(np.add.reduceat(angles, [0])[0]))
+                  for _, angles, g in runs]
+        kept = [g for g, (key, _, _) in zip(merged, runs) if key is None or g.angle != 0.0]
+        if len(kept) == len(merged):
+            return kept
+        gates = kept
+
+
 def qasm_reference(circuit: Circuit) -> str:
-    """expand_circuit's natives, gate by gate, less the pairs where two
-    consecutive CROTs of one kind, qubits, control value and axis_phi meet:
-    the first one's last and the second one's first 3 - control_value
-    natives, one fewer for axis_phi +-0 (no Rz(-+a)).  Each dropped tail
-    gate must be the inverse of its mirror in the dropped head."""
-    natives, last = [], None
-    for g in circuit.gates:
-        mine = list(expand_circuit(Circuit([g])).gates)
-        if g.kind == "CROT" and last == (g.qubits, g.control_value, g.axis_phi):
-            edge = 3 - g.control_value - (g.axis_phi == 0.0)
-            tail, head = natives[-edge:], mine[:edge]
-            assert ([(t.kind, t.qubits, -t.angle) for t in reversed(tail)]
-                    == [(h.kind, h.qubits, h.angle) for h in head])
-            del natives[-edge:], mine[:edge]
-        natives += mine
-        last = (g.qubits, g.control_value, g.axis_phi) if g.kind == "CROT" else None
+    """merge_reference's gates lowered one by one by expand_circuit, each
+    native on its own line with its angle as repr."""
     text = [scenarios._QASM_HEADER]
-    for g in natives:
-        if g.kind == "X":
-            text.append("x q[%d];\n" % g.qubits)
-        elif g.kind == "CX":
-            text.append("cx q[%d],q[%d];\n" % g.qubits)
-        else:
-            text.append("%s(%.12g) q[%d];\n" % (g.kind.lower(), g.angle, g.qubits[0]))
+    for g in merge_reference(list(circuit.gates)):
+        for n in expand_circuit(Circuit([g])).gates:
+            if n.kind == "X":
+                text.append("x q[%d];\n" % n.qubits)
+            elif n.kind == "CX":
+                text.append("cx q[%d],q[%d];\n" % n.qubits)
+            else:
+                text.append("%s(%r) q[%d];\n" % (n.kind.lower(), n.angle, n.qubits[0]))
     return "".join(text + [scenarios._QASM_FOOTER])
 
 
@@ -119,6 +130,10 @@ def _crot(q, value, phi, angle=0.25):
 @example(gates=[_crot(0, 0, math.pi / 2)] * 3 + [_crot(0, 1, -math.pi / 2)] * 2
          + [_crot(0, 1, 0.0), _crot(0, 1, -0.0, 0.0), _crot(1, 1, 0.0), _crot(1, 0, 0.0)],
          block=4)
+# a run that sums to 0 between two runs of one CROT, which then merge
+@example(gates=[_crot(1, 1, 0.5, 0.3), Gate("RZ", (0,), 0.5), Gate("RZ", (0,), -0.5),
+                _crot(1, 1, 0.5, 0.1), _crot(1, 1, 0.5, 0.7), Gate("X", (0,)), Gate("X", (0,))],
+         block=3)
 def test_qasm_matches_line_loop(gates, block):
     c = Circuit(gates)
     with mock.patch.object(scenarios, "_QASM_BLOCK", block):
@@ -131,14 +146,14 @@ def test_qasm_blocks_mid_macro_and_without_rotations():
              Gate("CROT", (0, 1), -0.0, axis_phi=0.0, control_value=0),
              Gate("RZ", (0,), 0.0), Gate("RZ", (1,), -0.0)]
     c = Circuit(gates)
-    native = expand_circuit(c)
+    native = expand_circuit(merge_runs(c))
     # lines 0-3 are CX, CX, X and X, so block sizes 1 to 4 give a block
     # without rotations; lines 4-9 are the XX-YY macro, so every block size
-    # below 10 puts an edge inside it.  The CROT by -0 about azimuth 0 keeps
-    # its X flips, RYs and CXs, and none of the rotations by +-0 is emitted
+    # below 10 puts an edge inside it.  The CROT by -0 and the RZs by +-0
+    # are runs that sum to 0, so none of their lines is written
     assert np.all(native.kind[:4] >= CODE["X"]) and native.kind[4] < CODE["X"]
-    assert len(expand_circuit(Circuit(gates[:5]))) == 10 and len(native) == 16
-    assert "(0)" not in qasm_reference(c) and "(-0)" not in qasm_reference(c)
+    assert len(expand_circuit(Circuit(gates[:5]))) == 10 == len(native)
+    assert "(0.0)" not in qasm_reference(c) and "(-0.0)" not in qasm_reference(c)
     for block in range(1, len(native) + 2):
         with mock.patch.object(scenarios, "_QASM_BLOCK", block):
             assert scenarios.circuit_to_qasm(c) == qasm_reference(c)
