@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .config import ScenarioConfig, read_config, validate_config
+from .config import _TOP_KEYS, ScenarioConfig, read_config, validate_config
 from .errors import ChiralGateError, ConfigError
 from .pulses import PROTOCOLS
 from .scenarios import (dump_pulses, export_qasm, ingest_counts,
@@ -23,57 +23,66 @@ EXIT_PHYSICS = 3
 EXIT_IO = 4
 
 
+# Each option once, by flag: its dest is the ScenarioConfig key it overrides
+# (argparse derives it from the flag where they agree) but for --config; unset, it is None
+_OPTIONS = {
+    "--config": {"help": "YAML scenario config"},
+    "--out": {"dest": "out_dir", "help": "output directory (overrides config)"},
+    "--seed": {"type": int, "help": "RNG seed (overrides config)"},
+    "--steps": {"dest": "n_steps", "type": int, "help": "Trotter steps (overrides config)"},
+    "--protocol": {"choices": list(PROTOCOLS)},
+    "--enantiomer": {"choices": ["L", "R", "both"]},
+    "--erratum-s-gate": {"action": "store_true", "default": None,
+                         "help": "compile the Stokes step with the XX+YY "
+                                 "construction that couples |01>/|10> instead"},
+}
+# each subcommand: its help and the options it reads
+_COMMANDS = {
+    "run": ("oracle + circuit runs, traces, report", list(_OPTIONS)),
+    "sweep-trotter": ("circuit-vs-oracle error table",
+                      ["--config", "--protocol", "--enantiomer", "--erratum-s-gate"]),
+    "export-qasm": ("emit OpenQASM 2.0 circuits", ["--config", "--out", "--steps", "--protocol",
+                                                   "--enantiomer", "--erratum-s-gate"]),
+    "ingest-counts": ("validate hardware counts and compare", []),
+    "dump-pulses": ("CSV of continuous drive amplitudes", ["--config", "--out", "--protocol"]),
+    "molecule-check": ("rotor-constant consistency report", ["--config"]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chiralgate",
         description="Compile and simulate chirality-discriminating "
                     "STIRAP/STAP protocols on two qubits.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="YAML scenario config")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--steps", type=int, help="Trotter steps (overrides config)")
-        p.add_argument("--protocol", choices=list(PROTOCOLS))
-        p.add_argument("--enantiomer", choices=["L", "R", "both"])
-        p.add_argument("--erratum-s-gate", action="store_true",
-                       help="compile the Stokes step with the XX+YY "
-                            "construction that couples |01>/|10> instead")
-        return p
-
-    common(sub.add_parser("run", help="oracle + circuit runs, traces, report"))
-    p = common(sub.add_parser("sweep-trotter", help="circuit-vs-oracle error table"))
-    p.add_argument("--steps-list", default="10,20,40,80",
-                   type=lambda text: [int(s) for s in text.split(",") if s.strip()],
-                   help="comma-separated Trotter step counts")
-    common(sub.add_parser("export-qasm", help="emit OpenQASM 2.0 circuits"))
-    p = common(sub.add_parser("ingest-counts",
-                              help="validate hardware counts and compare"))
-    p.add_argument("counts_json", help="path to counts JSON file")
-    common(sub.add_parser("dump-pulses", help="CSV of continuous drive amplitudes"))
-    common(sub.add_parser("molecule-check", help="rotor-constant consistency report"))
+    for command, (help_text, flags) in _COMMANDS.items():
+        # no abbreviations: sweep-trotter would read --steps as --steps-list
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+    sub.choices["sweep-trotter"].add_argument(
+        "--steps-list", default="10,20,40,80", help="comma-separated Trotter step counts",
+        type=lambda text: [int(s) for s in text.split(",") if s.strip()])
+    sub.choices["ingest-counts"].add_argument("counts_json", help="path to counts JSON file")
     return parser
 
 
 def _load(args) -> ScenarioConfig:
-    """The config file (or the defaults) with the command-line overrides laid
-    over it, validated like any YAML config."""
+    """The config file (or the defaults) with every option given that names
+    a config key laid over it, validated like any YAML config."""
     raw = read_config(args.config) if args.config else {}
-    flags = {"out_dir": args.out, "seed": args.seed, "n_steps": args.steps,
-             "protocol": args.protocol, "enantiomer": args.enantiomer,
-             "erratum_s_gate": args.erratum_s_gate or None}
+    flags = {k: v for k, v in vars(args).items() if k in _TOP_KEYS and v is not None}
     if isinstance(raw, dict):  # any other root fails validate_config below
-        if args.protocol not in (None, raw.get("protocol", ScenarioConfig.protocol)):
+        if flags.get("protocol") not in (None, raw.get("protocol", ScenarioConfig.protocol)):
             raw = {**raw, "pulses": {}}  # pulse keys are protocol-specific
-        raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
+        raw = {**raw, **flags}
     return validate_config(raw)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfg = None if args.command == "ingest-counts" else _load(args)
         if args.command == "run":
             report = run_scenario(cfg, cfg.out_dir)
             if report is not None:

@@ -22,8 +22,8 @@ from .pulses import PROTOCOLS, StapSchedule, StirapSchedule
 SCALE_LIMIT = 1e9
 # Every Trotter or oracle step keeps its gates, real 8x8 matrix block and
 # state in memory, and export-qasm its text too.  At MAX_STEPS, peak RSS from
-# getrusage in the process on a shared 2-core x86-64 host: export-qasm 146 MB
-# in 0.7 s (STIRAP; STAP 141 MB), run 174 MB in 1.3 s (STIRAP; STAP 157 MB).
+# getrusage in the process on a shared 2-core x86-64 host: export-qasm 142 MB
+# in 0.7-1.1 s (STIRAP; STAP 109 MB), run 172 MB in 1.1-1.5 s (STIRAP; STAP 158 MB).
 MAX_STEPS = 100_000
 # Nodes in one top-level entry once YAML aliases are expanded: bounds the
 # work (and the text of an error message) that any later walk of it costs

@@ -27,7 +27,6 @@ NORM_TOL = 1e-12
 RK4_NORM_DRIFT_LIMIT = 1e-4
 
 BASIS_LABELS = ("00", "01", "10", "11")
-_CSV_BLOCK = 65536      # rows per %-format: bounds its format string and tuple
 
 
 def populations(state: np.ndarray) -> np.ndarray:
@@ -65,13 +64,9 @@ class PopulationTrace:
 
 def _csv(header: str, row: str, columns) -> str:
     """header, then the %-template `row` filled from each row of the column
-    arrays side by side, one %-format per _CSV_BLOCK rows."""
+    arrays side by side, in one %-format."""
     table = np.column_stack(columns)
-    text = [header]
-    for lo in range(0, len(table), _CSV_BLOCK):
-        block = table[lo:lo + _CSV_BLOCK]
-        text.append(row * len(block) % tuple(block.ravel().tolist()))
-    return "".join(text)
+    return header + row * len(table) % tuple(table.ravel().tolist())
 
 
 def _block(re, im) -> np.ndarray:

@@ -4,6 +4,7 @@ discrimination reporting, Trotter sweeps, QASM export, counts ingestion.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -220,23 +221,15 @@ _QASM_LINES = np.array([{"X": f"x q[{t}];\n", "CX": f"cx q[{1 - t}],q[{t}];\n"}.
                         for k in NATIVE_KINDS for t in (0, 1) for sign in ("", "-")],
                        dtype=object)
 _QASM_BLOCK = 65536     # native lines per %-format: bounds its format string and tuple
-# (sorted |angle| bytes, their repr texts) of the last block formatted: both
-# hands of an export share every magnitude.  One tuple, read and replaced whole,
-# so a concurrent call never pairs one call's key with another's table
-_NO_DIGITS = (b"", np.array([], dtype=object))
-_digits_cache = _NO_DIGITS
 
 
-def _angle_digits(mags: np.ndarray) -> np.ndarray:
-    global _digits_cache
-    key = mags.tobytes()
-    cached = _digits_cache
-    if cached[0] != key:
-        _digits_cache = cached = _NO_DIGITS     # the old table goes before the new one is built
-        digits = np.array([repr(a) for a in mags.tolist()], dtype=object)
-        digits.flags.writeable = False
-        _digits_cache = cached = (key, digits)
-    return cached[1]
+@functools.lru_cache(maxsize=1)     # both hands of an export share every magnitude
+def _angle_digits(key: bytes) -> np.ndarray:
+    """The repr texts of the float64 magnitudes in `key`, a block's sorted
+    |angle| bytes; read-only, since the cache hands one array to every caller."""
+    digits = np.array([repr(a) for a in np.frombuffer(key).tolist()], dtype=object)
+    digits.flags.writeable = False
+    return digits
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
@@ -256,7 +249,7 @@ def circuit_to_qasm(circuit: Circuit) -> str:
         rotation = kind < CODE["X"]         # RX, RY, RZ come first in NATIVE_KINDS
         mags, which = np.unique(np.abs(angle[rotation]), return_inverse=True)
         lines = _QASM_LINES[4 * kind + 2 * target + np.signbit(angle)]
-        text.append("".join(lines.tolist()) % tuple(_angle_digits(mags)[which].tolist()))
+        text.append("".join(lines.tolist()) % tuple(_angle_digits(mags.tobytes())[which].tolist()))
     return "".join(text + [_QASM_FOOTER])
 
 

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chiralgate.cli import main
+from chiralgate.cli import _build_parser, main
 from chiralgate.config import ScenarioConfig, validate_config
 from chiralgate.errors import ConfigError
 from chiralgate.pulses import PROTOCOLS
@@ -104,16 +104,24 @@ COUNTS = st.one_of(
                     mostly(st.integers(0, 9)), max_size=5).map(json.dumps),
     JSON.map(json.dumps), st.binary(max_size=12),
     st.integers(1, 200_000).map(nested))
-COMMAND = st.sampled_from(["run", "export-qasm", "dump-pulses", "molecule-check",
-                           "ingest-counts"])
-OPTIONS = st.fixed_dictionaries({}, optional={
+OPTION_VALUES = {
     "--seed": mostly(BIG_INT.map(str), st.text(max_size=3)),
     "--steps": mostly(st.integers(-3, 12).map(str), st.text(max_size=3)),
     "--protocol": mostly(st.sampled_from(["stap", "stirap"]), st.just("warp")),
     "--enantiomer": mostly(st.sampled_from(["L", "R", "both"]), st.just("X")),
     "--erratum-s-gate": st.none(),
     "--out": st.just("cli_out"),
-})
+}
+# each command's own options, read off the CLI's parser, so that a draw
+# reaches validation and the command instead of stopping at a usage error
+FLAGS = {command: {flag for a in parser._actions for flag in a.option_strings}
+         - {"-h", "--help"}
+         for command, parser in next(a for a in _build_parser()._actions
+                                     if a.dest == "command").choices.items()}
+COMMAND = st.sampled_from(["run", "export-qasm", "dump-pulses", "molecule-check",
+                           "ingest-counts"])
+INVOCATION = COMMAND.flatmap(lambda command: st.tuples(st.just(command), st.fixed_dictionaries(
+    {}, optional={flag: OPTION_VALUES[flag] for flag in FLAGS[command] - {"--config"}})))
 
 
 def write(path, data: str | bytes) -> None:
@@ -122,13 +130,14 @@ def write(path, data: str | bytes) -> None:
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=COMMAND, options=OPTIONS, config=CONFIG, counts=COUNTS)
-def test_cli_exit_code_contract(tmp_path, monkeypatch, command, options, config, counts):
+@given(invocation=INVOCATION, config=CONFIG, counts=COUNTS)
+def test_cli_exit_code_contract(tmp_path, monkeypatch, invocation, config, counts):
     monkeypatch.chdir(tmp_path)     # relative out_dir values land here
+    command, options = invocation
     argv = [command]
     for flag, value in options.items():
         argv += [flag] if value is None else [flag, value]
-    if config is not None:
+    if config is not None and "--config" in FLAGS[command]:
         write(tmp_path / "fuzz.yaml", config)
         argv += ["--config", "fuzz.yaml"]
     if command == "ingest-counts":

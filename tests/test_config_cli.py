@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
-from chiralgate.cli import main
-from chiralgate.config import MAX_STEPS, load_config, validate_config
+from chiralgate import cli
+from chiralgate.cli import _build_parser, main
+from chiralgate.config import MAX_STEPS, ScenarioConfig, load_config, validate_config
 from chiralgate.errors import ConfigError
 from chiralgate.scenarios import (circuit_to_qasm, dump_pulses, export_qasm,
                                   ingest_counts, run_scenario, sweep_trotter)
@@ -315,8 +317,70 @@ def test_cli_rejects_negative_seed(tmp_path):
                                   ["sweep-trotter", "--steps-list", "20"],
                                   ["sweep-trotter", "--steps-list", "20,20"]])
 def test_cli_rejects_step_counts_above_max(tmp_path, capsys, args):
-    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert main(args if args[0] == "sweep-trotter" else args + ["--out", str(tmp_path)]) == 2
     assert str(MAX_STEPS) in capsys.readouterr().err
+
+
+# the options each subcommand reads
+READS = {
+    "run": {"--config", "--out", "--seed", "--steps", "--protocol", "--enantiomer",
+            "--erratum-s-gate"},
+    "sweep-trotter": {"--config", "--protocol", "--enantiomer", "--erratum-s-gate",
+                      "--steps-list"},
+    "export-qasm": {"--config", "--out", "--steps", "--protocol", "--enantiomer",
+                    "--erratum-s-gate"},
+    "ingest-counts": set(),
+    "dump-pulses": {"--config", "--out", "--protocol"},
+    "molecule-check": {"--config"},
+}
+VALUES = {"--config": "c.yaml", "--out": "out", "--seed": "1", "--steps": "4",
+          "--protocol": "stap", "--enantiomer": "L", "--erratum-s-gate": None,
+          "--steps-list": "10,20"}
+
+
+def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys, monkeypatch):
+    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    declared = {}
+    for command, parser in commands.items():
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        declared[command] = {flag for a in options for flag in a.option_strings}
+        # every scenario option overrides the config key it is stored under
+        assert {a.dest for a in options} - {"config", "steps_list"} <= fields
+    assert declared == READS
+    assert sum(len(flags - {"--steps-list"}) for flags in declared.values()) == 21
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"00": 1, "shots": 1}))
+    for command, flags in READS.items():
+        for flag in set(VALUES) - flags:
+            argv = [command, flag] + ([] if VALUES[flag] is None else [VALUES[flag]])
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ([str(counts)] if command == "ingest-counts" else []))
+            assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    # no abbreviations either: sweep-trotter would take --steps for --steps-list
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--prot", "stap", "--out", str(tmp_path)])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+    def no_config(args):
+        raise AssertionError("ingest-counts read a config")
+    monkeypatch.setattr(cli, "_load", no_config)
+    assert main(["ingest-counts", str(counts)]) == 0
+
+
+def test_cli_options_override_their_config_keys(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"protocol": "stirap", "erratum_s_gate": True, "seed": 9,
+                                    "pulses": {"ps_amplitude": 2.5}}))
+    parser = _build_parser()
+    cfg = cli._load(parser.parse_args(["run", "--config", str(path)]))
+    assert (cfg.erratum_s_gate, cfg.seed, cfg.pulses) == (True, 9, {"ps_amplitude": 2.5})
+    cfg = cli._load(parser.parse_args(
+        ["run", "--config", str(path), "--out", "o", "--seed", "5", "--steps", "7",
+         "--protocol", "stirap", "--enantiomer", "R", "--erratum-s-gate"]))
+    assert ((cfg.out_dir, cfg.seed, cfg.n_steps, cfg.protocol, cfg.enantiomer,
+             cfg.erratum_s_gate, cfg.pulses)
+            == ("o", 5, 7, "stirap", "R", True, {"ps_amplitude": 2.5}))
 
 
 def test_cli_overrides_are_validated(tmp_path):

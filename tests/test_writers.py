@@ -2,9 +2,9 @@
 
 circuit_to_qasm formats each distinct |angle| of a block once (and keeps
 the last block's table for the next call) and takes the sign from a
-per-sign line template, and the CSV writers fill one row template per
-block; both must give the bytes of the plain loops below, for every block
-size.
+per-sign line template, and the CSV writers fill one row template for the
+whole table; both must give the bytes of the plain loops below, the QASM
+writer for every block size.
 """
 
 import io
@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralgate import propagate, scenarios
+from chiralgate import scenarios
 from chiralgate.circuits import (CODE, KINDS, MACRO_KINDS, Circuit, Gate, expand_circuit,
                                  merge_runs)
 from chiralgate.config import validate_config
@@ -86,23 +86,20 @@ csv_value = st.one_of(st.sampled_from(CSV_VALUES + [-v for v in CSV_VALUES]), st
 
 
 @given(rows=st.lists(st.lists(csv_value, min_size=5, max_size=5), max_size=12),
-       handedness=st.one_of(st.sampled_from(["", "L", "a%sb"]), st.text(max_size=4)),
-       block=st.integers(1, 5))
+       handedness=st.one_of(st.sampled_from(["", "L", "a%sb"]), st.text(max_size=4)))
 @settings(max_examples=150, deadline=None)
-@example(rows=[CSV_VALUES[:5], CSV_VALUES[1:]], handedness="a%sb", block=1)
-def test_to_csv_matches_row_loop(rows, handedness, block):
+@example(rows=[CSV_VALUES[:5], CSV_VALUES[1:]], handedness="a%sb")
+def test_to_csv_matches_row_loop(rows, handedness):
     table = np.array(rows, dtype=float).reshape(-1, 5)
     trace = PopulationTrace(table[:, 0], table[:, 1:], handedness)
-    with mock.patch.object(propagate, "_CSV_BLOCK", block):
-        assert trace.to_csv() == csv_reference(trace)
+    assert trace.to_csv() == csv_reference(trace)
 
 
 def test_dump_pulses_matches_row_loop():
     for protocol in ("stap", "stirap"):
         cfg = validate_config({"protocol": protocol})
-        for n_samples, block in ((0, 3), (1, 3), (7, 3), (50, 7), (2000, 65536)):
-            with mock.patch.object(propagate, "_CSV_BLOCK", block):
-                assert scenarios.dump_pulses(cfg, n_samples) == pulses_reference(cfg, n_samples)
+        for n_samples in (0, 1, 7, 50, 2000):
+            assert scenarios.dump_pulses(cfg, n_samples) == pulses_reference(cfg, n_samples)
 
 
 # repeated, negative and signed-zero angles; expand_circuit drops the zeros
@@ -170,7 +167,7 @@ def _export_texts(config: dict, out_dir: Path) -> dict[str, bytes]:
 QASM_CONFIGS = [{"protocol": "stap", "n_steps": 60}, {"protocol": "stirap", "n_steps": 45}]
 
 
-def test_qasm_angle_cache_is_invisible(monkeypatch, tmp_path):
+def test_qasm_angle_cache_is_invisible(tmp_path):
     from chiralgate.circuits import compile_protocol
     from chiralgate.pulses import LEFT, RIGHT, discretize
 
@@ -180,17 +177,24 @@ def test_qasm_angle_cache_is_invisible(monkeypatch, tmp_path):
         disc = discretize(cfg.build_schedule(), cfg.n_steps)
         for hand in (LEFT, RIGHT):
             circuits[cfg.protocol, hand.label] = compile_protocol(disc, hand, cfg.protocol)
+    cache = scenarios._angle_digits
     cold = {}
     for key, c in circuits.items():
-        monkeypatch.setattr(scenarios, "_digits_cache", scenarios._NO_DIGITS)
+        cache.cache_clear()
         cold[key] = scenarios.circuit_to_qasm(c)
+        assert cache.cache_info()[:2] == (0, 1)     # (hits, misses): one block, formatted
     assert cold["stap", "L"] != cold["stap", "R"]
     for key in [("stap", "L"), ("stirap", "L"), ("stap", "R"), ("stap", "L"), ("stirap", "R")]:
         assert scenarios.circuit_to_qasm(circuits[key]) == cold[key]
-    # the hands share every |angle|: R reuses L's formatted table
-    table = scenarios._digits_cache[1]
-    assert scenarios.circuit_to_qasm(circuits["stirap", "L"]) == cold["stirap", "L"]
-    assert scenarios._digits_cache[1] is table
+    # the hands share every |angle|: R reuses L's formatted table, which is read-only
+    for protocol in ("stap", "stirap"):
+        assert scenarios.circuit_to_qasm(circuits[protocol, "L"]) == cold[protocol, "L"]
+        before = cache.cache_info()
+        assert scenarios.circuit_to_qasm(circuits[protocol, "R"]) == cold[protocol, "R"]
+        after = cache.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
+    table = cache(np.array([0.5, math.pi]).tobytes())
+    assert table.tolist() == ["0.5", repr(math.pi)] and not table.flags.writeable
     # threads exporting different configs write the bytes of a sequential run
     want = [_export_texts(QASM_CONFIGS[i % 2], tmp_path / f"seq{i}") for i in range(2)]
     got, errors = {}, []
