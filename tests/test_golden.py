@@ -30,41 +30,41 @@ QASM_SIZES = (531, 972)
 
 GOLDEN = {
     "stap/default/run":
-        "bfc0d697631e1c344526279ee41f8112a10675725760b93f6acbd618957a657e",
+        "2cd30b78d3ee8f645d5f6b2881e52690aa8085164ca66ba96e0fe96b0ab76fa7",
     "stap/default/export-qasm":
         "6cd26ca09ccc93a3681100cef47c5932cf5451b9d5f2997a92b98609f326e153",
     "stap/default/sweep-trotter":
         "5dd0121c13c75a60474b5993efc486a9fbb899c57417afa6e2cf60176552c72c",
     "stap/erratum/run":
-        "84c4983af85e751a592a86e39a00287f774e945bdcf92210421811c95c0fe6dd",
+        "751ed63c167ea7bef5a17857a79e5759ff53c259aa6f032357867fcda725665e",
     "stap/erratum/export-qasm":
         "364391d71dac2552182d3759df60e56db008772a96861a02ffd095887e4a6ee4",
     "stap/erratum/sweep-trotter":
-        "4d9a6b70ae0545a4ec916a3ce79504b755af09529fdbf4fc846ec1f3270c3a1e",
+        "2a5c17dc3a7ebd2dd399632d67353b64a94207a64c8d2542f15be6981f006bf5",
     "stap/sp/run":
-        "debabb331d30e56210728a943913be0683252db7624414b43f9e994b76e47b19",
+        "a9230e51cdcb525983acac843178e3b316c605a7c88084819b657d61fa37badf",
     "stap/sp/export-qasm":
         "dc33650155285b6ea039242c8ca2071d511ab9b9d0ff97779aea1af01c24d545",
     "stap/sp/sweep-trotter":
-        "25c658818b497337d39749a5aa29b8d998f93705dfa52b3344da433f67c67fa3",
+        "400fe622fa7173dad35d456bcad25e24e3ef8b1b0cd50689a66c67191b7e8636",
     "stirap/default/run":
-        "4af453cb56d753569108e9727dd1085577936f6ede5b9e52013b61c45ef78b3e",
+        "0e0a7b72a2b7b3c1d860f3d7778980289ed1851588adf5d1cab76859661d5f60",
     "stirap/default/export-qasm":
         "2b4b6b84a943cf80ea7d7aaa7240a6292dd3bbb2e817aa050e1dd37b5f0506e8",
     "stirap/default/sweep-trotter":
-        "d8d390a4d828aa2896c9c2b340d1c216a74e425ff0fac5c9891900b2cd8d0ffa",
+        "731262ad760295ee5e511f07e99804d0b46799bf191b1720c4d56fd56602827d",
     "stirap/erratum/run":
-        "858ac976c12913b7c9da7b0785a123adbcfada4427a3417fc2aba4dc3b885eb9",
+        "5e3b16b0027f5ff076207f51c201e53fd56ee0a6409bec517b2c7edd11662cc3",
     "stirap/erratum/export-qasm":
         "0ae77f49ecf7c2810b17ce0aabf2666ff2b5eab4ca734ea141e92cd20b366aea",
     "stirap/erratum/sweep-trotter":
         "f4128d588d219898562ef5c8e975312d797ebc7d95e5b3b2212dbca3384b3a4a",
     "stirap/sp/run":
-        "3f18e6a2b494eb0c874f6ea9c53d4a877db57acdec81003c4c32489265f63f5d",
+        "1b1f9f1495e8a347ef328c8f7fc0c053972bf4c4d56e279f4ba6b3ce6fa56fd2",
     "stirap/sp/export-qasm":
         "1e3a4fc7bd736b16dcbd0273854ae7847275d9a01f9a36c705381f3d6405aeec",
     "stirap/sp/sweep-trotter":
-        "719287bd7f47cbed0e2fee0833458f491625bdc4e91db01fce582c84802bd04d",
+        "a6bf4dd511b7db2dbfaa7b9085bdec8326aebb104f1cd5175e62b5997adcdc85",
     "stap/default/dump-pulses":
         "37415da7b64d99a8e07605a5d2b368ce77571153b1e79b60b6de3bb570fa31a5",
     "stirap/default/dump-pulses":

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from chiralgate.errors import IntegrityError
+from chiralgate.hamiltonians import DRIVES, coupling
 from chiralgate.propagate import _block, closed_form_unitaries, propagate
 
 PSI0 = np.array([1, 0, 0, 0], dtype=complex)
@@ -42,6 +44,64 @@ def test_closed_form_matches_expm_on_real_imaginary_and_complex_generators(kinds
         h = h.real      # a real dtype too, not only a zero imaginary part
     want = np.array([expm(-1j * dt * m) for m in h])
     np.testing.assert_allclose(closed_form_unitaries(h, dt), want, rtol=0, atol=1e-12)
+
+
+# A row drives at most two of the three DRIVES couplings: the three together
+# close a loop, whose spectrum is {0, +-w} only for special phases.
+drive_rows = st.lists(
+    st.lists(st.sampled_from(sorted(DRIVES)), max_size=2, unique=True).flatmap(
+        lambda names: st.tuples(*[st.tuples(st.just(name), st.floats(-30.0, 30.0),
+                                            st.floats(-np.pi, np.pi)) for name in names])),
+    min_size=1, max_size=8)
+
+
+@given(rows=drive_rows, dt=st.floats(1e-4, 1.0))
+@example(rows=[(("Q", 3.0, 0.4),), (), (("P", -2.0, 1.1), ("S", 5.0, -2.0))], dt=0.3)
+@example(rows=[(("P", 1.0, 0.0),), (("S", 2.0, 0.0),), ()], dt=0.7)
+@example(rows=[(), (("Q", 1e-9, np.pi / 2),)], dt=1.0)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_on_rows_with_mixed_supports(rows, dt):
+    """Rows with different couplings (and all-zero rows) read over the union
+    of their supports: each block is still exp(-i h dt), and every level
+    outside the union keeps an exact identity row and column."""
+    h = np.array([sum((0.5 * omega * coupling(DRIVES[name], phase)
+                       for name, omega, phase in row), np.zeros((4, 4), complex))
+                  for row in rows])
+    u = closed_form_unitaries(h, dt)
+    np.testing.assert_allclose(u, [expm(-1j * dt * m) for m in h], rtol=0, atol=1e-12)
+    outside = ~(np.any(h, axis=(0, 1)) | np.any(h, axis=(0, 2)))
+    eye = np.broadcast_to(np.eye(4), u.shape)
+    np.testing.assert_array_equal(u[:, outside], eye[:, outside])
+    np.testing.assert_array_equal(u[:, :, outside], eye[:, :, outside])
+
+
+def test_closed_form_over_several_row_blocks():
+    """A dense stack has 153 table rows, so 120 steps take three products."""
+    h = np.array([spectrum_0_w("complex", 2.0 + j / 40, j) for j in range(120)])
+    np.testing.assert_allclose(closed_form_unitaries(h, 0.3),
+                               [expm(-0.3j * m) for m in h], rtol=0, atol=1e-12)
+
+
+def test_hermiticity_defect_is_the_dense_number():
+    h = np.zeros((3, 4, 4), dtype=complex)
+    h[1, 0, 1] = 1e-3        # no partner in any row
+    with pytest.raises(IntegrityError, match=r"\(defect 0\.001\)"):
+        closed_form_unitaries(h, 0.1)
+    h[1, 1, 0] = 1e-3 + 5e-13
+    closed_form_unitaries(h, 0.1)
+    for where, bad in [((2, 3, 3), np.nan), ((2, 3, 3), np.inf), ((0, 2, 0), np.inf),
+                       ((0, 1, 0), 1j * np.nan)]:
+        g = h.copy()
+        g[where] = bad
+        with pytest.raises(IntegrityError, match="non-Hermitian"):
+            closed_form_unitaries(g, 0.1)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = np.where(rng.random((4, 4, 4)) < 0.3,
+                     rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4)), 0.0)
+        dense = np.max(np.abs(g - np.swapaxes(g, -1, -2).conj()))
+        with pytest.raises(IntegrityError, match=rf"\(defect {dense:.3g}\)"):
+            closed_form_unitaries(g, 0.1)
 
 
 def test_block_is_the_real_form_of_a_matrix():
