@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .hamiltonians import DRIVES, IDX_01, IDX_10, coupling
-from .propagate import BASIS_LABELS, PopulationTrace, _block, _propagate_blocks
+from .propagate import BASIS_LABELS, PopulationTrace, _block, _layout, _propagate_blocks
 from .pulses import DiscretizedSchedule, Handedness
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
@@ -174,14 +174,22 @@ for _j, (_k, _t, _v) in enumerate(_CONFIGS):
 _TABLE = _block(_OPS.real, _OPS.imag).reshape(len(_CONFIGS), 4, 64)
 
 
-def _gate_blocks(circuit: Circuit) -> np.ndarray:
-    """gate_matrices as real blocks: a gate's row of _TABLE weighted by [1, cos(angle/2),
+def _gate_blocks(circuits: Sequence[Circuit]) -> np.ndarray:
+    """gate_matrices as real blocks, for circuits laid end to end as
+    propagate._layout places them, padded with RZ(0) gates, whose block is
+    exactly the identity: a gate's row of _TABLE weighted by [1, cos(angle/2),
     sin(angle/2) cos(phi), sin(angle/2) sin(phi)], phi its axis_phi if a CROT, else 0."""
-    half, phi = circuit.angle / 2, np.where(circuit.kind == CODE["CROT"], circuit.axis_phi, 0.0)
+    _, starts = _layout([len(c) for c in circuits])
+    half, phi = np.zeros(starts[-1]), np.zeros(starts[-1])
+    row = np.full(starts[-1], _CONFIGS.index(("RZ", 0, 1)))
+    for c, start in zip(circuits, starts):
+        a = slice(start, start + len(c))
+        half[a], row[a] = c.angle / 2, _row(c)
+        phi[a] = np.where(c.kind == CODE["CROT"], c.axis_phi, 0.0)
     coef = np.stack([np.ones_like(half), np.cos(half), np.sin(half) * np.cos(phi),
                      np.sin(half) * np.sin(phi)], axis=1)[:, None]
-    row, out = _row(circuit), np.empty((len(circuit), 1, 64))
-    for b in (slice(lo, lo + 256) for lo in range(0, len(circuit), 256)):  # bounds the gather
+    out = np.empty((len(row), 1, 64))
+    for b in (slice(lo, lo + 256) for lo in range(0, len(row), 256)):  # bounds the gather
         np.matmul(coef[b], _TABLE[row[b]], out=out[b])
     return out.reshape(-1, 8, 8)
 
@@ -199,7 +207,7 @@ def gate_matrices(circuit: Circuit) -> np.ndarray:
     control and G = p (cos phi X + sin phi Y) on the target; for XX-YY and
     XX+YY p projects onto the level pair that G = (XX -+ YY)/2 hops.
     """
-    u = _gate_blocks(circuit)
+    u = _gate_blocks([circuit])
     return u[:, :4, :4] + 1j * u[:, 4:, :4]
 
 
@@ -373,18 +381,27 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
     statevector).  Populations are recorded at Trotter-step boundaries when
     the circuit has them in metadata, else after every gate.
     """
-    x = _propagate_blocks(_gate_blocks(circuit), psi0, tol=1e-10)
-    bounds = circuit.metadata.get("step_bounds")
-    at = x if bounds is None else x[[0, *bounds]]
-    times = circuit.metadata.get("delta_t", 1.0) * np.arange(len(at))
-    return PopulationTrace(times, at[..., :4] ** 2 + at[..., 4:] ** 2, circuit.metadata.get(
-        "handedness", "")), x[-1, ..., :4] + 1j * x[-1, ..., 4:]
+    return run_statevectors([circuit], psi0)[0]
+
+
+def run_statevectors(circuits: Sequence[Circuit], psi0: np.ndarray) -> list[tuple]:
+    """run_statevector of each circuit, all in one product pass."""
+    lengths = [len(c) for c in circuits]
+    out = []
+    for c, x in zip(circuits, _propagate_blocks(_gate_blocks(circuits), lengths, psi0, tol=1e-10)):
+        bounds = c.metadata.get("step_bounds")
+        at = x if bounds is None else x[[0, *bounds]]
+        times = c.metadata.get("delta_t", 1.0) * np.arange(len(at))
+        out.append((PopulationTrace(times, at[..., :4] ** 2 + at[..., 4:] ** 2,
+                                    c.metadata.get("handedness", "")),
+                    x[-1, ..., :4] + 1j * x[-1, ..., 4:]))
+    return out
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """The circuit's 4x4 unitary: propagating the basis states as a stack,
     row j of the last one is U e_j."""
-    x = _propagate_blocks(_gate_blocks(circuit), np.eye(4), tol=1e-10)[-1].T
+    x = _propagate_blocks(_gate_blocks([circuit]), [len(circuit)], np.eye(4), tol=1e-10)[0][-1].T
     u = x[:4] + 1j * x[4:]
     defect = np.max(np.abs(u @ u.conj().T - np.eye(4)))
     if not defect <= 1e-10:

@@ -175,35 +175,61 @@ def propagate(steps, psi0: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
     norm off by more than tol (or NaN) raises IntegrityError.
 
     Blocked prefix products of the real blocks (_block) of `steps`, which is
-    never modified: cut into runs of about sqrt(n), in place each becomes the
-    product of its run up to it, one batched matmul per run position; one
-    pass over the runs then carries the state, as [Re psi, Im psi], one
-    matmul per run.  That is about 2 sqrt(n) Python steps instead of n.
+    never modified: see _propagate_blocks, here with one product.
     """
     u = np.asarray(steps, dtype=complex)
-    x = _propagate_blocks(_block(u.real, u.imag), psi0, tol)
+    x = _propagate_blocks(_block(u.real, u.imag), [len(u)], psi0, tol)[0]
     return x[..., :4] + 1j * x[..., 4:]
 
 
-def _propagate_blocks(u: np.ndarray, psi0: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
-    """propagate on real blocks u, which it overwrites; the states are real."""
+def _layout(lengths) -> tuple[int, np.ndarray]:
+    """(b, starts) for products of these lengths laid end to end in one
+    buffer: every product shares the run length b = floor(sqrt(total)), and
+    each but the last is padded (with identity blocks, by the callers) to a
+    whole number of runs, so no run spans two products.  Product i starts at
+    block starts[i]; starts[-1] is the buffer's length.  One product has no
+    padding."""
+    b = max(1, math.isqrt(sum(lengths)))
+    padded = [-(-n // b) * b for n in lengths[:-1]] + list(lengths[-1:])
+    return b, np.concatenate([[0], np.cumsum(padded, dtype=int)])
+
+
+def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray,
+                      tol: float = NORM_TOL) -> list[np.ndarray]:
+    """propagate for several products at once, each from psi0: u holds
+    their real blocks as _layout(lengths) places them, and is overwritten.
+    Returns each product's real states, (lengths[i] + 1,) + psi0.shape[:-1]
+    + (8,); a final norm of any product off by more than tol raises.
+
+    Cut into runs of b blocks, in place each run becomes the product of its
+    run up to it, one batched matmul per run position for all products;
+    then one pass over the runs carries the states, as columns
+    [Re psi, Im psi], one matmul per run, restarting from psi0 where a
+    product starts.  Padding follows a product's last block, so only states
+    past its end, which are dropped, see it.  That is about 2 sqrt(n) Python
+    steps for n blocks in all, instead of n.
+    """
     psi = np.asarray(psi0, dtype=complex)
     if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-10):
         raise ValueError("initial state is not normalized")
-    n = len(u)
-    b = max(1, math.isqrt(n))
+    b, starts = _layout(lengths)
     for j in range(1, b):
         cur = u[j::b]
         np.matmul(cur, u[j - 1::b][:len(cur)], out=cur)
-    states = np.empty((n + 1, 8) + psi.shape[:-1])     # each state as a column
-    states[0] = np.concatenate((psi.real, psi.imag), axis=-1).T
-    for lo in range(0, n, b):
-        np.matmul(u[lo:lo + b].reshape(-1, 8), states[lo],
-                  out=states[lo + 1:lo + b + 1].reshape((-1,) + psi.shape[:-1]))
-    norm_err = np.max(np.abs(np.linalg.norm(states[-1], axis=0) - 1.0))
+    # each product has one state more than blocks: the state before block j
+    # of product i is row j + i of `states`
+    first = starts[:-1] + np.arange(len(lengths))
+    states = np.empty((starts[-1] + len(lengths), 8) + psi.shape[:-1])   # each state as a column
+    states[first] = np.concatenate((psi.real, psi.imag), axis=-1).T
+    for i in range(len(lengths)):
+        for lo in range(starts[i], starts[i + 1], b):
+            np.matmul(u[lo:lo + b].reshape(-1, 8), states[lo + i],
+                      out=states[lo + i + 1:lo + i + b + 1].reshape((-1,) + psi.shape[:-1]))
+    last = first + lengths
+    norm_err = np.max(np.abs(np.linalg.norm(states[last], axis=1) - 1.0))
     if not norm_err <= tol:
         raise IntegrityError(f"norm drifted by {norm_err:.3g} despite unitary steps")
-    return np.moveaxis(states, 1, -1)
+    return [np.moveaxis(states[lo:hi + 1], 1, -1) for lo, hi in zip(first, last)]
 
 
 def evolve_piecewise_exact(
@@ -229,7 +255,7 @@ def evolve_piecewise_exact(
     times = np.linspace(t0, t1, n_steps + 1)
     t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
     h = np.broadcast_to(generator(t_mid), (n_steps, 4, 4))  # one matrix if it ignores t
-    x = _propagate_blocks(_closed_form_blocks(h, dt), psi0)
+    x = _propagate_blocks(_closed_form_blocks(h, dt), [n_steps], psi0)[0]
     return PopulationTrace(times, x[..., :4] ** 2 + x[..., 4:] ** 2, handedness,
                            x[-1, ..., :4] + 1j * x[-1, ..., 4:])
 

@@ -393,27 +393,43 @@ def discretize(
     discrete areas match the continuous ones except between k*delta_t and
     t_split, which no slice covers when the boundary falls inside a slice.
     """
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be >= 2, got {n_steps}")
+    return discretize_all(schedule, [n_steps])[0]
+
+
+def discretize_all(schedule: StirapSchedule | StapSchedule, steps_list) -> list[DiscretizedSchedule]:
+    """discretize(schedule, n) for each n of steps_list, with the Q windows
+    of every n in one area call and the P/S windows in one Gauss-Legendre
+    pass."""
+    if any(n < 2 for n in steps_list):
+        raise ValueError(f"n_steps must be >= 2, got {min(steps_list)}")
 
     duration = schedule.duration
     t_split = schedule.t_split
-    dt = duration / n_steps
-    k = max(1, min(n_steps - 1, round(n_steps * t_split / duration)))
+    dts = [duration / n for n in steps_list]
+    # k is within half a slice of n * t_split / duration, so every Q window
+    # starts before t_split and every P/S window ends after it
+    ks = [max(1, min(n - 1, round(n * t_split / duration))) for n in steps_list]
 
-    # k is within half a slice of n_steps * t_split / duration, so every Q
-    # window starts before t_split and every P/S window ends after it
-    edges = np.arange(n_steps + 1) * dt
-    q_lo, q_hi = edges[:k], np.minimum(edges[1:k + 1], t_split)
-    ps_lo, ps_hi = np.maximum(edges[k:-1], t_split), edges[k + 1:]
+    def grid(first, stop):
+        """i dt for first <= i < stop of each n, end to end."""
+        return np.concatenate([np.arange(a, b) * dt for a, b, dt in zip(first, stop, dts)])
 
-    omega_q = np.zeros(n_steps)
-    omega_p = np.zeros(n_steps)
-    omega_s = np.zeros(n_steps)
-    omega_q[:k] = schedule.q.area(q_lo, q_hi) / dt
-    areas = gauss_legendre(schedule._ps, ps_lo, ps_hi)
-    omega_p[k:], omega_s[k:] = (a / dt for a in areas)
-    return DiscretizedSchedule(dt, omega_q, omega_p, omega_s, k)
+    q_lo = grid([0] * len(ks), ks)
+    q_hi = np.minimum(grid([1] * len(ks), [k + 1 for k in ks]), t_split)
+    ps_lo = np.maximum(grid(ks, steps_list), t_split)
+    ps_hi = grid([k + 1 for k in ks], [n + 1 for n in steps_list])
+    out = [DiscretizedSchedule(dt, np.zeros(n), np.zeros(n), np.zeros(n), k)
+           for n, dt, k in zip(steps_list, dts, ks)]
+    q_area = schedule.q.area(q_lo, q_hi)
+    p_area, s_area = gauss_legendre(schedule._ps, ps_lo, ps_hi)
+    q_at = ps_at = 0
+    for d in out:
+        n, k = d.m, d.k
+        np.divide(q_area[q_at:q_at + k], d.delta_t, out=d.omega_q[:k])
+        np.divide(p_area[ps_at:ps_at + n - k], d.delta_t, out=d.omega_p[k:])
+        np.divide(s_area[ps_at:ps_at + n - k], d.delta_t, out=d.omega_s[k:])
+        q_at, ps_at = q_at + k, ps_at + n - k
+    return out
 
 
 # -- protocols ----------------------------------------------------------------

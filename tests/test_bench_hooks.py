@@ -56,6 +56,25 @@ def test_traced_boundaries_exist_and_count_gates(spans, protocol, tmp_path):
     assert counts["propagate.csv_bytes"] == sum(f.stat().st_size for f in csv_files)
 
 
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_traced_sweep_keeps_its_boundaries(spans, protocol):
+    # the sweep runs its N list in one batch: discretize and run_statevector
+    # are no longer called by name, but these spans must stay
+    rec = spans.Recorder()
+    cfg = validate_config({"protocol": protocol, "oracle_steps": 200})
+    steps = [10, 20, 40, 20]
+    with spans.instrument(rec), rec.op_span(0):
+        scenarios.sweep_trotter(cfg, steps)
+    assert rec.missing == set()
+    assert rec.nesting_errors() == []
+    traced = [span[0] for span in rec.spans]
+    assert traced.count("propagate.oracle") == 1
+    assert traced.count("hamiltonians.generator") == 1
+    assert traced.count("circuits.compile") == len(steps)
+    assert traced.count("propagate.trace_at") == 1
+    assert traced.count(spans.ENTRY) == 1
+
+
 # every name chiralgate/__init__.py exports; bench/ imports some of them
 PUBLIC_NAMES = """
     Circuit Gate MeasurementRecord compile_p_step compile_protocol compile_q_step

@@ -321,6 +321,26 @@ def test_cli_rejects_step_counts_above_max(tmp_path, capsys, args):
     assert str(MAX_STEPS) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [10.0, "10", np.float64(10), True, np.bool_(True), None])
+def test_sweep_rejects_non_integer_steps(bad):
+    with pytest.raises(ConfigError, match="integer N"):
+        sweep_trotter(validate_config({}), [bad, 20])
+
+
+def test_sweep_takes_numpy_integer_steps():
+    plain = sweep_trotter(validate_config({}), [10, 20])
+    table = sweep_trotter(validate_config({}), [np.int64(10), np.int32(20)])
+    assert table == plain
+    json.dumps(table)   # the rows hold plain ints
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_cli_sweep_where_n_dt_rounds_past_t_f(protocol, capsys):
+    # 147 * (t_f / 147) is one ulp above t_f for both default durations
+    assert main(["sweep-trotter", "--protocol", protocol, "--steps-list", "2,147"]) == 0
+    assert "147," in capsys.readouterr().out
+
+
 # the options each subcommand reads
 READS = {
     "run": {"--config", "--out", "--seed", "--steps", "--protocol", "--enantiomer",

@@ -34,37 +34,37 @@ GOLDEN = {
     "stap/default/export-qasm":
         "6cd26ca09ccc93a3681100cef47c5932cf5451b9d5f2997a92b98609f326e153",
     "stap/default/sweep-trotter":
-        "5dd0121c13c75a60474b5993efc486a9fbb899c57417afa6e2cf60176552c72c",
+        "6bd9db2415b6f0c2e2d05e54fcb9db82f4828a5a8f243ec02b380789a589e719",
     "stap/erratum/run":
         "751ed63c167ea7bef5a17857a79e5759ff53c259aa6f032357867fcda725665e",
     "stap/erratum/export-qasm":
         "364391d71dac2552182d3759df60e56db008772a96861a02ffd095887e4a6ee4",
     "stap/erratum/sweep-trotter":
-        "2a5c17dc3a7ebd2dd399632d67353b64a94207a64c8d2542f15be6981f006bf5",
+        "91703e771d5ea94a3b156476b650e16a19d556c828117f66423c6210ddb9678e",
     "stap/sp/run":
         "a9230e51cdcb525983acac843178e3b316c605a7c88084819b657d61fa37badf",
     "stap/sp/export-qasm":
         "dc33650155285b6ea039242c8ca2071d511ab9b9d0ff97779aea1af01c24d545",
     "stap/sp/sweep-trotter":
-        "400fe622fa7173dad35d456bcad25e24e3ef8b1b0cd50689a66c67191b7e8636",
+        "40e8c00f6deedb7b08cbd90843f49e4bdfd76f9a9499e02589bf927c6a1efb3d",
     "stirap/default/run":
         "0e0a7b72a2b7b3c1d860f3d7778980289ed1851588adf5d1cab76859661d5f60",
     "stirap/default/export-qasm":
         "2b4b6b84a943cf80ea7d7aaa7240a6292dd3bbb2e817aa050e1dd37b5f0506e8",
     "stirap/default/sweep-trotter":
-        "731262ad760295ee5e511f07e99804d0b46799bf191b1720c4d56fd56602827d",
+        "5394821ffe612681e48e216e744629f6bbd32276b2d61264c635dd0153fd4a60",
     "stirap/erratum/run":
         "5e3b16b0027f5ff076207f51c201e53fd56ee0a6409bec517b2c7edd11662cc3",
     "stirap/erratum/export-qasm":
         "0ae77f49ecf7c2810b17ce0aabf2666ff2b5eab4ca734ea141e92cd20b366aea",
     "stirap/erratum/sweep-trotter":
-        "f4128d588d219898562ef5c8e975312d797ebc7d95e5b3b2212dbca3384b3a4a",
+        "6d1bed456cb1cdc4f2b7e72a11862416ad71266dd7cf5163b30435bcd8d1678c",
     "stirap/sp/run":
         "1b1f9f1495e8a347ef328c8f7fc0c053972bf4c4d56e279f4ba6b3ce6fa56fd2",
     "stirap/sp/export-qasm":
         "1e3a4fc7bd736b16dcbd0273854ae7847275d9a01f9a36c705381f3d6405aeec",
     "stirap/sp/sweep-trotter":
-        "a6bf4dd511b7db2dbfaa7b9085bdec8326aebb104f1cd5175e62b5997adcdc85",
+        "9684ad48b4add7898a2d2908e3f34b2468f21493e43a32a4eaa6644ea0cceece",
     "stap/default/dump-pulses":
         "37415da7b64d99a8e07605a5d2b368ce77571153b1e79b60b6de3bb570fa31a5",
     "stirap/default/dump-pulses":

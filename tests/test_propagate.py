@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from chiralgate.errors import IntegrityError
 from chiralgate.hamiltonians import build_h_q, stap_generator, stirap_generator
-from chiralgate.propagate import (PopulationTrace, evolve_piecewise_exact,
-                                  evolve_rk4, populations, propagate)
+from chiralgate.propagate import (PopulationTrace, _block, _layout, _propagate_blocks,
+                                  evolve_piecewise_exact, evolve_rk4, populations,
+                                  propagate)
 from chiralgate.pulses import (LEFT, RIGHT, default_stap_schedule,
                                default_stirap_schedule)
 
@@ -130,3 +133,54 @@ def test_propagate_rejects_a_nan_step(n, bad):
 def test_propagate_rejects_an_unnormalized_stack_row():
     with pytest.raises(ValueError):
         propagate(random_unitaries(3), np.array([PSI0, 2 * PSI0]))
+
+
+def one_product_reference(u, psi0):
+    """The one-product kernel as it was before products were batched: runs of
+    floor(sqrt(n)) blocks, prefix products in place, then one matmul per run."""
+    n, b = len(u), max(1, math.isqrt(len(u)))
+    for j in range(1, b):
+        cur = u[j::b]
+        np.matmul(cur, u[j - 1::b][:len(cur)], out=cur)
+    psi = np.asarray(psi0, dtype=complex)
+    states = np.empty((n + 1, 8) + psi.shape[:-1])
+    states[0] = np.concatenate((psi.real, psi.imag), axis=-1).T
+    for lo in range(0, n, b):
+        np.matmul(u[lo:lo + b].reshape(-1, 8), states[lo],
+                  out=states[lo + 1:lo + b + 1].reshape((-1,) + psi.shape[:-1]))
+    return np.moveaxis(states, 1, -1)
+
+
+@pytest.mark.parametrize("lengths", [[0], [1], [13], [97], [0, 1, 7, 0, 20, 13], [5, 0],
+                                     [1, 1, 1], [40, 3, 61]])
+@pytest.mark.parametrize("psi0", [PSI0, np.eye(4)], ids=["state", "eye"])
+def test_segmented_kernel_matches_each_product_alone(lengths, psi0):
+    """Products laid end to end, each padded with identity blocks to whole
+    runs of the shared run length (the last may end in a partial run), give
+    each product's states as if it ran alone."""
+    b, starts = _layout(lengths)
+    assert starts[-1] - starts[-2] == lengths[-1]       # the last product is not padded
+    assert all((hi - lo) % b == 0 for lo, hi in zip(starts[:-2], starts[1:-1]))
+    parts = [random_unitaries(n, seed=j) for j, n in enumerate(lengths)]
+    u = np.broadcast_to(np.eye(8), (starts[-1], 8, 8)).copy()
+    for start, part in zip(starts, parts):
+        u[start:start + len(part)] = _block(part.real, part.imag)
+    got = _propagate_blocks(u, lengths, psi0)
+    assert len(got) == len(lengths)
+    for x, part in zip(got, parts):
+        alone = _propagate_blocks(_block(part.real, part.imag), [len(part)], psi0)[0]
+        assert x.shape == alone.shape == (len(part) + 1,) + psi0.shape[:-1] + (8,)
+        if len(lengths) == 1:
+            np.testing.assert_array_equal(x, alone)
+        np.testing.assert_allclose(x, alone, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(alone, one_product_reference(_block(part.real, part.imag),
+                                                                   psi0))
+
+
+def test_segmented_kernel_checks_every_product_norm():
+    lengths = [4, 6]
+    b, starts = _layout(lengths)
+    u = np.broadcast_to(np.eye(8), (starts[-1], 8, 8)).copy()
+    u[0] *= 1.1     # the first product's norm drifts, the last one's does not
+    with pytest.raises(IntegrityError):
+        _propagate_blocks(u, lengths, PSI0)
