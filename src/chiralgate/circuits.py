@@ -32,6 +32,7 @@ NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
 MACRO_KINDS = ("CROT", "XX-YY", "XX+YY")
 KINDS = NATIVE_KINDS + MACRO_KINDS      # Circuit.kind indexes this; from CX on, two qubits
 CODE = {kind: code for code, kind in enumerate(KINDS)}
+_PS_ORDERS = ("ps", "sp")     # compile_protocol's split orders: pump or Stokes first
 _COLUMNS = {"kind": np.int8, "target": np.int8, "angle": float, "axis_phi": float,
             "control_value": np.int8}
 
@@ -356,22 +357,22 @@ def compile_protocol(
     "sp": Stokes first) for measuring splitting-order sensitivity.
     metadata["step_bounds"][i] is the gate count after Trotter step i.
     """
-    if ps_order not in ("ps", "sp"):
+    if ps_order not in _PS_ORDERS:
         raise ValueError(f"ps_order must be 'ps' or 'sp', got {ps_order!r}")
     d = discretized
     drives = {"p": (DRIVES["P"], d.omega_p),
               "s": ((IDX_01, IDX_10) if erratum_s_gate else DRIVES["S"], d.omega_s)}
     (first, omega_1), (second, omega_2) = (drives[x] for x in ps_order)
-    # two sub-steps per Trotter step: Q and an empty one, then P/S in split order
-    q_stage = np.arange(d.m) < d.k
-    theta = np.stack([np.where(q_stage, d.omega_q, omega_1),
-                      np.where(q_stage, 0.0, omega_2)], axis=1) * d.delta_t
+    # one row per Trotter step, (Q, first, second): a Q step drives only Q
+    # and a P/S step only the split pair, whatever the schedule holds
+    theta = np.stack([d.omega_q, omega_1, omega_2], axis=1) * d.delta_t
+    theta[:d.k, 1:] = theta[d.k:, 0] = 0.0
     meta = dict(protocol=protocol, handedness=handedness.label,
                 n_steps=d.m, delta_t=d.delta_t, k=d.k,
                 ps_order=ps_order, erratum_s_gate=erratum_s_gate,
                 step_bounds=np.cumsum(np.count_nonzero(theta, axis=1)).tolist())
     macros = [_macro(DRIVES["Q"], handedness.phi_q), _macro(first), _macro(second)]
-    return _rotations(macros, np.where(q_stage[:, None], 0, [1, 2]).ravel(), theta.ravel(), meta)
+    return _rotations(macros, np.tile([0, 1, 2], d.m), theta.ravel(), meta)
 
 
 # -- execution ---------------------------------------------------------------
@@ -381,27 +382,29 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray):
     statevector).  Populations are recorded at Trotter-step boundaries when
     the circuit has them in metadata, else after every gate.
     """
-    return run_statevectors([circuit], psi0)[0]
+    trace = run_statevectors([circuit], psi0)[0]
+    return trace, trace.final_state
 
 
-def run_statevectors(circuits: Sequence[Circuit], psi0: np.ndarray) -> list[tuple]:
-    """run_statevector of each circuit, all in one product pass."""
+def run_statevectors(circuits: Sequence[Circuit], psi0: np.ndarray) -> list[PopulationTrace]:
+    """The population trace of each circuit, with its final statevector as
+    final_state (see run_statevector), all in one product pass."""
     lengths = [len(c) for c in circuits]
     out = []
-    for c, x in zip(circuits, _propagate_blocks(_gate_blocks(circuits), lengths, psi0, tol=1e-10)):
+    for c, x in zip(circuits, _propagate_blocks(_gate_blocks(circuits), lengths, psi0)):
         bounds = c.metadata.get("step_bounds")
         at = x if bounds is None else x[[0, *bounds]]
         times = c.metadata.get("delta_t", 1.0) * np.arange(len(at))
-        out.append((PopulationTrace(times, at[..., :4] ** 2 + at[..., 4:] ** 2,
-                                    c.metadata.get("handedness", "")),
-                    x[-1, ..., :4] + 1j * x[-1, ..., 4:]))
+        out.append(PopulationTrace(times, at[..., :4] ** 2 + at[..., 4:] ** 2,
+                                   c.metadata.get("handedness", ""),
+                                   x[-1, ..., :4] + 1j * x[-1, ..., 4:]))
     return out
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """The circuit's 4x4 unitary: propagating the basis states as a stack,
     row j of the last one is U e_j."""
-    x = _propagate_blocks(_gate_blocks([circuit]), [len(circuit)], np.eye(4), tol=1e-10)[0][-1].T
+    x = _propagate_blocks(_gate_blocks([circuit]), [len(circuit)], np.eye(4))[0][-1].T
     u = x[:4] + 1j * x[4:]
     defect = np.max(np.abs(u @ u.conj().T - np.eye(4)))
     if not defect <= 1e-10:

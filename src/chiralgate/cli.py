@@ -11,9 +11,8 @@ import json
 import os
 import sys
 
-from .config import _TOP_KEYS, ScenarioConfig, read_config, validate_config
+from .config import _CHOICES, _TOP_KEYS, ScenarioConfig, read_config, validate_config
 from .errors import ChiralGateError, ConfigError
-from .pulses import PROTOCOLS
 from .scenarios import (dump_pulses, export_qasm, ingest_counts,
                         molecule_report, run_scenario, sweep_trotter, _write)
 
@@ -30,8 +29,8 @@ _OPTIONS = {
     "--out": {"dest": "out_dir", "help": "output directory (overrides config)"},
     "--seed": {"type": int, "help": "RNG seed (overrides config)"},
     "--steps": {"dest": "n_steps", "type": int, "help": "Trotter steps (overrides config)"},
-    "--protocol": {"choices": list(PROTOCOLS)},
-    "--enantiomer": {"choices": ["L", "R", "both"]},
+    "--protocol": {"choices": _CHOICES["protocol"]},
+    "--enantiomer": {"choices": _CHOICES["enantiomer"]},
     "--erratum-s-gate": {"action": "store_true", "default": None,
                          "help": "compile the Stokes step with the XX+YY "
                                  "construction that couples |01>/|10> instead"},

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .circuits import _PS_ORDERS
 from .errors import ConfigError
 from .molecule import (BUILTINS, DipoleComponents, FieldConfig,
                        RotorConstants, TransitionTable)
@@ -33,6 +34,10 @@ MAX_STEPS = 100_000
 # Nodes in one top-level entry once YAML aliases are expanded: bounds the
 # work (and the text of an error message) that any later walk of it costs
 MAX_NODES = 100_000
+# The values of each choice key, which validate_config checks and the CLI
+# offers; "both" runs L then R (scenarios._hands)
+_CHOICES = {"protocol": tuple(PROTOCOLS), "enantiomer": ("L", "R", "both"),
+            "ps_order": _PS_ORDERS}
 _INT_RANGES = {"n_steps": (2, MAX_STEPS), "shots": (1, 2**63 - 1),   # numpy's int64
                "oracle_steps": (1, MAX_STEPS), "seed": (0, 2**63 - 1)}
 
@@ -133,8 +138,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
                                   "YAML aliases are expanded")
     cfg = ScenarioConfig(**raw)
 
-    for name, choices in (("protocol", tuple(PROTOCOLS)),
-                          ("enantiomer", ("L", "R", "both")), ("ps_order", ("ps", "sp"))):
+    for name, choices in _CHOICES.items():
         if getattr(cfg, name) not in choices:
             raise ConfigError(f"{name} must be one of {choices}, got {getattr(cfg, name)!r}")
     for name, (lo, hi) in _INT_RANGES.items():

@@ -168,17 +168,18 @@ def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     return u[..., :4, :4] + 1j * u[..., 4:, :4]
 
 
-def propagate(steps, psi0: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
+def propagate(steps, psi0: np.ndarray) -> np.ndarray:
     """psi0, U_1 psi0, U_2 U_1 psi0, ... for the n unitaries of `steps`, as
     an array of shape (n + 1,) + psi0.shape; psi0 is one state (4,) or a
     stack of states (m, 4).  An unnormalized psi0 raises ValueError, a final
-    norm off by more than tol (or NaN) raises IntegrityError.
+    norm off by more than NORM_TOL (per 10,000 steps, if n is larger), or
+    NaN, raises IntegrityError.
 
     Blocked prefix products of the real blocks (_block) of `steps`, which is
     never modified: see _propagate_blocks, here with one product.
     """
     u = np.asarray(steps, dtype=complex)
-    x = _propagate_blocks(_block(u.real, u.imag), [len(u)], psi0, tol)[0]
+    x = _propagate_blocks(_block(u.real, u.imag), [len(u)], psi0)[0]
     return x[..., :4] + 1j * x[..., 4:]
 
 
@@ -194,12 +195,12 @@ def _layout(lengths) -> tuple[int, np.ndarray]:
     return b, np.concatenate([[0], np.cumsum(padded, dtype=int)])
 
 
-def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray,
-                      tol: float = NORM_TOL) -> list[np.ndarray]:
+def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray) -> list[np.ndarray]:
     """propagate for several products at once, each from psi0: u holds
     their real blocks as _layout(lengths) places them, and is overwritten.
     Returns each product's real states, (lengths[i] + 1,) + psi0.shape[:-1]
-    + (8,); a final norm of any product off by more than tol raises.
+    + (8,); a final norm of any product off by more than NORM_TOL (per
+    10,000 blocks, if it is longer) raises.
 
     Cut into runs of b blocks, in place each run becomes the product of its
     run up to it, one batched matmul per run position for all products;
@@ -226,9 +227,12 @@ def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray,
             np.matmul(u[lo:lo + b].reshape(-1, 8), states[lo + i],
                       out=states[lo + i + 1:lo + i + b + 1].reshape((-1,) + psi.shape[:-1]))
     last = first + lengths
-    norm_err = np.max(np.abs(np.linalg.norm(states[last], axis=1) - 1.0))
-    if not norm_err <= tol:
-        raise IntegrityError(f"norm drifted by {norm_err:.3g} despite unitary steps")
+    # round-off drifts a norm in proportion to the product's length (up to
+    # 4e-17 per block where one angle repeats, as the pi/2 basis changes of
+    # native circuits do), so a product may drift NORM_TOL per 10,000 blocks
+    norm_err = np.abs(np.linalg.norm(states[last], axis=1).T - 1.0)    # products on the last axis
+    if not np.all(norm_err <= NORM_TOL * np.maximum(1.0, np.divide(lengths, 10_000))):
+        raise IntegrityError(f"norm drifted by {np.max(norm_err):.3g} despite unitary steps")
     return [np.moveaxis(states[lo:hi + 1], 1, -1) for lo, hi in zip(first, last)]
 
 

@@ -397,39 +397,30 @@ def discretize(
 
 
 def discretize_all(schedule: StirapSchedule | StapSchedule, steps_list) -> list[DiscretizedSchedule]:
-    """discretize(schedule, n) for each n of steps_list, with the Q windows
-    of every n in one area call and the P/S windows in one Gauss-Legendre
-    pass."""
+    """discretize(schedule, n) for each n of steps_list, with the slices of
+    every n end to end: the Q windows in one area call and the P/S windows
+    in one Gauss-Legendre pass."""
     if any(n < 2 for n in steps_list):
         raise ValueError(f"n_steps must be >= 2, got {min(steps_list)}")
 
-    duration = schedule.duration
     t_split = schedule.t_split
-    dts = [duration / n for n in steps_list]
+    dts = [schedule.duration / n for n in steps_list]
     # k is within half a slice of n * t_split / duration, so every Q window
-    # starts before t_split and every P/S window ends after it
-    ks = [max(1, min(n - 1, round(n * t_split / duration))) for n in steps_list]
-
-    def grid(first, stop):
-        """i dt for first <= i < stop of each n, end to end."""
-        return np.concatenate([np.arange(a, b) * dt for a, b, dt in zip(first, stop, dts)])
-
-    q_lo = grid([0] * len(ks), ks)
-    q_hi = np.minimum(grid([1] * len(ks), [k + 1 for k in ks]), t_split)
-    ps_lo = np.maximum(grid(ks, steps_list), t_split)
-    ps_hi = grid([k + 1 for k in ks], [n + 1 for n in steps_list])
-    out = [DiscretizedSchedule(dt, np.zeros(n), np.zeros(n), np.zeros(n), k)
-           for n, dt, k in zip(steps_list, dts, ks)]
-    q_area = schedule.q.area(q_lo, q_hi)
-    p_area, s_area = gauss_legendre(schedule._ps, ps_lo, ps_hi)
-    q_at = ps_at = 0
-    for d in out:
-        n, k = d.m, d.k
-        np.divide(q_area[q_at:q_at + k], d.delta_t, out=d.omega_q[:k])
-        np.divide(p_area[ps_at:ps_at + n - k], d.delta_t, out=d.omega_p[k:])
-        np.divide(s_area[ps_at:ps_at + n - k], d.delta_t, out=d.omega_s[k:])
-        q_at, ps_at = q_at + k, ps_at + n - k
-    return out
+    # starts before t_split and every P/S window ends after it: cutting both
+    # edges at t_split toward a slice's own stage moves only the inner one
+    ks = [max(1, min(n - 1, round(n * t_split / schedule.duration))) for n in steps_list]
+    i = np.concatenate([np.arange(n) for n in steps_list])     # slice i of its n
+    dt = np.repeat(dts, steps_list)
+    q = i < np.repeat(ks, steps_list)                          # the Q slices
+    edges = (i + [[0], [1]]) * dt                              # [i dt, (i + 1) dt]
+    lo, hi = np.where(q, np.minimum(edges, t_split), np.maximum(edges, t_split))
+    amp = np.zeros((3, len(i)))     # (Omega_Q, Omega_P, Omega_S) of every slice
+    amp[0, q] = schedule.q.area(lo[q], hi[q])
+    amp[1:, ~q] = gauss_legendre(schedule._ps, lo[~q], hi[~q])
+    amp /= dt
+    ends = np.cumsum(steps_list)
+    return [DiscretizedSchedule(d, *amp[:, e - n:e], k)
+            for d, n, e, k in zip(dts, steps_list, ends, ks)]
 
 
 # -- protocols ----------------------------------------------------------------

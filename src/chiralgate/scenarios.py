@@ -30,8 +30,6 @@ class EnantiomerResult:
     handedness: str
     oracle: PopulationTrace
     circuit_trace: PopulationTrace
-    circuit: Circuit
-    final_state_circuit: np.ndarray
 
 
 @dataclass
@@ -121,9 +119,9 @@ def report_discrimination(left: EnantiomerResult, right: EnantiomerResult,
     pred_r = predict_r_final(schedule)
     fidelities = {
         "L_oracle": float(abs(np.vdot(target_l, tl.final_state)) ** 2),
-        "L_circuit": float(abs(np.vdot(target_l, left.final_state_circuit)) ** 2),
+        "L_circuit": float(abs(np.vdot(target_l, left.circuit_trace.final_state)) ** 2),
         "R_oracle": float(abs(np.vdot(pred_r, tr.final_state)) ** 2),
-        "R_circuit": float(abs(np.vdot(pred_r, right.final_state_circuit)) ** 2),
+        "R_circuit": float(abs(np.vdot(pred_r, right.circuit_trace.final_state)) ** 2),
     }
     return DiscriminationReport(tl.times, d, checkpoints, fidelities,
                                 skipped_checkpoints=skipped)
@@ -142,10 +140,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Discrimi
     oracles = _oracle(config, schedule, hands)
     results = {}
     for hand in hands:
-        circuit = _compile(config, disc, hand)
-        trace, final = run_statevector(circuit, PSI0)
-        results[hand.label] = EnantiomerResult(
-            hand.label, oracles[hand.label], trace, circuit, final)
+        trace, _ = run_statevector(_compile(config, disc, hand), PSI0)
+        results[hand.label] = EnantiomerResult(hand.label, oracles[hand.label], trace)
 
     report = (report_discrimination(results["L"], results["R"], config, schedule)
               if len(results) == 2 else None)
@@ -156,7 +152,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Discrimi
             _write(os.path.join(out_dir, f"oracle_{label}.csv"), res.oracle.to_csv())
             _write(os.path.join(out_dir, f"circuit_{label}.csv"),
                    res.circuit_trace.to_csv())
-            rec = sample_measurements(res.final_state_circuit, config.shots,
+            rec = sample_measurements(res.circuit_trace.final_state, config.shots,
                                       config.seed)
             _write(os.path.join(out_dir, f"counts_{label}.json"),
                    json.dumps({**rec.counts, "shots": rec.shots}, sort_keys=True,
@@ -219,20 +215,18 @@ def sweep_trotter(config: ScenarioConfig, steps_list: list[int]) -> dict:
     schedule = config.build_schedule()
     hand = _hands(config)[0]     # the configured enantiomer, L for "both"
     oracle = _oracle(config, schedule, [hand])[hand.label]
-    max_dev, final_dev = [], []
+    rows = []
     for batch in _sweep_batches(steps_list):
         circuits = [_compile(config, disc, hand) for disc in discretize_all(schedule, batch)]
-        traces = [trace for trace, _ in run_statevectors(circuits, PSI0)]
+        traces = run_statevectors(circuits, PSI0)
         # the last step boundary, N dt, can round one ulp past t_f
         times = np.minimum(np.concatenate([trace.times[1:] for trace in traces]),
                            oracle.times[-1])
         probs = np.concatenate([trace.probs[1:] for trace in traces])
         devs = np.max(np.abs(probs - oracle.at(times)), axis=1)
-        ends = np.cumsum([len(trace.times) - 1 for trace in traces])
-        max_dev.extend(np.maximum.reduceat(devs, np.concatenate([[0], ends[:-1]])).tolist())
-        final_dev.extend(devs[ends - 1].tolist())
-    rows = [{"n": int(n), "max_dev": a, "final_dev": b}
-            for n, a, b in zip(steps_list, max_dev, final_dev)]
+        # the circuit of N has N step boundaries after t = 0
+        for n, dev in zip(batch, np.split(devs, np.cumsum(batch)[:-1])):
+            rows.append({"n": int(n), "max_dev": float(dev.max()), "final_dev": float(dev[-1])})
     slope = float(np.polyfit(np.log([r["n"] for r in rows]),
                              np.log([r["max_dev"] for r in rows]), 1)[0])
     return {"rows": rows, "slope": slope}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from chiralgate import circuits
 from chiralgate.circuits import (CODE, KINDS, MACRO_KINDS, Circuit, Gate,
                                  MeasurementRecord, circuit_unitary,
                                  compile_p_step, compile_protocol,
@@ -14,6 +15,7 @@ from chiralgate.circuits import (CODE, KINDS, MACRO_KINDS, Circuit, Gate,
                                  expand_circuit, gate_matrices, gate_matrix,
                                  merge_runs, phase_aligned_distance, run_statevector,
                                  sample_measurements)
+from chiralgate.errors import IntegrityError
 from chiralgate.hamiltonians import (DRIVES, IDX_01, IDX_10, build_h_ps,
                                      build_h_q, coupling)
 from chiralgate.propagate import evolve_piecewise_exact
@@ -349,6 +351,50 @@ def test_compile_protocol_structure():
     assert c.metadata["step_bounds"][-1] == len(c.gates)
     with pytest.raises(ValueError):
         compile_protocol(d, LEFT, "stirap", ps_order="nope")
+
+
+def test_compile_protocol_keeps_each_stage_to_its_drives():
+    # every slice here holds all three drives: the k Q steps must compile
+    # to Q alone and the rest to P then S alone (without the rule, 12 gates)
+    d = DiscretizedSchedule(0.1, np.array([1.0, 2, 3, 4]), np.array([5.0, 6, 7, 8]),
+                            np.array([9.0, 1, 2, 3]), k=2)
+    c = compile_protocol(d, LEFT, "stap")
+    assert len(c) == 6
+    assert c.metadata["step_bounds"] == [1, 2, 4, 6]
+    assert c.angle.tolist() == [0.1, 0.2, 0.7000000000000001, 0.2, 0.8, 0.30000000000000004]
+    assert [g.kind for g in c.gates] == ["CROT", "CROT", "XX-YY", "CROT", "XX-YY", "CROT"]
+
+
+def test_circuits_are_held_to_norm_tol(monkeypatch):
+    c = compile_protocol(discretize(default_stap_schedule(), 20), LEFT, "stap")
+    trace, final = run_statevector(c, PSI0)
+    assert trace.final_state.tobytes() == final.tobytes()
+    # one gate block off unitary by 1e-11 in norm, ten times NORM_TOL
+    gate_blocks = circuits._gate_blocks
+
+    def scaled(cs):
+        u = gate_blocks(cs)
+        u[3] *= 1 + 1e-11
+        return u
+
+    monkeypatch.setattr(circuits, "_gate_blocks", scaled)
+    with pytest.raises(IntegrityError, match="norm drifted"):
+        run_statevector(c, PSI0)
+    with pytest.raises(IntegrityError, match="norm drifted"):
+        circuit_unitary(c)
+
+
+def test_a_long_run_of_one_angle_keeps_within_its_norm_bound():
+    # every RY(1.0) block rounds the same way, so 50,000 of them drift the
+    # norm by about 2e-12 (measured): past NORM_TOL, within its share per
+    # 10,000 blocks
+    n = 50_000
+    c = Circuit(kind=np.full(n, CODE["RY"]), target=np.zeros(n), angle=np.ones(n),
+                axis_phi=np.zeros(n), control_value=np.ones(n))
+    _, psi = run_statevector(c, PSI0)
+    np.testing.assert_allclose(psi, [math.cos(n / 2), 0, math.sin(n / 2), 0], rtol=0, atol=1e-9)
+    u = circuit_unitary(c)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(4), rtol=0, atol=1e-10)
 
 
 @given(protocol=st.sampled_from(["stap", "stirap"]), hand=st.sampled_from([LEFT, RIGHT]),

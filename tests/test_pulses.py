@@ -12,7 +12,7 @@ from chiralgate.pulses import (ALPHA1_PROFILES, GaussianPulse, Handedness,
                                LEFT, RIGHT, StapSchedule, StirapSchedule,
                                adiabaticity_ratio, default_stap_schedule,
                                default_stirap_schedule, discretize,
-                               eval_ps_rates, mixing_angle,
+                               discretize_all, eval_ps_rates, mixing_angle,
                                mixing_angle_rate, q_stage_pulse,
                                stap_angles, total_rabi)
 
@@ -310,6 +310,21 @@ def test_discretize_stage_boundary_and_modes():
     assert np.all(d.omega_p[:d.k] == 0.0)
     with pytest.raises(ValueError):
         discretize(s, 1)
+
+
+@pytest.mark.parametrize("schedule", [
+    StapSchedule(t_split=1.0, alpha1_profile="sin2"),
+    StirapSchedule(t1=3.0, tau=1.5),
+], ids=["stap", "stirap"])
+def test_batching_never_changes_a_slice(schedule):
+    # the sweep discretizes its whole N list at once; each N's slices must
+    # be those of discretize alone, bit for bit, duplicates included
+    steps = [2, 3, 17, 320, 549, 1000, 17]
+    for n, got in zip(steps, discretize_all(schedule, steps)):
+        want = discretize(schedule, n)
+        assert (got.delta_t, got.k) == (want.delta_t, want.k)
+        for drive in ("omega_q", "omega_p", "omega_s"):
+            assert getattr(got, drive).tobytes() == getattr(want, drive).tobytes()
 
 
 def test_total_rabi():
