@@ -94,18 +94,22 @@ class Circuit:
                  kind=(), target=(), angle=(), axis_phi=(), control_value=()):
         rows = [(CODE[g.kind], g.qubits[-1], g.angle, g.axis_phi, g.control_value)
                 for g in gates]
-        columns = tuple(zip(*rows)) or (kind, target, angle, axis_phi, control_value)
+        # checked as given: the int8 cast would wrap an integer and cut a fraction
+        columns = [np.asarray(c) for c in (tuple(zip(*rows)) or
+                                           (kind, target, angle, axis_phi, control_value))]
+        if {c.shape for c in columns} != {(columns[0].size,)}:
+            raise ValueError("circuit arrays must be 1-D and of one length")
+        k, t, a, phi, v = columns
+        bad = ~((k >= 0) & (k < len(KINDS)) & ((t == 0) | (t == 1))
+                & np.isfinite(a) & np.isfinite(phi) & ((v == 0) | (v == 1)))
+        if k.dtype.kind == "f":
+            bad |= np.trunc(k) != k                     # a code must be whole
+        if bad.any():
+            _gate(*(c[np.argmax(bad)].item() for c in columns))   # Gate's check raises
         for (name, dtype), values in zip(_COLUMNS.items(), columns):
             setattr(self, name, np.array(values, dtype))
             getattr(self, name).flags.writeable = False
-        if {a.shape for a in self._columns()} != {(len(self.kind),)}:
-            raise ValueError("circuit arrays must be 1-D and of one length")
         self.metadata = {} if metadata is None else metadata
-        bad = ((self.kind < 0) | (self.kind >= len(KINDS)) | (self.target < 0) | (self.target > 1)
-               | ~np.isfinite(self.angle) | ~np.isfinite(self.axis_phi)
-               | (self.control_value < 0) | (self.control_value > 1))
-        if bad.any():
-            self.gates[int(np.argmax(bad))]     # builds the Gate, whose check raises
 
     def _columns(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in _COLUMNS]
@@ -116,6 +120,13 @@ class Circuit:
     @property
     def gates(self) -> Sequence[Gate]:
         return _GateView(self)
+
+
+def _gate(k, target, angle, axis_phi, control_value) -> Gate:
+    """The Gate of one row of circuit columns; a kind code off KINDS stays as given."""
+    return Gate(KINDS[int(k)] if k in range(len(KINDS)) else k,
+                (1 - target, target) if k >= CODE["CX"] else (target,), angle, axis_phi,
+                control_value)
 
 
 class _GateView(Sequence):
@@ -130,9 +141,7 @@ class _GateView(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        k, target, angle, phi, v = (a[range(len(self))[i]].item() for a in self._c._columns())
-        return Gate(KINDS[k] if 0 <= k < len(KINDS) else k,
-                    (1 - target, target) if k >= CODE["CX"] else (target,), angle, phi, v)
+        return _gate(*(a[range(len(self))[i]].item() for a in self._c._columns()))
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -251,7 +260,9 @@ _TEMPLATES = [_template(*config) for config in _CONFIGS]
 _T_LEN = np.array([len(rows) for rows in _TEMPLATES])
 _T_START = np.cumsum(_T_LEN) - _T_LEN
 _T_KIND, _T_TARGET, _T_SOURCE, _T_VALUE = (
-    np.array(col) for col in zip(*[(CODE[r[0]], *r[1:]) for rows in _TEMPLATES for r in rows]))
+    np.array(col, dtype) for col, dtype in zip(
+        zip(*[(CODE[r[0]], *r[1:]) for rows in _TEMPLATES for r in rows]),
+        (np.int8, np.int8, int, float)))
 
 
 def expand_circuit(circuit: Circuit) -> Circuit:
@@ -320,7 +331,8 @@ def _rotations(macros: list[tuple], drive, theta, metadata: dict | None = None) 
     theta = np.asarray(theta, dtype=float)
     keep = theta != 0.0
     kind, target, axis_phi, control_value = (
-        np.array(col)[np.asarray(drive)[keep]] for col in zip(*macros))
+        np.array(col, dtype)[np.asarray(drive)[keep]]
+        for col, dtype in zip(zip(*macros), (np.int8, np.int8, float, np.int8)))
     return Circuit(metadata=metadata, kind=kind, target=target, angle=theta[keep],
                    axis_phi=axis_phi, control_value=control_value)
 
@@ -358,7 +370,7 @@ def compile_protocol(
     metadata["step_bounds"][i] is the gate count after Trotter step i.
     """
     if ps_order not in _PS_ORDERS:
-        raise ValueError(f"ps_order must be 'ps' or 'sp', got {ps_order!r}")
+        raise ValueError(f"ps_order must be one of {_PS_ORDERS}, got {ps_order!r}")
     d = discretized
     drives = {"p": (DRIVES["P"], d.omega_p),
               "s": ((IDX_01, IDX_10) if erratum_s_gate else DRIVES["S"], d.omega_s)}

@@ -25,7 +25,11 @@ class SingularScheduleError(ChiralGateError):
 
 
 class FrameTrackingError(ChiralGateError):
-    """Instantaneous eigenframe could not be continued smoothly in time."""
+    """Instantaneous eigenframe could not be continued smoothly in time.
+
+    Nothing raises it any more: the adiabatic frame is the closed-form
+    dark/bright frame, smooth in t.  It stays exported for compatibility,
+    and as a ChiralGateError the CLI still maps it to exit 3."""
 
 
 class IntegrityError(ChiralGateError):

@@ -15,19 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameTrackingError
+from .errors import DomainError
 from .pulses import (
     Handedness,
     StapSchedule,
     StirapSchedule,
     gauss_legendre,
+    mixing_angle,
     stap_angles,
-    total_rabi,
 )
 
 IDX_00, IDX_01, IDX_10, IDX_11 = 0, 1, 2, 3
-# 3-level subspace in basis order (ground, intermediate, target)
-SUBSPACE = (IDX_00, IDX_11, IDX_10)
 # The level pair each drive couples, for the oracle and the circuit alike
 DRIVES = {"Q": (IDX_00, IDX_10), "P": (IDX_00, IDX_11), "S": (IDX_11, IDX_10)}
 
@@ -128,59 +126,28 @@ def dressed_states(alpha1: float, alpha2: float) -> DressedFrame:
 
 # -- adiabatic-frame transformation ------------------------------------------
 
-def _eigenframe(h4: np.ndarray) -> np.ndarray:
-    """Columns = (gamma_-, gamma_0, gamma_+) of the 3-level block, eigenvalue
-    ascending, each column's largest component made real positive."""
-    sub = h4[np.ix_(SUBSPACE, SUBSPACE)]
-    vals, vecs = np.linalg.eigh(sub)
-    for j in range(3):
-        pivot = np.argmax(np.abs(vecs[:, j]))
-        phase = vecs[pivot, j] / abs(vecs[pivot, j])
-        vecs[:, j] = vecs[:, j] / phase
-    return vecs
-
-
-def _match_frame(ref: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Align eigenvector phases of `other` to `ref` by maximal overlap."""
-    out = other.copy()
-    for j in range(3):
-        ov = np.vdot(ref[:, j], out[:, j])
-        if abs(ov) < 0.5:
-            raise FrameTrackingError(
-                f"eigenframe overlap collapsed to {abs(ov):.3g}; level crossing?"
-            )
-        out[:, j] = out[:, j] * (ov.conjugate() / abs(ov))
-    return out
-
-
-def adiabatic_frame_couplings(schedule: StirapSchedule, t: float,
-                              h_step: float | None = None) -> tuple[float, float]:
+def adiabatic_frame_couplings(schedule: StirapSchedule, t: float) -> tuple[float, float]:
     """(gap, dark<->bright coupling magnitude) of the adiabatic-frame
-    generator H_I = U0 H U0^dag - i U0 dU0^dag/dt at time t.
+    generator H_I = W^dag H W - i W^dag dW/dt at time t.
 
-    U0 is assembled from the instantaneous eigenvectors of the P/S
-    Hamiltonian; the frame derivative is a central finite difference with
-    phase continuity enforced by maximal-overlap matching.  The coupling
-    magnitude equals |alpha1_dot| / sqrt(2)."""
-    omega_p, omega_s = schedule.ps(t)
-    omega = total_rabi(omega_p, omega_s)
-    if omega <= 0.0:
-        raise ValueError(f"total Rabi frequency vanishes at t={t}")
-    if h_step is None:
-        h_step = 1e-5 * schedule.duration
+    W's columns are the closed-form eigenvectors (phi0, phi_plus, phi_minus)
+    of build_h_ps at the mixing angle, eigenvalues 0 and +-Omega/2.  They are
+    smooth in t, so dW/dt is a central difference at step 1e-5 * duration;
+    DomainError unless that stencil lies in the P/S stage [t_split, t_f].
+    The coupling magnitude equals |alpha1_dot| / sqrt(2)."""
+    step = 1e-5 * schedule.duration
+    if not (schedule.t_split <= t - step and t + step <= schedule.t_f):
+        raise DomainError(f"t={t} is within {step:.3g} us of the P/S stage "
+                          f"[{schedule.t_split}, {schedule.t_f}] edges or outside it")
 
-    w0 = _eigenframe(build_h_ps(omega_p, omega_s))
-    wm = _match_frame(w0, _eigenframe(build_h_ps(*schedule.ps(t - h_step))))
-    wp = _match_frame(w0, _eigenframe(build_h_ps(*schedule.ps(t + h_step))))
-    dw = (wp - wm) / (2.0 * h_step)
+    def frame(t):
+        f = dressed_states(mixing_angle(*schedule.ps(t)), 0.0)
+        return np.stack([f.phi0, f.phi_plus, f.phi_minus], axis=1)
 
-    sub = build_h_ps(omega_p, omega_s)[np.ix_(SUBSPACE, SUBSPACE)]
-    u0 = w0.conj().T
-    h_frame = u0 @ sub @ w0 - 1j * (u0 @ dw)
-    # columns ordered by ascending eigenvalue: (-, 0, +); dark is column 1
-    gap = float(h_frame[2, 2].real - h_frame[1, 1].real)
-    coupling = float(abs(h_frame[2, 1]))
-    return gap, coupling
+    w, dw = frame(t), (frame(t + step) - frame(t - step)) / (2.0 * step)
+    h_frame = w.conj().T @ (build_h_ps(*schedule.ps(t)) @ w - 1j * dw)
+    gap = float(h_frame[1, 1].real - h_frame[0, 0].real)
+    return gap, float(abs(h_frame[1, 0]))
 
 
 # -- STAP dressed-frame couplings --------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,29 @@ def test_circuit_arrays_reject_unknown_kind_and_ragged_columns():
         Circuit(**arrays)
     with pytest.raises(ValueError, match="one length"):
         Circuit(**{**arrays, "kind": [0], "angle": [0.0, 1.0]})
+
+
+# one out-of-range or fractional entry in an integer column, and the Gate
+# arguments that break the same rule: an int8 cast would wrap or truncate it
+UNCASTABLE = [
+    ("kind", np.array([RX, 259]), (259, (0,))),             # would wrap to X
+    ("kind", [RX, 259], (259, (0,))),                       # would overflow the cast
+    ("kind", np.array([RX, 1.5]), (1.5, (0,))),             # would truncate to RY
+    ("kind", np.array([RX, math.nan]), (math.nan, (0,))),
+    ("target", np.array([1, 257]), ("RX", (257,))),         # would wrap to 1
+    ("control_value", np.array([1, -255]), ("RX", (1,), 0.5, 0.0, -255)),  # would wrap to 1
+]
+
+
+@pytest.mark.parametrize("name, column, gate_args", UNCASTABLE)
+def test_circuit_integer_columns_are_checked_before_the_cast(name, column, gate_args):
+    with pytest.raises(ValueError) as from_gate:
+        Gate(*gate_args)
+    arrays = {**dict(zip(COLUMNS, ([RX, RX], [1, 1], [0.5, 0.5], [0.0, 0.0], [1, 1]))),
+              name: column}
+    with pytest.raises(ValueError) as from_arrays:
+        Circuit(**arrays)
+    assert str(from_arrays.value) == str(from_gate.value)
 
 
 @given(angle=st.floats(-6.0, 6.0), kind=st.sampled_from(["RX", "RY", "RZ"]),
@@ -349,7 +373,8 @@ def test_compile_protocol_structure():
     assert c.metadata["k"] == d.k
     assert len(c.metadata["step_bounds"]) == 20
     assert c.metadata["step_bounds"][-1] == len(c.gates)
-    with pytest.raises(ValueError):
+    # the message offers the orders config and the CLI read
+    with pytest.raises(ValueError, match=re.escape(f"one of {circuits._PS_ORDERS}, got 'nope'")):
         compile_protocol(d, LEFT, "stirap", ps_order="nope")
 
 

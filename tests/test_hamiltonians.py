@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from chiralgate.errors import DomainError
 from chiralgate.hamiltonians import (IDX_00, IDX_01, IDX_10, IDX_11,
                                      adiabatic_frame_couplings, bright_states,
                                      build_h_ps, build_h_q, build_h_stap,
@@ -123,6 +124,32 @@ def test_adiabatic_frame_coupling_is_mixing_rate_over_sqrt2():
         want = abs(mixing_angle_rate(s, t)) / math.sqrt(2)
         np.testing.assert_allclose(coupling, want, rtol=1e-6)
         np.testing.assert_allclose(gap, total_rabi(*s.ps(t)) / 2, rtol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t1=st.floats(0.5, 6.0), ps_amplitude=st.floats(0.5, 5.0),
+       width_frac=st.floats(0.2, 0.5), tau_frac=st.floats(0.5, 1.5),
+       frac=st.floats(0.1, 0.9))
+def test_adiabatic_frame_follows_mixing_rate_on_any_stirap(t1, ps_amplitude, width_frac,
+                                                          tau_frac, frac):
+    width = width_frac * (10.0 - t1)
+    s = StirapSchedule(t1=t1, ps_amplitude=ps_amplitude, ps_width=width, tau=tau_frac * width)
+    t = t1 + frac * (s.t_f - t1)
+    gap, coupling = adiabatic_frame_couplings(s, t)
+    np.testing.assert_allclose(coupling, abs(mixing_angle_rate(s, t)) / math.sqrt(2), rtol=1e-6)
+    np.testing.assert_allclose(gap, total_rabi(*s.ps(t)) / 2, rtol=1e-9)
+
+
+def test_adiabatic_frame_needs_its_stencil_inside_the_ps_stage():
+    # the central difference reaches one step either side of t; the stage
+    # edges have no level crossing, only no frame beyond them
+    s = default_stirap_schedule()
+    step = 1e-5 * s.duration
+    for t in (s.t_split, s.t_split + 0.5 * step, s.t_f, s.t_f - 0.5 * step,
+              s.t_f + 1.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            adiabatic_frame_couplings(s, t)
+    adiabatic_frame_couplings(s, s.t_split + 2.0 * step)
 
 
 def test_predict_r_final_matches_propagation_stap():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chiralgate.errors import DomainError
-from chiralgate.pulses import (ALPHA1_PROFILES, GaussianPulse, Handedness,
-                               LEFT, RIGHT, StapSchedule, StirapSchedule,
+from chiralgate.pulses import (ALPHA1_PROFILES, DiscretizedSchedule, GaussianPulse,
+                               Handedness, LEFT, RIGHT, StapSchedule, StirapSchedule,
                                adiabaticity_ratio, default_stap_schedule,
                                default_stirap_schedule, discretize,
                                discretize_all, eval_ps_rates, mixing_angle,
@@ -310,6 +310,26 @@ def test_discretize_stage_boundary_and_modes():
     assert np.all(d.omega_p[:d.k] == 0.0)
     with pytest.raises(ValueError):
         discretize(s, 1)
+
+
+def test_discretized_schedule_validates_its_fields():
+    q, p, s = [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 4.0], [0.0, 0.0, 5.0, 6.0]
+    d = DiscretizedSchedule(0.1, q, p, s, 2)      # lists become float arrays
+    for drive, want in zip(("omega_q", "omega_p", "omega_s"), (q, p, s)):
+        got = getattr(d, drive)
+        assert isinstance(got, np.ndarray) and got.dtype == float
+        np.testing.assert_array_equal(got, want)
+    assert d.m == 4
+    bad = [
+        dict(omega_q=np.zeros((2, 2))),            # not 1-D
+        dict(omega_s=[0.0, 0.0, 5.0]),             # unequal lengths
+        dict(k=9), dict(k=-1), dict(k=2.5),
+        dict(delta_t=0.0), dict(delta_t=-0.1), dict(delta_t=math.nan), dict(delta_t=math.inf),
+    ]
+    for change in bad:
+        fields = {**dict(delta_t=0.1, omega_q=q, omega_p=p, omega_s=s, k=2), **change}
+        with pytest.raises(ValueError):
+            DiscretizedSchedule(**fields)
 
 
 @pytest.mark.parametrize("schedule", [
