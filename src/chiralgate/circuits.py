@@ -85,15 +85,17 @@ class Circuit:
     KINDS), `target`, `angle`, `axis_phi` and `control_value`; plus
     free-form `metadata`.  A two-qubit gate's control is 1 - target.
 
-    Circuit(gates) reads the arrays off Gates, the keywords give them all
-    directly; either way Gate's rules check them once, with its messages,
-    and they are read-only.  `gates` views them as Gates.
+    Circuit(gates) reads the arrays off Gates, the keywords (never both)
+    give them all directly; either way Gate's rules check them once, with
+    its messages, and they are read-only.  `gates` views them as Gates.
     """
 
     def __init__(self, gates: Iterable[Gate] = (), metadata: dict | None = None, *,
                  kind=(), target=(), angle=(), axis_phi=(), control_value=()):
         rows = [(CODE[g.kind], g.qubits[-1], g.angle, g.axis_phi, g.control_value)
                 for g in gates]
+        if rows and any(np.size(c) for c in (kind, target, angle, axis_phi, control_value)):
+            raise ValueError("give a circuit gates or keyword columns, not both")
         # checked as given: the int8 cast would wrap an integer and cut a fraction
         columns = [np.asarray(c) for c in (tuple(zip(*rows)) or
                                            (kind, target, angle, axis_phi, control_value))]
@@ -415,9 +417,8 @@ def run_statevectors(circuits: Sequence[Circuit], psi0: np.ndarray) -> list[Popu
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """The circuit's 4x4 unitary: propagating the basis states as a stack,
-    row j of the last one is U e_j."""
-    x = _propagate_blocks(_gate_blocks([circuit]), [len(circuit)], np.eye(4))[0][-1].T
-    u = x[:4] + 1j * x[4:]
+    final state j is U e_j."""
+    u = run_statevectors([circuit], np.eye(4))[0].final_state.T
     defect = np.max(np.abs(u @ u.conj().T - np.eye(4)))
     if not defect <= 1e-10:
         raise IntegrityError(f"compiled unitary defect {defect:.3g}")

@@ -106,9 +106,6 @@ def main(argv=None) -> int:
             try:
                 with open(args.counts_json) as fh:
                     raw = json.load(fh)
-            except OSError as exc:
-                print(f"I/O error: {exc}", file=sys.stderr)
-                return EXIT_IO
             except (ValueError, RecursionError) as exc:  # bad JSON, bad bytes, deep nesting
                 raise ConfigError(f"malformed counts JSON: {exc}") from exc
             result = ingest_counts(raw)

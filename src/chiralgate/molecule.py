@@ -100,8 +100,9 @@ def consistency_check(constants: RotorConstants,
                       table: TransitionTable,
                       tol_mhz: float = 1.0) -> list[str]:
     """Flags (as human-readable strings) every transition whose rotor-implied
-    frequency differs from the table by more than tol_mhz, plus loop-closure
-    failures.  An empty list means the parameter set is self-consistent.
+    frequency differs from the table by more than tol_mhz.  An empty list
+    means the parameter set is self-consistent.  Loop closure needs no flag:
+    TransitionTable refuses a table whose loop fails to close.
 
     Mapping: |00> = 0_00, |11> = 1_11, |10> = 1_10 (b-type pump, c-type Q,
     a-type Stokes selection rules)."""
@@ -116,9 +117,6 @@ def consistency_check(constants: RotorConstants,
         if abs(want - got) > tol_mhz:
             flags.append(f"{name}: rotor constants imply {want:.2f} MHz, "
                          f"table has {got:.2f} MHz (delta {want - got:+.2f})")
-    defect = table.loop_closure_defect()
-    if defect > TransitionTable.LOOP_TOL_MHZ:
-        flags.append(f"loop closure defect {defect:.3f} MHz")
     return flags
 
 

@@ -241,7 +241,7 @@ def evolve_piecewise_exact(
     psi0: np.ndarray,
     t0: float,
     t1: float,
-    n_steps: int = 2000,
+    n_steps: int,
     handedness: str = "",
 ) -> PopulationTrace:
     """Propagate psi0 from t0 to t1, freezing H at each step midpoint.
@@ -269,7 +269,7 @@ def evolve_rk4(
     psi0: np.ndarray,
     t0: float,
     t1: float,
-    n_steps: int = 2000,
+    n_steps: int,
     handedness: str = "",
 ) -> PopulationTrace:
     """Classical fixed-step RK4 on d psi/dt = -i H(t) psi, no renormalization.

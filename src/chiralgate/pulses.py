@@ -254,7 +254,8 @@ class DiscretizedSchedule:
         vars(self).update(columns)
         if {c.shape for c in columns.values()} != {(self.omega_q.size,)}:
             raise ValueError("amplitude columns must be 1-D and of one length")
-        if not (isinstance(self.k, (int, np.integer)) and 0 <= self.k <= self.m):
+        if not (isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool)
+                and 0 <= self.k <= self.m):
             raise ValueError(f"k must be an integer in [0, m={self.m}], got {self.k!r}")
         if not 0.0 < self.delta_t < math.inf:
             raise ValueError(f"delta_t must be finite and > 0, got {self.delta_t}")

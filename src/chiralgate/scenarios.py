@@ -38,7 +38,6 @@ class DiscriminationReport:
     d_of_t: np.ndarray                      # |P_L,10 - P_R,10| on the oracle grid
     checkpoints: dict[float, dict]
     fidelities: dict[str, float]
-    trotter_table: list[dict] = field(default_factory=list)
     skipped_checkpoints: list[float] = field(default_factory=list)  # outside the oracle grid
 
     def final_d(self) -> float:
@@ -172,7 +171,6 @@ def _report_dict(report: DiscriminationReport, config: ScenarioConfig) -> dict:
         "final_D": report.final_d(),
         "checkpoints": {f"{t:g}": v for t, v in report.checkpoints.items()},
         "fidelities": report.fidelities,
-        "trotter_table": report.trotter_table,
     }
 
 
@@ -292,9 +290,9 @@ def export_qasm(config: ScenarioConfig, out_dir: str) -> list[str]:
 
 # -- counts ingestion --------------------------------------------------------
 
-def ingest_counts(raw: dict, reference: dict[str, float] | None = None) -> dict:
+def ingest_counts(raw: dict) -> dict:
     """Validate a counts object and convert to populations with binomial
-    1-sigma errors; optionally pair each row with a reference value.
+    1-sigma errors.
 
     Expected shape: {"00": n, ..., "shots": total}; keys restricted to the
     four bitstrings, counts nonnegative and summing to shots.
@@ -323,10 +321,6 @@ def ingest_counts(raw: dict, reference: dict[str, float] | None = None) -> dict:
         row = {"population": p, "sigma": sigma}
         if sigma == 0.0 and n in (0, shots):
             row["zero_width_interval"] = True
-        if reference is not None and key in reference:
-            row["reference"] = reference[key]
-            row["pull"] = ((p - reference[key]) / sigma if sigma > 0
-                           else (0.0 if p == reference[key] else math.inf))
         rows[key] = row
     return {"shots": shots, "populations": rows}
 

@@ -94,6 +94,17 @@ def test_circuit_arrays_reject_unknown_kind_and_ragged_columns():
         Circuit(**{**arrays, "kind": [0], "angle": [0.0, 1.0]})
 
 
+def test_circuit_refuses_gates_and_columns_together():
+    columns = dict(kind=[0, 0], target=[0, 0], angle=[1.0, 2.0], axis_phi=[0.0, 0.0],
+                   control_value=[1, 1])
+    for name, values in columns.items():
+        with pytest.raises(ValueError, match="not both"):
+            Circuit([Gate("RX", (0,), 0.5)], **{name: values})
+    with pytest.raises(ValueError, match="not both"):
+        Circuit([Gate("RX", (0,), 0.5)], **columns)
+    assert len(Circuit([], **columns)) == 2
+
+
 # one out-of-range or fractional entry in an integer column, and the Gate
 # arguments that break the same rule: an int8 cast would wrap or truncate it
 UNCASTABLE = [

@@ -424,6 +424,14 @@ def test_cli_maps_package_errors_to_exit_3(tmp_path, monkeypatch):
         assert main(["run", "--out", str(tmp_path)]) == 3
 
 
+def _python_on_src(code: str, *args: str) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports chiralgate from src/."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
 def test_src_runs_without_scipy(tmp_path):
     code = ("import sys; sys.modules['scipy'] = None\n"
             "import chiralgate.cli\n"
@@ -431,11 +439,17 @@ def test_src_runs_without_scipy(tmp_path):
             "from chiralgate.scenarios import run_scenario\n"
             "cfg = validate_config({'n_steps': 4, 'oracle_steps': 50})\n"
             "assert run_scenario(cfg, sys.argv[1]) is not None\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True)
+    proc = _python_on_src(code, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_only_the_declared_dependencies():
+    # pyproject.toml declares numpy and PyYAML; scipy, hypothesis and pytest
+    # are test-only
+    proc = _python_on_src("import sys, chiralgate, chiralgate.cli\n"
+                          "print(' '.join({m.split('.')[0] for m in sys.modules}))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert not {"scipy", "hypothesis", "pytest"} & set(proc.stdout.split())
 
 
 def test_run_scenario_single_enantiomer_returns_none(tmp_path):

@@ -30,37 +30,37 @@ QASM_SIZES = (531, 972)
 
 GOLDEN = {
     "stap/default/run":
-        "2cd30b78d3ee8f645d5f6b2881e52690aa8085164ca66ba96e0fe96b0ab76fa7",
+        "e424109a49eb6387f6f4fba3786cd86e938dd306141282b29a7ab5828a9103e5",
     "stap/default/export-qasm":
         "6cd26ca09ccc93a3681100cef47c5932cf5451b9d5f2997a92b98609f326e153",
     "stap/default/sweep-trotter":
         "6bd9db2415b6f0c2e2d05e54fcb9db82f4828a5a8f243ec02b380789a589e719",
     "stap/erratum/run":
-        "751ed63c167ea7bef5a17857a79e5759ff53c259aa6f032357867fcda725665e",
+        "28ec8057b6d35f3f85cf3d698c5b88085df0d8b6d972c664cdd720cedd9680d6",
     "stap/erratum/export-qasm":
         "364391d71dac2552182d3759df60e56db008772a96861a02ffd095887e4a6ee4",
     "stap/erratum/sweep-trotter":
         "91703e771d5ea94a3b156476b650e16a19d556c828117f66423c6210ddb9678e",
     "stap/sp/run":
-        "a9230e51cdcb525983acac843178e3b316c605a7c88084819b657d61fa37badf",
+        "7aaa37f149d1bbb304b479c91cc10362307d8e140e2cc77294f51006b7425620",
     "stap/sp/export-qasm":
         "dc33650155285b6ea039242c8ca2071d511ab9b9d0ff97779aea1af01c24d545",
     "stap/sp/sweep-trotter":
         "40e8c00f6deedb7b08cbd90843f49e4bdfd76f9a9499e02589bf927c6a1efb3d",
     "stirap/default/run":
-        "0e0a7b72a2b7b3c1d860f3d7778980289ed1851588adf5d1cab76859661d5f60",
+        "435b30cdb23b3d81708ef851ed42dbc7b4f50f231dc09a5d53cdf5d1bd932aaf",
     "stirap/default/export-qasm":
         "2b4b6b84a943cf80ea7d7aaa7240a6292dd3bbb2e817aa050e1dd37b5f0506e8",
     "stirap/default/sweep-trotter":
         "5394821ffe612681e48e216e744629f6bbd32276b2d61264c635dd0153fd4a60",
     "stirap/erratum/run":
-        "5e3b16b0027f5ff076207f51c201e53fd56ee0a6409bec517b2c7edd11662cc3",
+        "be0382b84525279497e42b42cceee84a1bd3861b83c4b9418f68c0f81113ac09",
     "stirap/erratum/export-qasm":
         "0ae77f49ecf7c2810b17ce0aabf2666ff2b5eab4ca734ea141e92cd20b366aea",
     "stirap/erratum/sweep-trotter":
         "6d1bed456cb1cdc4f2b7e72a11862416ad71266dd7cf5163b30435bcd8d1678c",
     "stirap/sp/run":
-        "1b1f9f1495e8a347ef328c8f7fc0c053972bf4c4d56e279f4ba6b3ce6fa56fd2",
+        "07e4dd5576de8d184e09b5d89d7fc164ae996e972a897c55bcbef69930aaff3b",
     "stirap/sp/export-qasm":
         "1e3a4fc7bd736b16dcbd0273854ae7847275d9a01f9a36c705381f3d6405aeec",
     "stirap/sp/sweep-trotter":

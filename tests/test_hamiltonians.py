@@ -79,6 +79,18 @@ def test_dressed_frame_orthonormal_and_limits():
     np.testing.assert_allclose(np.trace(proj).real, 3.0, atol=1e-12)
 
 
+@settings(deadline=None)
+@given(alpha1=st.floats(allow_nan=False, allow_infinity=False),
+       alpha2=st.floats(allow_nan=False, allow_infinity=False))
+def test_dressed_frame_is_an_orthonormal_basis_of_the_three_levels(alpha1, alpha2):
+    f = dressed_states(alpha1, alpha2)
+    w = np.column_stack([f.phi0, f.phi_plus, f.phi_minus])
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(3), rtol=0, atol=1e-12)
+    without_01 = np.eye(4)
+    without_01[IDX_01, IDX_01] = 0.0
+    np.testing.assert_allclose(w @ w.conj().T, without_01, rtol=0, atol=1e-12)
+
+
 def test_lambda_pm_vanishes_with_designed_pulses():
     s = default_stap_schedule()
     ts = np.linspace(s.t_split, s.t_f, 400)

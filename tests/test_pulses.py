@@ -323,7 +323,7 @@ def test_discretized_schedule_validates_its_fields():
     bad = [
         dict(omega_q=np.zeros((2, 2))),            # not 1-D
         dict(omega_s=[0.0, 0.0, 5.0]),             # unequal lengths
-        dict(k=9), dict(k=-1), dict(k=2.5),
+        dict(k=9), dict(k=-1), dict(k=2.5), dict(k=True),   # a bool is an int
         dict(delta_t=0.0), dict(delta_t=-0.1), dict(delta_t=math.nan), dict(delta_t=math.inf),
     ]
     for change in bad:
