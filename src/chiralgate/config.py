@@ -22,14 +22,13 @@ from .pulses import PROTOCOLS, StapSchedule, StirapSchedule
 # the pulse arithmetic overflows.
 SCALE_LIMIT = 1e9
 # Every Trotter or oracle step keeps its gates, real 8x8 matrix block and
-# state in memory, and export-qasm its text too.  At MAX_STEPS, peak RSS from
-# getrusage in the process on a shared 2-core x86-64 host: export-qasm 142 MB
-# in 0.7-1.1 s (STIRAP; STAP 109 MB), run 172 MB in 1.1-1.5 s (STIRAP; STAP 158 MB).
+# state in memory; export-qasm keeps its gates and slices, but its text is
+# under 1 KB at any N.  At MAX_STEPS, peak RSS from getrusage in the process
+# on a shared 2-core x86-64 host: export-qasm 90 MB in 0.5 s (STIRAP; STAP
+# 105 MB in 0.6 s), run 172 MB in 1.1-1.5 s (STIRAP; STAP 158 MB).
 # sweep-trotter runs an N above 32,768 in a batch of its own, so
 # `--steps-list 20,40,100000` peaks at 152 MB in 0.3 s (STIRAP; STAP 137 MB),
-# against 154 MB (STAP 138 MB) when every N ran on its own.  The export-qasm
-# peak moves by up to 20 MB with the heap state earlier code leaves behind
-# (116-142 MB for one STIRAP config), so compare it only on one build.
+# against 154 MB (STAP 138 MB) when every N ran on its own.
 MAX_STEPS = 100_000
 # Nodes in one top-level entry once YAML aliases are expanded: bounds the
 # work (and the text of an error message) that any later walk of it costs

@@ -4,7 +4,6 @@ discrimination reporting, Trotter sweeps, QASM export, counts ingestion.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -13,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (CODE, NATIVE_KINDS, Circuit, compile_protocol, expand_circuit,
-                       merge_runs, run_statevector, run_statevectors, sample_measurements)
+                       fuse_ps_runs, merge_runs, run_statevector, run_statevectors,
+                       sample_measurements)
 from .config import MAX_STEPS, ScenarioConfig
 from .errors import ConfigError
 # stap_generator is stirap_generator; bench/spans.py traces both names here
@@ -236,45 +236,25 @@ _QASM_HEADER = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
                 '// bit order: q[0] is the left bit of measured bitstrings\n'
                 'qreg q[2];\ncreg c[2];\n')
 _QASM_FOOTER = "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
-# one line per (native kind, target, sign bit of the angle), at
-# 4 * code + 2 * target + sign, with the qubits baked in.  A rotation line
-# keeps one %s for the text of |angle|: repr(-a) is "-" + repr(a), so the
-# sign lives in the template.
-_QASM_LINES = np.array([{"X": f"x q[{t}];\n", "CX": f"cx q[{1 - t}],q[{t}];\n"}.get(
-                            k, f"{k.lower()}({sign}%s) q[{t}];\n")
-                        for k in NATIVE_KINDS for t in (0, 1) for sign in ("", "-")],
-                       dtype=object)
-_QASM_BLOCK = 65536     # native lines per %-format: bounds its format string and tuple
-
-
-@functools.lru_cache(maxsize=1)     # both hands of an export share every magnitude
-def _angle_digits(key: bytes) -> np.ndarray:
-    """The repr texts of the float64 magnitudes in `key`, a block's sorted
-    |angle| bytes; read-only, since the cache hands one array to every caller."""
-    digits = np.array([repr(a) for a in np.frombuffer(key).tolist()], dtype=object)
-    digits.flags.writeable = False
-    return digits
+# one line per (native kind, target), at 2 * code + target, with the qubits
+# baked in; a rotation line keeps one %r for its angle
+_QASM_LINES = [{"X": f"x q[{t}];\n", "CX": f"cx q[{1 - t}],q[{t}];\n"}.get(
+                   k, f"{k.lower()}(%r) q[{t}];\n") for k in NATIVE_KINDS for t in (0, 1)]
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
-    """OpenQASM 2.0 text of merge_runs(circuit) with macros lowered to
-    {rx, ry, rz, x, cx} and each angle written as its shortest round-trip
-    repr, so the text is as exact as the native arrays.
+    """OpenQASM 2.0 text of fuse_ps_runs(merge_runs(circuit)) with macros
+    lowered to {rx, ry, rz, x, cx} and each angle written as its shortest
+    round-trip repr, so the text is as exact as the native arrays.
 
-    Each distinct |angle| of a block is formatted once, and a block with
-    the last table's magnitudes (the other hand of an export) reuses it;
-    the sign comes from the sign bit.
+    The fused P/S stage is three gates at any N, so the text no longer
+    shows the Trotter steps; its unitary is the N-step circuit's.
     """
-    native = expand_circuit(merge_runs(circuit))
-    text = [_QASM_HEADER]
-    for lo in range(0, len(native), _QASM_BLOCK):
-        b = slice(lo, lo + _QASM_BLOCK)
-        kind, target, angle = native.kind[b], native.target[b], native.angle[b]
-        rotation = kind < CODE["X"]         # RX, RY, RZ come first in NATIVE_KINDS
-        mags, which = np.unique(np.abs(angle[rotation]), return_inverse=True)
-        lines = _QASM_LINES[4 * kind + 2 * target + np.signbit(angle)]
-        text.append("".join(lines.tolist()) % tuple(_angle_digits(mags.tobytes())[which].tolist()))
-    return "".join(text + [_QASM_FOOTER])
+    native = expand_circuit(fuse_ps_runs(merge_runs(circuit)))
+    lines = "".join(_QASM_LINES[2 * k + t] for k, t in zip(native.kind.tolist(),
+                                                            native.target.tolist()))
+    angles = native.angle[native.kind < CODE["X"]]      # RX, RY, RZ come first in NATIVE_KINDS
+    return _QASM_HEADER + lines % tuple(angles.tolist()) + _QASM_FOOTER
 
 
 def export_qasm(config: ScenarioConfig, out_dir: str) -> list[str]:

@@ -32,37 +32,37 @@ GOLDEN = {
     "stap/default/run":
         "e424109a49eb6387f6f4fba3786cd86e938dd306141282b29a7ab5828a9103e5",
     "stap/default/export-qasm":
-        "6cd26ca09ccc93a3681100cef47c5932cf5451b9d5f2997a92b98609f326e153",
+        "fecf686d4130cbce3d0d7579c624471398c9c1e2dd70e5c348fc269b2f191870",
     "stap/default/sweep-trotter":
         "6bd9db2415b6f0c2e2d05e54fcb9db82f4828a5a8f243ec02b380789a589e719",
     "stap/erratum/run":
         "28ec8057b6d35f3f85cf3d698c5b88085df0d8b6d972c664cdd720cedd9680d6",
     "stap/erratum/export-qasm":
-        "364391d71dac2552182d3759df60e56db008772a96861a02ffd095887e4a6ee4",
+        "3025c3d3e468ec1a376d93d617e290e618b5d8ec1823be826e220f490d797d15",
     "stap/erratum/sweep-trotter":
         "91703e771d5ea94a3b156476b650e16a19d556c828117f66423c6210ddb9678e",
     "stap/sp/run":
         "7aaa37f149d1bbb304b479c91cc10362307d8e140e2cc77294f51006b7425620",
     "stap/sp/export-qasm":
-        "dc33650155285b6ea039242c8ca2071d511ab9b9d0ff97779aea1af01c24d545",
+        "0441db57ea2501d443740acd5fa3174ebf4c49a344a63e1b8746cdad101b2a48",
     "stap/sp/sweep-trotter":
         "40e8c00f6deedb7b08cbd90843f49e4bdfd76f9a9499e02589bf927c6a1efb3d",
     "stirap/default/run":
         "435b30cdb23b3d81708ef851ed42dbc7b4f50f231dc09a5d53cdf5d1bd932aaf",
     "stirap/default/export-qasm":
-        "2b4b6b84a943cf80ea7d7aaa7240a6292dd3bbb2e817aa050e1dd37b5f0506e8",
+        "1448049339cf79950e4dac2568e8e810f5e81e694bc31a7c77159905f6b1e06e",
     "stirap/default/sweep-trotter":
         "5394821ffe612681e48e216e744629f6bbd32276b2d61264c635dd0153fd4a60",
     "stirap/erratum/run":
         "be0382b84525279497e42b42cceee84a1bd3861b83c4b9418f68c0f81113ac09",
     "stirap/erratum/export-qasm":
-        "0ae77f49ecf7c2810b17ce0aabf2666ff2b5eab4ca734ea141e92cd20b366aea",
+        "dc87edc4a46f4ed5b1d7a429d4d464add9a2b35d2b8da77f67ee1de4563f2ec9",
     "stirap/erratum/sweep-trotter":
         "6d1bed456cb1cdc4f2b7e72a11862416ad71266dd7cf5163b30435bcd8d1678c",
     "stirap/sp/run":
         "07e4dd5576de8d184e09b5d89d7fc164ae996e972a897c55bcbef69930aaff3b",
     "stirap/sp/export-qasm":
-        "1e3a4fc7bd736b16dcbd0273854ae7847275d9a01f9a36c705381f3d6405aeec",
+        "14ee2a2a6d20930a0ce5073902b98400c78973e6b6270ba1811f7d530ee227e6",
     "stirap/sp/sweep-trotter":
         "9684ad48b4add7898a2d2908e3f34b2468f21493e43a32a4eaa6644ea0cceece",
     "stap/default/dump-pulses":
@@ -70,29 +70,29 @@ GOLDEN = {
     "stirap/default/dump-pulses":
         "aa3c188f80692127715d6576f19ef2e9eb7b59858dd4711a0aac3b405d81dffa",
     "stap/default/export-qasm@531":
-        "b5ef461c732b1a0dd8a216ee97be2c749667963a598a1f1c84ca8ecca509d996",
+        "93ff61046de695cb06a63fc170a883f15e428c36e5e19da35b5016ff3cf64c13",
     "stap/erratum/export-qasm@531":
-        "75acc0a202eebe90a4da18e5e61ea0a09649282f08ca5f32a2d4404d171d7120",
+        "e66086cc74dc6eaa51a5133676ea4d03db9a6123e939854b8edb08b5d3235f2b",
     "stap/sp/export-qasm@531":
-        "97ee5dccbf4add5bff91a87b58b2c3fee91e61ac451b2f1758e531305062e98a",
+        "f0993b4ab93cb507d7a69b8aebad923a388596b1ad1ac1fef255fa0dc9453b97",
     "stirap/default/export-qasm@531":
-        "1e1a4e782baf7d0c886fc6067c3b226da63fdc56b56e1fab36bbcd6b8d3de730",
+        "dc28a6f8f2a1db87159dfb3d6c54aae6a813df9a51408ae21a55a091e853d170",
     "stirap/erratum/export-qasm@531":
-        "d4aa8e12c823768d6f26a2c2830c4505dcfe6cf9e3f9ec8cd358f2b56926dad7",
+        "7ef0c5994cd4ddca9404e71ff97878e3c330584dfafe470396baaacc1c9dfe61",
     "stirap/sp/export-qasm@531":
-        "b38c97e3a8b2bde08706a56c835abbba23e1a2c153aee257483587780cff4889",
+        "5a089c0c963616223115ffea90714a149a6f39934697099eaf72c543cf7ed1ee",
     "stap/default/export-qasm@972":
-        "58fc73aa470b9d706d9aab46bf9831e5762ae4cac378239c65ba91c86611c7f7",
+        "bc7bde733852ae39647bfee87399fc1eb78dd9268a1f06e6d5080d0e13e26b3a",
     "stap/erratum/export-qasm@972":
-        "1c66d43172560b6cffb691c609d3639dd2aa56e5c09fed17b163ebb15f5cfa46",
+        "1c9d8eaff2d7e11aa55534031598143d9f3e45c67741e315535325c299f7624b",
     "stap/sp/export-qasm@972":
-        "65eec9dfa0349c3bb9f8e4215cef10988e1d618236724aa63e7c5a486b660d19",
+        "4b6191eb6ef562e78a4c31325f9c5eb1047a791778b97d39fdbb87a036e5284f",
     "stirap/default/export-qasm@972":
-        "70781ff48436da9895dc83ee73747ee2c71e6280dde1c8b4950be8b14278bd31",
+        "ca03ce9e3cc880e05ac7a681c5b80fe82b74197e7ed1f6fcb8776002c76eecc9",
     "stirap/erratum/export-qasm@972":
-        "9b7cd4a0cbf0b181f060e6334b5aadfb419e5b6a8fd7b5b6ab14e5f301333ea8",
+        "c3f5823bce00e2571cd470b99cd399f5cf68080b587a8a628ac976655f491a9f",
     "stirap/sp/export-qasm@972":
-        "5f8cc964818b39b99957c9cba849e266aa6891cf8f75c5c67df8b31f255069ef",
+        "32e17aeb577402c99af6829892abf873b89baeaab87a37c67a46cbae3c28c930",
 }
 
 

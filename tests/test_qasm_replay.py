@@ -5,23 +5,26 @@ suite, so without this test a wrong lowering row would only fail there.
 
 Populations cannot see every wrong sign, so the text is also read back
 into a Circuit and its unitary compared with the macro circuit's, up to
-global phase."""
+global phase.  The text fuses each P/S stage into three gates
+(fuse_ps_runs), so its gate counts do not grow with N."""
 
 import importlib
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chiralgate import circuits
 from chiralgate.circuits import (CODE, Circuit, Gate, circuit_unitary, compile_protocol,
-                                 expand_circuit, merge_runs, phase_aligned_distance,
-                                 run_statevector)
-from chiralgate.config import validate_config
-from chiralgate.pulses import LEFT, RIGHT, discretize
+                                 expand_circuit, fuse_ps_runs, merge_runs,
+                                 phase_aligned_distance, run_statevector)
+from chiralgate.config import MAX_STEPS, validate_config
+from chiralgate.pulses import LEFT, RIGHT, DiscretizedSchedule, discretize
 from chiralgate.scenarios import _QASM_FOOTER, _QASM_HEADER, PSI0, circuit_to_qasm, export_qasm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -30,11 +33,15 @@ VARIANTS = {"default": {}, "erratum": {"erratum_s_gate": True}, "sp": {"ps_order
 NATIVE_LINE = re.compile(r"(?P<rot>r[xyz])\((?P<angle>[^)]+)\) q\[(?P<t>[01])\];"
                          r"|x q\[(?P<x>[01])\];|cx q\[(?P<c>[01])\],q\[(?P<ct>[01])\];")
 # The text writes each angle as its round-trip repr, so a read-back circuit
-# is as exact as the native arrays: up to 3.6e-14 from its macro circuit
-# (measured over EXPORTS), the round-off of merging and lowering
+# is as exact as the native arrays: up to 4.9e-15 from its macro circuit
+# (measured over EXPORTS), the round-off of merging, fusing and lowering
 TEXT_DIGITS_TOL = 1e-13
-# (natives, CX) of the L file of the default variant
-NATIVE_COUNTS = {("stap", 531): (3226, 1074), ("stirap", 972): (8722, 2906)}
+# (natives, CX) of every exported file from N = 3 to MAX_STEPS: the Q stage
+# is one CROT (10 natives) and the P/S stage P(c) S(b) P(a) (6 each), or
+# one XX-YY and one XX+YY for the erratum Stokes gate.  At N = 2 the P/S
+# stage is one step of two gates, which no fused form shortens.
+FUSED_COUNTS = {"default": (28, 8), "erratum": (22, 6), "sp": (28, 8)}
+ONE_STEP_COUNTS = (22, 6)
 
 
 @pytest.fixture
@@ -114,7 +121,7 @@ def _distance(text: str, macro: Circuit) -> float:
     return phase_aligned_distance(circuit_unitary(read_qasm(text)), circuit_unitary(macro))
 
 
-EXPORTS = [(p, v, n) for p in ("stap", "stirap") for v in VARIANTS for n in (531, 972)]
+EXPORTS = [(p, v, n) for p in ("stap", "stirap") for v in VARIANTS for n in (2, 3, 531, 972)]
 
 
 @pytest.mark.parametrize("protocol, variant, n", EXPORTS)
@@ -125,15 +132,54 @@ def test_exported_qasm_reads_back_with_phase(protocol, variant, n, tmp_path):
         macro = compile_protocol(disc, hand, protocol, ps_order=cfg.ps_order,
                                  erratum_s_gate=cfg.erratum_s_gate)
         text = Path(path).read_text()
-        read, merged = read_qasm(text), expand_circuit(merge_runs(macro))
-        assert len(read) == len(merged) < len(expand_circuit(macro))
-        assert cx_count(read) == cx_count(merged) < cx_count(expand_circuit(macro))
-        if variant == "default" and hand is LEFT and (protocol, n) in NATIVE_COUNTS:
-            assert (len(read), cx_count(read)) == NATIVE_COUNTS[protocol, n]
+        read = read_qasm(text)
+        assert read.gates == expand_circuit(fuse_ps_runs(merge_runs(macro))).gates
+        assert (len(read), cx_count(read)) == (ONE_STEP_COUNTS if n == 2
+                                               else FUSED_COUNTS[variant])
         assert _distance(text, macro) <= TEXT_DIGITS_TOL
         if variant == "erratum":
             # the flip the population replay cannot see (test above)
             assert _distance(_flip_largest_rz(text), macro) > 0.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 531, 972, MAX_STEPS])
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_exported_gate_counts_do_not_grow_with_n(protocol, n, tmp_path):
+    for variant, options in VARIANTS.items():
+        cfg = validate_config({"protocol": protocol, "n_steps": n, **options})
+        for path in export_qasm(cfg, str(tmp_path / variant)):
+            read = read_qasm(Path(path).read_text())
+            want = ONE_STEP_COUNTS if n == 2 else FUSED_COUNTS[variant]
+            assert (len(read), cx_count(read)) == want, (variant, path)
+
+
+def _long_double_rotation(is_s: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """The frame rotation of a P/S run (circuits._frame_rotation), its gates
+    multiplied one by one in np.longdouble."""
+    half, j, rows = angle.astype(np.longdouble) / 2, np.where(is_s, 2, 0), np.arange(len(angle))
+    gates = np.zeros((len(angle), 3, 3), np.longdouble)
+    gates[:] = np.eye(3)
+    gates[rows, 1, 1] = gates[rows, j, j] = np.cos(half)
+    gates[rows, j, 1] = np.sin(half)
+    gates[rows, 1, j] = -np.sin(half)
+    r = np.eye(3, dtype=np.longdouble)
+    for g in gates:
+        r = g @ r
+    return r
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_fused_stage_is_exact_at_max_steps(protocol):
+    cfg = validate_config({"protocol": protocol, "n_steps": MAX_STEPS})
+    macro = compile_protocol(discretize(cfg.build_schedule(), MAX_STEPS), LEFT, protocol)
+    merged = merge_runs(macro)          # the Q stage's one CROT, then the P/S run
+    kind, angle = merged.kind[1:], merged.angle[1:]
+    is_s = kind == CODE["CROT"]
+    assert np.all(is_s | (kind == CODE["XX-YY"])) and len(angle) > MAX_STEPS
+    r = circuits._frame_rotation(is_s, angle)
+    assert np.max(np.abs(r - _long_double_rotation(is_s, angle))) <= 1e-13
+    # the 8x8 product of circuit_unitary is itself about 5e-14 off
+    assert _distance(circuit_to_qasm(macro), macro) <= 2e-13
 
 
 # runs of equal CROTs (both control values, azimuths +-0 and +-pi/2) among
@@ -162,7 +208,7 @@ def test_merge_pass_shortens_and_keeps_unitary(gates):
     macro = Circuit(gates)
     text = circuit_to_qasm(macro)
     merged = merge_runs(macro)
-    read, native = read_qasm(text), expand_circuit(merged)
+    read, native = read_qasm(text), expand_circuit(fuse_ps_runs(merged))
     assert len(read) == len(native) <= len(expand_circuit(macro))
     assert cx_count(read) == cx_count(native) <= cx_count(expand_circuit(macro))
     # no run is left to merge, and no rotation is by 0
@@ -172,3 +218,98 @@ def test_merge_pass_shortens_and_keeps_unitary(gates):
     assert all(g.kind in ("X", "CX") or g.angle != 0.0 for g in merged.gates)
     assert not np.any((read.kind < CODE["X"]) & (read.angle == 0.0))
     assert _distance(text, macro) <= TEXT_DIGITS_TOL
+
+
+# the P, S and erratum S gates compile_protocol emits, by angle 0
+P_GATE, S_GATE, E_GATE = (Gate("XX-YY", (0, 1)), Gate("CROT", (0, 1)), Gate("XX+YY", (0, 1)))
+FUSABLE = (P_GATE, S_GATE, E_GATE)
+# signed zeros, whole turns and a tiny angle among the rest
+RUN_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, 2 * math.pi, -2 * math.pi, 4 * math.pi,
+                                        1e-9, -1e-9]), st.floats(-7.0, 7.0))
+# gates the pass leaves alone: a Q-stage CROT, an XX-YY on the other
+# target, an S-like CROT about another axis, and natives
+OTHER_GATES = st.sampled_from([Gate("CROT", (1, 0), 0.3, axis_phi=-math.pi / 2, control_value=0),
+                               Gate("XX-YY", (1, 0), 0.7), Gate("CROT", (0, 1), 0.4, axis_phi=0.5),
+                               Gate("RZ", (1,), 0.2), Gate("X", (0,)), Gate("CX", (1, 0))])
+
+
+@st.composite
+def fusable_runs(draw):
+    """P/S runs in either split order and P/erratum-S runs, each step's
+    two gates by RUN_ANGLES, between other gates."""
+    gates = []
+    for _ in range(draw(st.integers(0, 4))):
+        gates += draw(st.lists(OTHER_GATES, max_size=2))
+        pair = draw(st.sampled_from([(P_GATE, S_GATE), (S_GATE, P_GATE),
+                                     (P_GATE, E_GATE), (E_GATE, P_GATE)]))
+        for _ in range(draw(st.integers(1, 6))):
+            gates += [replace(g, angle=draw(RUN_ANGLES)) for g in pair]
+    return gates + draw(st.lists(OTHER_GATES, max_size=2))
+
+
+def _cut(circuit: Circuit) -> tuple[list[Gate], list[list[Gate]]]:
+    """(the gates the pass leaves alone, the runs of P, S and erratum S
+    gates before, between and after them)."""
+    others, runs = [], [[]]
+    for g in circuit.gates:
+        if replace(g, angle=0.0) in FUSABLE:
+            runs[-1].append(g)
+        else:
+            others.append(g)
+            runs.append([])
+    return others, runs
+
+
+def _frame(u: np.ndarray) -> np.ndarray:
+    """D^dag u D on (|00>, |11>, |10>), D = diag(1, i, 1)."""
+    d = np.array([1, 1j, 1])
+    return d.conj()[:, None] * u[np.ix_([0, 3, 2], [0, 3, 2])] * d
+
+
+@given(gates=fusable_runs())
+@settings(max_examples=200, deadline=None)
+# next to the gimbal point cos(b/2) = -1, where the 2x2 block alone reads
+# the angles 3.5e-10 off
+@example(gates=[replace(g, angle=a) for g, a in zip(
+    [P_GATE, S_GATE, P_GATE, S_GATE], [2 * math.pi, 2 * math.pi, 2 * math.pi, 1e-9])])
+def test_fuse_pass_keeps_other_gates_and_unitary(gates):
+    macro = Circuit(gates)
+    others, runs = _cut(macro)
+    fused_others, fused_runs = _cut(fuse_ps_runs(macro))
+    assert repr(fused_others) == repr(others)       # to the bit, signed zeros too
+    for run, fused in zip(runs, fused_runs, strict=True):
+        assert fused == run or (len(fused) < len(run) and len(fused) <= 3
+                                and all(g.angle != 0.0 for g in fused))
+        if run and E_GATE not in [replace(g, angle=0.0) for g in run]:
+            # the frame rotation is the run's unitary, made real by D
+            is_s = np.array([g.kind == "CROT" for g in run])
+            r = circuits._frame_rotation(is_s, np.array([g.angle for g in run]))
+            np.testing.assert_allclose(_frame(circuit_unitary(Circuit(run))), r,
+                                       rtol=0, atol=1e-14)
+    assert _distance(circuit_to_qasm(macro), macro) <= TEXT_DIGITS_TOL
+
+
+def _stage(omega_p, omega_s, hand) -> Circuit:
+    """One Q step, then P/S steps (pump first) of these drive areas."""
+    n = len(omega_p) + 1
+    disc = DiscretizedSchedule(1.0, np.r_[0.8, np.zeros(n - 1)], np.r_[0.0, omega_p],
+                               np.r_[0.0, omega_s], k=1)
+    return compile_protocol(disc, hand, "stap")
+
+
+@pytest.mark.parametrize("hand", [LEFT, RIGHT])
+def test_fuse_pass_at_the_gimbal_points(hand):
+    # no S angle, so b = 0 exactly: the P gates fuse into one
+    no_s = _stage([0.9, 2.5, 1.7], [0.0, 0.0, 0.0], hand)
+    fused = fuse_ps_runs(no_s)
+    assert [g.kind for g in fused.gates] == ["CROT", "XX-YY"]
+    assert math.cos(fused.angle[1] / 2) == pytest.approx(math.cos(5.1 / 2), abs=1e-15)
+    # S angles that sum to 2 pi between two P angles: cos(b/2) = -1
+    full_turn = _stage([0.9, 0.0, 0.0, 0.0, 1.7], [math.pi / 2] * 4 + [0.0], hand)
+    fused = fuse_ps_runs(full_turn)
+    assert [g.kind for g in fused.gates] == ["CROT", "XX-YY", "CROT", "XX-YY"]
+    assert math.cos(fused.angle[2] / 2) == pytest.approx(-1.0, abs=1e-15)
+    for macro in (no_s, full_turn):
+        assert phase_aligned_distance(circuit_unitary(fuse_ps_runs(macro)),
+                                      circuit_unitary(macro)) <= 1e-14
+        assert _distance(circuit_to_qasm(macro), macro) <= TEXT_DIGITS_TOL

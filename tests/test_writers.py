@@ -1,10 +1,8 @@
 """The text writers against per-row and per-line reference formatters.
 
-circuit_to_qasm formats each distinct |angle| of a block once (and keeps
-the last block's table for the next call) and takes the sign from a
-per-sign line template, and the CSV writers fill one row template for the
-whole table; both must give the bytes of the plain loops below, the QASM
-writer for every block size.
+circuit_to_qasm fills one line template per native gate in one
+%-format, and the CSV writers fill one row template for the whole table;
+both must give the bytes of the plain loops below.
 """
 
 import io
@@ -13,15 +11,14 @@ import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralgate import scenarios
-from chiralgate.circuits import (CODE, KINDS, MACRO_KINDS, Circuit, Gate, expand_circuit,
-                                 merge_runs)
+from chiralgate.circuits import (KINDS, MACRO_KINDS, Circuit, Gate, expand_circuit,
+                                 fuse_ps_runs, merge_runs)
 from chiralgate.config import validate_config
 from chiralgate.propagate import PopulationTrace
 
@@ -68,10 +65,10 @@ def merge_reference(gates: list[Gate]) -> list[Gate]:
 
 
 def qasm_reference(circuit: Circuit) -> str:
-    """merge_reference's gates lowered one by one by expand_circuit, each
-    native on its own line with its angle as repr."""
+    """merge_reference's gates, fused by fuse_ps_runs, lowered one by one
+    by expand_circuit, each native on its own line with its angle as repr."""
     text = [scenarios._QASM_HEADER]
-    for g in merge_reference(list(circuit.gates)):
+    for g in fuse_ps_runs(Circuit(merge_reference(list(circuit.gates)))).gates:
         for n in expand_circuit(Circuit([g])).gates:
             if n.kind == "X":
                 text.append("x q[%d];\n" % n.qubits)
@@ -120,40 +117,35 @@ def _crot(q, value, phi, angle=0.25):
     return Gate("CROT", (q, 1 - q), angle, axis_phi=phi, control_value=value)
 
 
-@given(gates=st.lists(any_gate(), max_size=10), block=st.integers(1, 9))
+@given(gates=st.lists(any_gate(), max_size=10))
 @settings(max_examples=150, deadline=None)
 # runs of equal CROTs: both control values, azimuths +-pi/2 and +-0, and
 # neighbours that differ only in axis_phi or control value
 @example(gates=[_crot(0, 0, math.pi / 2)] * 3 + [_crot(0, 1, -math.pi / 2)] * 2
-         + [_crot(0, 1, 0.0), _crot(0, 1, -0.0, 0.0), _crot(1, 1, 0.0), _crot(1, 0, 0.0)],
-         block=4)
+         + [_crot(0, 1, 0.0), _crot(0, 1, -0.0, 0.0), _crot(1, 1, 0.0), _crot(1, 0, 0.0)])
 # a run that sums to 0 between two runs of one CROT, which then merge
 @example(gates=[_crot(1, 1, 0.5, 0.3), Gate("RZ", (0,), 0.5), Gate("RZ", (0,), -0.5),
-                _crot(1, 1, 0.5, 0.1), _crot(1, 1, 0.5, 0.7), Gate("X", (0,)), Gate("X", (0,))],
-         block=3)
-def test_qasm_matches_line_loop(gates, block):
+                _crot(1, 1, 0.5, 0.1), _crot(1, 1, 0.5, 0.7), Gate("X", (0,)), Gate("X", (0,))])
+# a P/S run (XX-YY and the CROT on |11>, |10>) between two X gates, fused
+@example(gates=[Gate("X", (0,))] + [Gate("XX-YY", (0, 1), 0.5), _crot(0, 1, 0.0, -0.3)] * 3
+         + [Gate("X", (0,))])
+def test_qasm_matches_line_loop(gates):
     c = Circuit(gates)
-    with mock.patch.object(scenarios, "_QASM_BLOCK", block):
-        assert scenarios.circuit_to_qasm(c) == qasm_reference(c)
+    assert scenarios.circuit_to_qasm(c) == qasm_reference(c)
 
 
-def test_qasm_blocks_mid_macro_and_without_rotations():
+def test_qasm_drops_zero_runs_and_writes_empty_circuit():
     gates = [Gate("CX", (0, 1)), Gate("CX", (1, 0)), Gate("X", (1,)), Gate("X", (0,)),
              Gate("XX-YY", (1, 0), 0.25),
              Gate("CROT", (0, 1), -0.0, axis_phi=0.0, control_value=0),
              Gate("RZ", (0,), 0.0), Gate("RZ", (1,), -0.0)]
     c = Circuit(gates)
-    native = expand_circuit(merge_runs(c))
-    # lines 0-3 are CX, CX, X and X, so block sizes 1 to 4 give a block
-    # without rotations; lines 4-9 are the XX-YY macro, so every block size
-    # below 10 puts an edge inside it.  The CROT by -0 and the RZs by +-0
-    # are runs that sum to 0, so none of their lines is written
-    assert np.all(native.kind[:4] >= CODE["X"]) and native.kind[4] < CODE["X"]
-    assert len(expand_circuit(Circuit(gates[:5]))) == 10 == len(native)
-    assert "(0.0)" not in qasm_reference(c) and "(-0.0)" not in qasm_reference(c)
-    for block in range(1, len(native) + 2):
-        with mock.patch.object(scenarios, "_QASM_BLOCK", block):
-            assert scenarios.circuit_to_qasm(c) == qasm_reference(c)
+    # the CROT by -0 and the RZs by +-0 are runs that sum to 0, so none of
+    # their lines is written
+    assert len(expand_circuit(merge_runs(c))) == len(expand_circuit(Circuit(gates[:5])))
+    text = scenarios.circuit_to_qasm(c)
+    assert text == qasm_reference(c)
+    assert "(0.0)" not in text and "(-0.0)" not in text
     assert scenarios.circuit_to_qasm(Circuit()) == qasm_reference(Circuit())
     assert scenarios.circuit_to_qasm(Circuit()) == (scenarios._QASM_HEADER
                                                    + scenarios._QASM_FOOTER)
@@ -167,34 +159,7 @@ def _export_texts(config: dict, out_dir: Path) -> dict[str, bytes]:
 QASM_CONFIGS = [{"protocol": "stap", "n_steps": 60}, {"protocol": "stirap", "n_steps": 45}]
 
 
-def test_qasm_angle_cache_is_invisible(tmp_path):
-    from chiralgate.circuits import compile_protocol
-    from chiralgate.pulses import LEFT, RIGHT, discretize
-
-    circuits = {}
-    for config in QASM_CONFIGS:
-        cfg = validate_config(config)
-        disc = discretize(cfg.build_schedule(), cfg.n_steps)
-        for hand in (LEFT, RIGHT):
-            circuits[cfg.protocol, hand.label] = compile_protocol(disc, hand, cfg.protocol)
-    cache = scenarios._angle_digits
-    cold = {}
-    for key, c in circuits.items():
-        cache.cache_clear()
-        cold[key] = scenarios.circuit_to_qasm(c)
-        assert cache.cache_info()[:2] == (0, 1)     # (hits, misses): one block, formatted
-    assert cold["stap", "L"] != cold["stap", "R"]
-    for key in [("stap", "L"), ("stirap", "L"), ("stap", "R"), ("stap", "L"), ("stirap", "R")]:
-        assert scenarios.circuit_to_qasm(circuits[key]) == cold[key]
-    # the hands share every |angle|: R reuses L's formatted table, which is read-only
-    for protocol in ("stap", "stirap"):
-        assert scenarios.circuit_to_qasm(circuits[protocol, "L"]) == cold[protocol, "L"]
-        before = cache.cache_info()
-        assert scenarios.circuit_to_qasm(circuits[protocol, "R"]) == cold[protocol, "R"]
-        after = cache.cache_info()
-        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
-    table = cache(np.array([0.5, math.pi]).tobytes())
-    assert table.tolist() == ["0.5", repr(math.pi)] and not table.flags.writeable
+def test_threaded_exports_match_sequential_bytes(tmp_path):
     # threads exporting different configs write the bytes of a sequential run
     want = [_export_texts(QASM_CONFIGS[i % 2], tmp_path / f"seq{i}") for i in range(2)]
     got, errors = {}, []
