@@ -9,8 +9,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import yaml
-
 from .circuits import _PS_ORDERS
 from .errors import ConfigError
 from .molecule import (BUILTINS, DipoleComponents, FieldConfig,
@@ -185,6 +183,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
 def read_config(path: str):
     """The unvalidated YAML tree of a config file ({} for an empty file)."""
+    import yaml  # only a --config file needs it: the other commands start without it
+
     try:
         with open(path, "rb") as fh:    # yaml decodes, so bad bytes are a YAMLError
             raw = yaml.safe_load(fh)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ChiralGateError(Exception):
     """Base class for all package-specific errors."""
@@ -14,14 +16,15 @@ class DomainError(ChiralGateError):
 
 
 class SingularScheduleError(ChiralGateError):
-    """A counteradiabatic schedule produced an unbounded drive amplitude."""
+    """A counteradiabatic schedule produced an unbounded or NaN drive amplitude."""
 
     def __init__(self, t, value):
         self.t = t
         self.value = value
+        # NaN is alpha1_dot * cot(alpha2) with both underflowed to 0
+        problem = "is not finite" if math.isnan(value) else "overflows"
         super().__init__(
-            f"corrected pulse amplitude overflows at t={t:.6g} us (|value|={value:.3g})"
-        )
+            f"corrected pulse amplitude {problem} at t={t:.6g} us (|value|={value:.3g})")
 
 
 class FrameTrackingError(ChiralGateError):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,22 @@ class PopulationTrace:
                     [self.times, self.probs])
 
 
+# one conversion of a %-template, or an escaped %
+_CONVERSION = re.compile(r"%%|%[^%a-zA-Z]*[a-zA-Z]")
+
+
 def _csv(header: str, row: str, columns) -> str:
     """header, then the %-template `row` filled from each row of the column
-    arrays side by side, in one %-format."""
+    arrays side by side, in one %-format.  A column that is +0.0 in every
+    row (a trace's p01) goes into the template as its text and leaves the
+    format's tuple."""
     table = np.column_stack(columns)
+    zero = np.all((table == 0.0) & ~np.signbit(table), axis=0)
+    if zero.any():
+        is_zero = iter(zero)
+        row = _CONVERSION.sub(
+            lambda m: m[0] if m[0] == "%%" or not next(is_zero) else m[0] % 0.0, row)
+        table = table[:, ~zero]
     return header + row * len(table) % tuple(table.ravel().tolist())
 
 

@@ -9,6 +9,7 @@ stage's times only, zero on the other stage; other times are a DomainError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -254,8 +255,7 @@ class DiscretizedSchedule:
         vars(self).update(columns)
         if {c.shape for c in columns.values()} != {(self.omega_q.size,)}:
             raise ValueError("amplitude columns must be 1-D and of one length")
-        if not (isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool)
-                and 0 <= self.k <= self.m):
+        if not (_is_integer(self.k) and 0 <= self.k <= self.m):
             raise ValueError(f"k must be an integer in [0, m={self.m}], got {self.k!r}")
         if not 0.0 < self.delta_t < math.inf:
             raise ValueError(f"delta_t must be finite and > 0, got {self.delta_t}")
@@ -270,6 +270,11 @@ class DiscretizedSchedule:
 
 def _first(t: np.ndarray, bad: np.ndarray) -> float:
     return float(t[bad].flat[0])
+
+
+def _is_integer(n) -> bool:
+    """n is an int or a numpy integer, and not a bool (which is an int)."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def eval_ps_rates(schedule: StirapSchedule, t):
@@ -336,9 +341,10 @@ def stap_angles(schedule: StapSchedule, t):
     # ratio alpha1_dot / alpha2 stays bounded by its endpoint value and the
     # corrected drives remain modest everywhere (see StapSchedule._ps).
     ue = 0.5 * (schedule.t_f - schedule.t_split) / schedule.t_alpha2
+    erf_ue = math.erf(ue)
     clipped = np.clip(u, -ue, ue)
-    a1 = math.pi / 4 + (math.pi / 8) * (_erf(clipped) + math.erf(ue)) / math.erf(ue)
-    peak = (math.pi / 4) / (math.sqrt(math.pi) * schedule.t_alpha2 * math.erf(ue))
+    a1 = math.pi / 4 + (math.pi / 8) * (_erf(clipped) + erf_ue) / erf_ue
+    peak = (math.pi / 4) / (math.sqrt(math.pi) * schedule.t_alpha2 * erf_ue)
     # the window test is on t: at t = t_split, u rounds to just below -ue
     inside = (t >= schedule.t_split) & (t <= schedule.t_f)
     da1 = np.where(inside, peak * bump, 0.0)
@@ -350,19 +356,26 @@ _COT_OVERFLOW = 1e9
 
 def _corrected(t, a1, da1, a2, da2):
     """StapSchedule._ps from the angles stap_angles gives at t."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         core = da1 * (np.cos(a2) / np.sin(a2))  # alpha2 > 0 on the closed window
     bad = ~(np.abs(core) <= _COT_OVERFLOW)      # also an alpha2 that underflowed
     if np.any(bad):
         raise SingularScheduleError(_first(t, bad), float(np.abs(core[bad]).flat[0]))
-    p_eff = -2.0 * (core * np.sin(a1) + da2 * np.cos(a1))
-    s_eff = -2.0 * (core * np.cos(a1) - da2 * np.sin(a1))
+    sin_a1, cos_a1 = np.sin(a1), np.cos(a1)
+    p_eff = -2.0 * (core * sin_a1 + da2 * cos_a1)
+    s_eff = -2.0 * (core * cos_a1 - da2 * sin_a1)
     return p_eff, s_eff
 
 
 # -- quadrature and discretization -------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@functools.cache
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-node Gauss-Legendre nodes and weights on [-1, 1], built on
+    first use so that an import (and config validation) skips numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(16)
 
 
 def gauss_legendre(f, lo, hi, panels: int = 1):
@@ -377,10 +390,11 @@ def gauss_legendre(f, lo, hi, panels: int = 1):
     edges = lo + (hi - lo) * (np.arange(panels + 1) / panels)
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    vals = f(mid[..., None] + half[..., None] * _GL_NODES)
+    nodes, weights = _gauss_legendre_rule()
+    vals = f(mid[..., None] + half[..., None] * nodes)
 
     def integral(v):
-        return np.sum(half * (v @ _GL_WEIGHTS), axis=-1)
+        return np.sum(half * (v @ weights), axis=-1)
 
     return tuple(map(integral, vals)) if isinstance(vals, tuple) else integral(vals)
 
@@ -412,6 +426,9 @@ def discretize_all(schedule: StirapSchedule | StapSchedule, steps_list) -> list[
     """discretize(schedule, n) for each n of steps_list, with the slices of
     every n end to end: the Q windows in one area call and the P/S windows
     in one Gauss-Legendre pass."""
+    bad = [n for n in steps_list if not _is_integer(n)]
+    if bad:
+        raise ValueError(f"n_steps must be an integer, got {bad[0]!r}")
     if any(n < 2 for n in steps_list):
         raise ValueError(f"n_steps must be >= 2, got {min(steps_list)}")
 

@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
 from .propagate import PopulationTrace, _csv, evolve_piecewise_exact
-from .pulses import LEFT, RIGHT, Handedness, discretize, discretize_all
+from .pulses import LEFT, RIGHT, Handedness, _is_integer, discretize, discretize_all
 
 PSI0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
@@ -204,7 +204,7 @@ def sweep_trotter(config: ScenarioConfig, steps_list: list[int]) -> dict:
     discretization pass, one product pass over all its circuits and one
     oracle interpolation at all their step boundaries.
     """
-    bad = [n for n in steps_list if not isinstance(n, (int, np.integer)) or isinstance(n, bool)]
+    bad = [n for n in steps_list if not _is_integer(n)]
     if bad:
         raise ConfigError(f"steps_list needs integer N, got {bad[0]!r}")
     if len(set(steps_list)) < 2 or any(not 2 <= n <= MAX_STEPS for n in steps_list):

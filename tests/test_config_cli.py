@@ -414,6 +414,16 @@ def test_cli_overrides_are_validated(tmp_path):
     assert (tmp_path / "stap_L.qasm").exists()
 
 
+def test_cli_names_a_nan_drive_not_finite(tmp_path, capsys):
+    # alpha2 = alpha_m exp(-u^2) underflows to 0 at the window's edge, where
+    # alpha1_dot does too: the corrected drive there is 0 * cot(0) = NaN
+    path = tmp_path / "narrow.yaml"
+    path.write_text("protocol: stap\npulses: {t_alpha2: 1.0e-3}\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "physics error: corrected pulse amplitude is not finite at t=")
+
+
 def test_cli_maps_package_errors_to_exit_3(tmp_path, monkeypatch):
     from chiralgate import cli
     from chiralgate.errors import DomainError, FrameTrackingError, IntegrityError
@@ -450,6 +460,25 @@ def test_import_loads_only_the_declared_dependencies():
                           "print(' '.join({m.split('.')[0] for m in sys.modules}))\n")
     assert proc.returncode == 0, proc.stderr
     assert not {"scipy", "hypothesis", "pytest"} & set(proc.stdout.split())
+
+
+def test_startup_and_validation_skip_yaml_and_numpy_polynomial(tmp_path):
+    # PyYAML loads only to read a --config file and numpy.polynomial only to
+    # build the quadrature rule; a command pays for neither before it needs it
+    good, bad = tmp_path / "good.yaml", tmp_path / "bad.yaml"
+    good.write_text("protocol: stirap\nn_steps: 10\n")
+    bad.write_text("protocol: [stap\n")
+    code = ("import sys, chiralgate, chiralgate.cli\n"
+            "from chiralgate.config import read_config, validate_config\n"
+            "for protocol in ('stap', 'stirap'):\n"
+            "    validate_config({'protocol': protocol})\n"
+            "print(sorted(m for m in ('yaml', 'numpy.polynomial') if m in sys.modules))\n"
+            "print(read_config(sys.argv[1]))\n"
+            "print(chiralgate.cli.main(['run', '--config', sys.argv[2]]))\n")
+    proc = _python_on_src(code, str(good), str(bad))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "{'protocol': 'stirap', 'n_steps': 10}", "2"]
+    assert proc.stderr.startswith(f"config error: config {bad} is not valid YAML")
 
 
 def test_run_scenario_single_enantiomer_returns_none(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from chiralgate.errors import DomainError
+from chiralgate.errors import DomainError, SingularScheduleError
 from chiralgate.pulses import (ALPHA1_PROFILES, DiscretizedSchedule, GaussianPulse,
                                Handedness, LEFT, RIGHT, StapSchedule, StirapSchedule,
                                adiabaticity_ratio, default_stap_schedule,
@@ -310,6 +311,31 @@ def test_discretize_stage_boundary_and_modes():
     assert np.all(d.omega_p[:d.k] == 0.0)
     with pytest.raises(ValueError):
         discretize(s, 1)
+
+
+def test_discretize_rejects_a_non_integer_n():
+    s = default_stap_schedule()
+    for n in (2.5, 4.0, np.float64(4.0), True, "4", None):
+        with pytest.raises(ValueError, match=re.escape(f"n_steps must be an integer, got {n!r}")):
+            discretize(s, n)
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            discretize_all(s, [4, n])
+    assert discretize(s, np.int64(4)).m == discretize(s, np.int32(4)).m == 4
+
+
+@pytest.mark.parametrize("schedule, problem, value", [
+    # sin2's alpha1_dot stays finite where alpha2 underflows to 0
+    (StapSchedule(t_alpha2=0.02, alpha1_profile="sin2"), "overflows", "inf"),
+    # gauss_match's alpha1_dot underflows with alpha2: 0 * cot(0)
+    (StapSchedule(t_alpha2=1e-3), "is not finite", "nan"),
+], ids=["inf", "nan"])
+def test_singular_drive_is_named_by_its_value(schedule, problem, value):
+    with pytest.raises(SingularScheduleError) as info:
+        discretize(schedule, 40)
+    assert str(info.value).startswith(f"corrected pulse amplitude {problem} at t=")
+    assert str(info.value).endswith(f"(|value|={value})")
+    assert str(SingularScheduleError(1.0, 2e9)) == (
+        "corrected pulse amplitude overflows at t=1 us (|value|=2e+09)")
 
 
 def test_discretized_schedule_validates_its_fields():

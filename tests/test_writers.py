@@ -86,6 +86,11 @@ csv_value = st.one_of(st.sampled_from(CSV_VALUES + [-v for v in CSV_VALUES]), st
        handedness=st.one_of(st.sampled_from(["", "L", "a%sb"]), st.text(max_size=4)))
 @settings(max_examples=150, deadline=None)
 @example(rows=[CSV_VALUES[:5], CSV_VALUES[1:]], handedness="a%sb")
+# all-+0.0 columns (written into the row template), an all-(-0.0) column,
+# and columns of +0.0 with one -0.0 or one nonzero entry
+@example(rows=[[0.5, 0.0, 0.0, -0.0, 0.0], [0.0, 0.25, 0.0, -0.0, 0.0]], handedness="%%d")
+@example(rows=[[0.0] * 5] * 3, handedness="%")
+@example(rows=[[0.0, 0.0, -0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 5e-324]], handedness="L")
 def test_to_csv_matches_row_loop(rows, handedness):
     table = np.array(rows, dtype=float).reshape(-1, 5)
     trace = PopulationTrace(table[:, 0], table[:, 1:], handedness)
