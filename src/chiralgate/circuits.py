@@ -12,8 +12,9 @@ lowers fuse_ps_runs(merge_runs(circuit)): each run of consecutive equal
 macros is one gate by the run's summed angle, and then each P/S stage is
 the three gates P(c) S(b) P(a) of its exact SO(3) rotation, so the text's
 gate counts do not grow with the number of Trotter steps.
-A Circuit holds its gates as parallel arrays, and compilation, gate
-matrices and lowering each work on whole arrays; Gate is the one-gate view.
+A Circuit holds its gates as parallel arrays; Gate is the one-gate view.
+Compilation and gate matrices work on whole arrays, lowering gate by gate:
+the export lowers only the fused circuit, at most four macros at any N.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import IntegrityError
 from .hamiltonians import DRIVES, IDX_01, IDX_10, coupling
 from .propagate import BASIS_LABELS, PopulationTrace, _block, _layout, _propagate_blocks
-from .pulses import DiscretizedSchedule, Handedness
+from .pulses import DiscretizedSchedule, Handedness, _is_integer
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
 MACRO_KINDS = ("CROT", "XX-YY", "XX+YY")
@@ -162,8 +163,8 @@ class MeasurementRecord:
             raise ValueError("counts do not sum to shots")
 
 
-# Rows of the gate-matrix and lowering tables: every (kind, target,
-# control_value), the control being 1 - target for two-qubit kinds.
+# Rows of the gate-matrix table: every (kind, target, control_value), the
+# control being 1 - target for two-qubit kinds.
 _CONFIGS = list(itertools.product(KINDS, (0, 1), (0, 1)))
 
 
@@ -232,11 +233,10 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 # -- macro expansion ---------------------------------------------------------
 
-def _template(kind: str, t: int, v: int) -> list[tuple]:
-    """The natives a `kind` gate on target t (control 1 - t) with
-    control_value v lowers to, as (kind, target, source, value):
-    the angle is value times 1, the gate's angle or its axis_phi for source
-    0, 1 or 2.  Natives pass through.
+def _lower(kind: int, t: int, v: int, angle: float, phi: float) -> list[tuple]:
+    """The natives, as (kind code, target, angle), that a macro gate of
+    `kind` on target t (control 1 - t) with control_value v, angle and
+    axis_phi phi lowers to.
 
     CROT: optional X sandwich on the control for conditioning on |0>; the
     rotation about the xy-plane axis at azimuth a is conjugated onto the z
@@ -247,49 +247,30 @@ def _template(kind: str, t: int, v: int) -> list[tuple]:
     commuting factors exp(-i angle/4 XX) exp(+-i angle/4 YY) are
     W^dag Rx_c(angle/2) Ry_t(-+angle/2) W, with two CX.
     """
-    c = 1 - t
-    if kind in NATIVE_KINDS:
-        return [(kind, t, 1, 1.0)]
-    cx, half = ("CX", t, 0, 0.0), math.pi / 2
-    if kind == "CROT":
-        flip = [("X", c, 0, 0.0)] * (1 - v)
-        return [*flip, ("RZ", t, 2, -1.0), ("RY", t, 0, -half), ("RZ", t, 1, 0.5),
-                cx, ("RZ", t, 1, -0.5), cx, ("RY", t, 0, half), ("RZ", t, 2, 1.0), *flip]
-    yy = -0.5 if kind == "XX-YY" else 0.5
-    return [("RX", c, 0, half), cx, ("RX", c, 1, 0.5), ("RY", t, 1, yy), cx,
-            ("RX", c, 0, -half)]
-
-
-_TEMPLATES = [_template(*config) for config in _CONFIGS]
-_T_LEN = np.array([len(rows) for rows in _TEMPLATES])
-_T_START = np.cumsum(_T_LEN) - _T_LEN
-_T_KIND, _T_TARGET, _T_SOURCE, _T_VALUE = (
-    np.array(col, dtype) for col, dtype in zip(
-        zip(*[(CODE[r[0]], *r[1:]) for rows in _TEMPLATES for r in rows]),
-        (np.int8, np.int8, int, float)))
+    c, half = 1 - t, math.pi / 2
+    rx, ry, rz, cx = CODE["RX"], CODE["RY"], CODE["RZ"], (CODE["CX"], t, 0.0)
+    if kind == CODE["CROT"]:
+        flip = [(CODE["X"], c, 0.0)] * (1 - v)
+        return [*flip, (rz, t, -phi), (ry, t, -half), (rz, t, 0.5 * angle), cx,
+                (rz, t, -0.5 * angle), cx, (ry, t, half), (rz, t, phi), *flip]
+    yy = -0.5 if kind == CODE["XX-YY"] else 0.5
+    return [(rx, c, half), cx, (rx, c, 0.5 * angle), (ry, t, yy * angle), cx, (rx, c, -half)]
 
 
 def expand_circuit(circuit: Circuit) -> Circuit:
-    """Every gate replaced by the natives of its template (_template), less
-    the rotations by exactly +-0, which are identities; step_bounds
-    recounted in the natives kept."""
-    row = _row(circuit)
-    ends = np.concatenate([[0], np.cumsum(_T_LEN[row])])  # natives before gate j
-    src = np.repeat(np.arange(len(circuit)), _T_LEN[row])  # the gate of each native
-    nat = _T_START[row][src] + np.arange(ends[-1]) - ends[src]
-    sources = np.stack([np.ones(len(circuit)), circuit.angle, circuit.axis_phi], axis=1)
-    angle = sources[src, _T_SOURCE[nat]] * _T_VALUE[nat]
-    keep = (angle != 0.0) | (_T_KIND[nat] >= CODE["X"])
-    src, nat, angle = src[keep], nat[keep], angle[keep]
-    passed = circuit.kind[src] < len(NATIVE_KINDS)         # keeps axis_phi, control_value
+    """Every macro gate replaced by its natives (_lower), natives passed
+    through, less the rotations by exactly +-0, which are identities;
+    step_bounds recounted in the natives kept."""
+    rows, ends = [], [0]                # ends[j]: natives kept before gate j
+    for k, t, a, phi, v in zip(*(col.tolist() for col in circuit._columns())):
+        lowered = ([(k, t, a, phi, v)] if k < len(NATIVE_KINDS)
+                   else [(*native, 0.0, 1) for native in _lower(k, t, v, a, phi)])
+        rows += [row for row in lowered if row[2] != 0.0 or row[0] >= CODE["X"]]
+        ends.append(len(rows))
     meta = dict(circuit.metadata)
     if "step_bounds" in meta:
-        kept = np.concatenate([[0], np.cumsum(keep)])
-        meta["step_bounds"] = kept[ends[meta["step_bounds"]]].tolist()
-    return Circuit(
-        metadata=meta, kind=_T_KIND[nat], target=_T_TARGET[nat], angle=angle,
-        axis_phi=np.where(passed, circuit.axis_phi[src], 0.0),
-        control_value=np.where(passed, circuit.control_value[src], 1))
+        meta["step_bounds"] = [ends[b] for b in meta["step_bounds"]]
+    return Circuit(metadata=meta, **dict(zip(_COLUMNS, zip(*rows))))
 
 
 def merge_runs(circuit: Circuit) -> Circuit:
@@ -531,10 +512,13 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 def sample_measurements(state: np.ndarray, shots: int, seed: int) -> MeasurementRecord:
     """Multinomial draw from |amplitude|^2; deterministic for a given seed."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    p = np.abs(np.asarray(state)) ** 2
-    p = p / p.sum()
-    draws = np.random.default_rng(seed).multinomial(shots, p)
+    if not (_is_integer(shots) and shots >= 1):
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    with np.errstate(over="ignore"):                # a huge amplitude: norm inf
+        p = np.abs(np.asarray(state)) ** 2
+        norm = p.sum()
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"state must have a finite norm > 0, got squared norm {norm}")
+    draws = np.random.default_rng(seed).multinomial(shots, p / norm)
     counts = {BASIS_LABELS[i]: int(draws[i]) for i in range(4) if draws[i] > 0}
     return MeasurementRecord(shots, counts, seed)

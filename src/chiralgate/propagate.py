@@ -54,7 +54,7 @@ class PopulationTrace:
         """Populations at time(s) t, linearly interpolated on the grid;
         shape t.shape + (4,)."""
         t = np.asarray(t, dtype=float)
-        outside = (t < self.times[0]) | (t > self.times[-1])
+        outside = ~((t >= self.times[0]) & (t <= self.times[-1]))     # NaN too
         if np.any(outside):
             raise ValueError(f"t={t[outside][0]} outside trace window "
                              f"[{self.times[0]}, {self.times[-1]}]")

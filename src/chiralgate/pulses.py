@@ -75,10 +75,10 @@ class Handedness:
 
     @classmethod
     def from_label(cls, label: str) -> "Handedness":
-        try:
-            return cls({"L": +1, "R": -1}[label.upper()])
-        except KeyError:
-            raise ValueError(f"handedness must be 'L' or 'R', got {label!r}") from None
+        sign = {"L": +1, "R": -1}.get(label.upper()) if isinstance(label, str) else None
+        if sign is None:
+            raise ValueError(f"handedness must be 'L' or 'R', got {label!r}")
+        return cls(sign)
 
 
 LEFT = Handedness(+1)

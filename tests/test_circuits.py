@@ -245,6 +245,11 @@ def test_exported_circuit_matches_macro_circuit(protocol, n_steps):
         for erratum, ps_order in ((False, "ps"), (True, "ps"), (False, "sp")):
             c = compile_protocol(d, hand, protocol, ps_order=ps_order, erratum_s_gate=erratum)
             native = expand_circuit(c)
+            # the per-gate reference, to the bit (repr tells -0.0 from 0.0)
+            want = [reference_expand(g) for g in c.gates]
+            assert repr(list(native.gates)) == repr([n for natives in want for n in natives])
+            ends = np.cumsum([0] + [len(natives) for natives in want])
+            assert native.metadata["step_bounds"] == ends[c.metadata["step_bounds"]].tolist()
             u, v = circuit_unitary(native), circuit_unitary(c)
             assert phase_aligned_distance(u, v) < 1e-13
             assert not np.any((native.angle == 0.0) & (native.kind < CODE["X"]))
@@ -501,6 +506,21 @@ def test_sampling_determinism_and_concentration():
     # deterministic state puts every shot on one string
     c = sample_measurements(np.array([0, 0, 1, 0], dtype=complex), 100, seed=0)
     assert c.counts == {"10": 100}
+    assert sample_measurements(state, np.int64(5000), seed=11) == a
+
+
+@pytest.mark.parametrize("shots", [0, 2.5, True, "10", None])
+def test_sampling_rejects_a_non_integer_shot_count(shots):
+    with pytest.raises(ValueError, match=f"shots must be an integer >= 1, got {shots!r}"):
+        sample_measurements(PSI0, shots, seed=0)
+
+
+@pytest.mark.parametrize("state", [np.zeros(4), [math.nan, 0, 0, 0], [math.inf, 0, 0, 0],
+                                   [1e200, 0, 0, 0]])
+def test_sampling_rejects_a_state_without_a_finite_norm(state):
+    # and leaks no RuntimeWarning on the way (warnings are errors here)
+    with pytest.raises(ValueError, match="state must have a finite norm > 0"):
+        sample_measurements(np.asarray(state, dtype=complex), 10, seed=0)
 
 
 def test_measurement_record_validates_total():

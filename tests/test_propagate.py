@@ -72,6 +72,9 @@ def test_trace_interpolation_and_bounds():
         tr.at(1.5)
     with pytest.raises(ValueError):
         tr.at(np.array([0.5, -0.1]))
+    for t in (math.nan, [0.5, math.nan]):     # NaN is outside every window
+        with pytest.raises(ValueError, match="t=nan outside trace window"):
+            tr.at(t)
 
 
 def test_csv_header_and_shape():

@@ -40,8 +40,9 @@ def test_handedness_labels_and_phases():
     assert RIGHT.phi_q == pytest.approx(-math.pi / 2)
     assert Handedness.from_label("l") == LEFT
     assert Handedness.from_label("R") == RIGHT
-    with pytest.raises(ValueError):
-        Handedness.from_label("X")
+    for label in ("X", None, 1, b"L"):
+        with pytest.raises(ValueError, match="handedness must be 'L' or 'R'"):
+            Handedness.from_label(label)
     with pytest.raises(ValueError):
         Handedness(0)
 
