@@ -514,8 +514,11 @@ def sample_measurements(state: np.ndarray, shots: int, seed: int) -> Measurement
     """Multinomial draw from |amplitude|^2; deterministic for a given seed."""
     if not (_is_integer(shots) and shots >= 1):
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    state = np.asarray(state)
+    if state.shape != (4,):
+        raise ValueError(f"state must have shape (4,), got {state.shape}")
     with np.errstate(over="ignore"):                # a huge amplitude: norm inf
-        p = np.abs(np.asarray(state)) ** 2
+        p = np.abs(state) ** 2
         norm = p.sum()
     if not 0.0 < norm < math.inf:
         raise ValueError(f"state must have a finite norm > 0, got squared norm {norm}")

@@ -21,12 +21,11 @@ from .pulses import PROTOCOLS, StapSchedule, StirapSchedule
 SCALE_LIMIT = 1e9
 # Every Trotter or oracle step keeps its gates, real 8x8 matrix block and
 # state in memory; export-qasm keeps its gates and slices, but its text is
-# under 1 KB at any N.  At MAX_STEPS, peak RSS from getrusage in the process
-# on a shared 2-core x86-64 host: export-qasm 90 MB in 0.5 s (STIRAP; STAP
-# 105 MB in 0.6 s), run 172 MB in 1.1-1.5 s (STIRAP; STAP 158 MB).
+# under 1 KB at any N.  At MAX_STEPS, peak RSS from getrusage in a fresh
+# process on a shared 2-core x86-64 host: export-qasm 89 MB in 0.4-0.6 s
+# (STIRAP; STAP 116 MB), run 156 MB in 0.8-1.2 s (STIRAP; STAP 139 MB).
 # sweep-trotter runs an N above 32,768 in a batch of its own, so
-# `--steps-list 20,40,100000` peaks at 152 MB in 0.3 s (STIRAP; STAP 137 MB),
-# against 154 MB (STAP 138 MB) when every N ran on its own.
+# `--steps-list 20,40,100000` peaks at 152 MB in 0.4-0.5 s (STIRAP; STAP 127 MB).
 MAX_STEPS = 100_000
 # Nodes in one top-level entry once YAML aliases are expanded: bounds the
 # work (and the text of an error message) that any later walk of it costs

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrityError
+from .pulses import _is_integer
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
@@ -62,27 +62,21 @@ class PopulationTrace:
                          for j in range(4)], axis=-1)
 
     def to_csv(self) -> str:
+        """The trace as CSV in one %-format of a row template (see _csv).  A
+        p01 column that is +0.0 in every row, as |01> leakage is except with
+        the erratum gate, is written into the template as its text, 0."""
+        p01 = self.probs[:, 1]
+        zero = np.all((p01 == 0.0) & ~np.signbit(p01))
         return _csv("t_us,p00,p01,p10,p11,handedness\n",
-                    "%.9f,%.12g,%.12g,%.12g,%.12g," + self.handedness.replace("%", "%%") + "\n",
-                    [self.times, self.probs])
-
-
-# one conversion of a %-template, or an escaped %
-_CONVERSION = re.compile(r"%%|%[^%a-zA-Z]*[a-zA-Z]")
+                    "%.9f,%.12g," + ("0," if zero else "%.12g,") + "%.12g,%.12g,"
+                    + self.handedness.replace("%", "%%") + "\n",
+                    [self.times, self.probs[:, [0, 2, 3] if zero else [0, 1, 2, 3]]])
 
 
 def _csv(header: str, row: str, columns) -> str:
-    """header, then the %-template `row` filled from each row of the column
-    arrays side by side, in one %-format.  A column that is +0.0 in every
-    row (a trace's p01) goes into the template as its text and leaves the
-    format's tuple."""
+    """header, then the %-template `row` once per row of the column arrays
+    side by side, filled in one %-format."""
     table = np.column_stack(columns)
-    zero = np.all((table == 0.0) & ~np.signbit(table), axis=0)
-    if zero.any():
-        is_zero = iter(zero)
-        row = _CONVERSION.sub(
-            lambda m: m[0] if m[0] == "%%" or not next(is_zero) else m[0] % 0.0, row)
-        table = table[:, ~zero]
     return header + row * len(table) % tuple(table.ravel().tolist())
 
 
@@ -184,9 +178,9 @@ def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
 def propagate(steps, psi0: np.ndarray) -> np.ndarray:
     """psi0, U_1 psi0, U_2 U_1 psi0, ... for the n unitaries of `steps`, as
     an array of shape (n + 1,) + psi0.shape; psi0 is one state (4,) or a
-    stack of states (m, 4).  An unnormalized psi0 raises ValueError, a final
-    norm off by more than NORM_TOL (per 10,000 steps, if n is larger), or
-    NaN, raises IntegrityError.
+    stack of states (m, 4).  A psi0 whose last axis is not 4 or whose norm
+    is not 1 raises ValueError, a final norm off by more than NORM_TOL (per
+    10,000 steps, if n is larger), or NaN, raises IntegrityError.
 
     Blocked prefix products of the real blocks (_block) of `steps`, which is
     never modified: see _propagate_blocks, here with one product.
@@ -224,8 +218,12 @@ def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray) -> list[np.ndarr
     steps for n blocks in all, instead of n.
     """
     psi = np.asarray(psi0, dtype=complex)
-    if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-10):
-        raise ValueError("initial state is not normalized")
+    if psi.shape[-1:] != (4,):
+        raise ValueError(f"initial state must have 4 amplitudes on its last axis, "
+                         f"got shape {psi.shape}")
+    norm_off = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    if not np.all(norm_off <= 1e-10):        # NaN fails too
+        raise ValueError(f"initial state is not normalized: norm off by {np.max(norm_off):.3g}")
     b, starts = _layout(lengths)
     for j in range(1, b):
         cur = u[j::b]
@@ -266,8 +264,8 @@ def evolve_piecewise_exact(
     final state; for a stack of states psi0 (m, 4), both carry its axis:
     probs is (n_steps + 1, m, 4) and final_state (m, 4).
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not (_is_integer(n_steps) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     dt = (t1 - t0) / n_steps
     times = np.linspace(t0, t1, n_steps + 1)
     t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
@@ -290,8 +288,8 @@ def evolve_rk4(
     Used as an independent cross-check of the piecewise-exact propagator; a
     norm drift beyond 1e-4 raises rather than silently returning junk.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not (_is_integer(n_steps) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     psi = np.asarray(psi0, dtype=complex).copy()
     dt = (t1 - t0) / n_steps
     times = np.linspace(t0, t1, n_steps + 1)

@@ -151,7 +151,7 @@ class StirapSchedule(_Timeline):
         span = self.t_f - self.t1
         width = span / 3.0 if self.ps_width is None else self.ps_width
         tau = width if self.tau is None else self.tau
-        q = q_stage_pulse(math.pi / 2.0, self.t1, self.q_width)
+        q = q_stage_pulse(self.t1, self.q_width)
         shared = GaussianPulse(self.ps_amplitude, self.t1 + 0.5 * (span - tau), width)
         second = GaussianPulse(self.ps_amplitude, self.t1 + 0.5 * (span + tau), width)
         # frozen: the derived fields are set once, past __setattr__
@@ -203,7 +203,7 @@ class StapSchedule(_Timeline):
         t_alpha2 = (self.t_f - self.t_split) / 6.0 if self.t_alpha2 is None else self.t_alpha2
         if t_alpha2 <= 0:
             raise ValueError(f"t_alpha2 must be > 0, got {t_alpha2}")
-        q = q_stage_pulse(math.pi / 2.0, self.t_split, self.q_width)
+        q = q_stage_pulse(self.t_split, self.q_width)
         vars(self).update(t_alpha2=t_alpha2, q=q)  # frozen, as in StirapSchedule
 
     @property
@@ -399,12 +399,12 @@ def gauss_legendre(f, lo, hi, panels: int = 1):
     return tuple(map(integral, vals)) if isinstance(vals, tuple) else integral(vals)
 
 
-def q_stage_pulse(amplitude_area: float, t_end: float, width: float | None = None) -> GaussianPulse:
-    """Gaussian centered on [0, t_end] whose windowed area equals amplitude_area."""
+def q_stage_pulse(t_end: float, width: float | None = None) -> GaussianPulse:
+    """Gaussian centered on [0, t_end] whose windowed area is pi/2."""
     if width is None:
         width = t_end / 6.0
     probe = GaussianPulse(1.0, t_end / 2.0, width)
-    return GaussianPulse(amplitude_area / probe.area(0.0, t_end), t_end / 2.0, width)
+    return GaussianPulse(math.pi / 2.0 / probe.area(0.0, t_end), t_end / 2.0, width)
 
 
 def discretize(

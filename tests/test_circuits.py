@@ -523,6 +523,26 @@ def test_sampling_rejects_a_state_without_a_finite_norm(state):
         sample_measurements(np.asarray(state, dtype=complex), 10, seed=0)
 
 
+@pytest.mark.parametrize("state", [np.ones(3), np.ones(8) / math.sqrt(8),
+                                   np.tile(PSI0, (2, 1)), np.complex128(1)])
+def test_sampling_rejects_a_state_that_is_not_4_amplitudes(state):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"state must have shape (4,), got {np.shape(state)}")):
+        sample_measurements(state, 10, seed=0)
+
+
+# a last axis other than 4, and a NaN amplitude, whose norm error compares false
+@pytest.mark.parametrize("psi0, message", [
+    (np.ones(6) / math.sqrt(6), "4 amplitudes on its last axis, got shape (6,)"),
+    (np.ones((2, 2)) / math.sqrt(2), "4 amplitudes on its last axis, got shape (2, 2)"),
+    (np.array([math.nan, 0, 0, 0]), "not normalized: norm off by nan"),
+    (np.array([PSI0, [math.nan, 0, 0, 0]]), "not normalized: norm off by nan")])
+def test_run_statevector_rejects_a_bad_initial_state(psi0, message):
+    circuit = compile_protocol(discretize(default_stap_schedule(), 4), LEFT, "stap")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_statevector(circuit, psi0)
+
+
 def test_measurement_record_validates_total():
     with pytest.raises(ValueError):
         MeasurementRecord(10, {"00": 5}, seed=0)

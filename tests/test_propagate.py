@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,27 @@ def test_non_hermitian_generator_rejected():
 def test_unnormalized_initial_state_rejected():
     with pytest.raises(ValueError):
         evolve_piecewise_exact(lambda t: np.zeros((4, 4)), 2 * PSI0, 0.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("psi0, message", [
+    (np.ones(6) / math.sqrt(6), "4 amplitudes on its last axis, got shape (6,)"),
+    (np.array(1.0), "4 amplitudes on its last axis, got shape ()"),
+    (np.array([math.nan, 0, 0, 0]), "not normalized: norm off by nan"),
+    (np.array([PSI0, [0, math.nan, 0, 0]]), "not normalized: norm off by nan")])
+def test_initial_state_of_wrong_shape_or_nan_norm_rejected(psi0, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve_piecewise_exact(lambda t: np.zeros((4, 4)), psi0, 0.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("evolve", [evolve_piecewise_exact, evolve_rk4])
+def test_propagators_reject_a_step_count_that_is_not_an_integer(evolve):
+    zero = lambda t: np.zeros((4, 4))
+    for n in (0, -3, 2.5, True, "10", None):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"n_steps must be an integer >= 1, got {n!r}")):
+            evolve(zero, PSI0, 0.0, 1.0, n)
+    np.testing.assert_array_equal(evolve(zero, PSI0, 0.0, 1.0, np.int64(3)).probs,
+                                  np.tile([1.0, 0, 0, 0], (4, 1)))
 
 
 def test_norm_preserved_to_tolerance():

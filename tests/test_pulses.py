@@ -48,7 +48,7 @@ def test_handedness_labels_and_phases():
 
 
 def test_q_stage_pulse_hits_requested_area():
-    q = q_stage_pulse(math.pi / 2, 2.53)
+    q = q_stage_pulse(2.53)
     np.testing.assert_allclose(q.area(0.0, 2.53), math.pi / 2, rtol=1e-12)
 
 
