@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import IntegrityError
 from .hamiltonians import DRIVES, IDX_01, IDX_10, coupling
-from .propagate import BASIS_LABELS, PopulationTrace, _block, _layout, _propagate_blocks
-from .pulses import DiscretizedSchedule, Handedness, _is_integer
+from .propagate import (BASIS_LABELS, PopulationTrace, _amplitudes, _block, _D, _layout,
+                        _probs, _propagate_blocks)
+from .pulses import LEFT, DiscretizedSchedule, Handedness, _is_integer
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
 MACRO_KINDS = ("CROT", "XX-YY", "XX+YY")
@@ -187,26 +188,35 @@ for _j, (_k, _t, _v) in enumerate(_CONFIGS):
         _p, _g = _HOP[_k] if _k in _HOP else (_I4, _ON[_k[1], _t])
         _OPS[_j, :3] = _I4 - _p, _p, -1j * _g
 _TABLE = _block(_OPS.real, _OPS.imag).reshape(len(_CONFIGS), 4, 64)
+# The same in the frame D = diag(1, i, 1, i), S on qubit 1: the real parts of D^dag B D.
+# For the macros _FRAME_PHI admits, the rest is 0 or has weight 0 (for Q's
+# cos(phi_Q) = cos(+-pi/2) = 6e-17, which the frame takes as exact)
+_FRAME_TABLE = (_D.conj()[:, None] * _OPS * _D).real.reshape(len(_CONFIGS), 4, 16).copy()
 
 
-def _gate_blocks(circuits: Sequence[Circuit]) -> np.ndarray:
+def _gate_blocks(circuits: Sequence[Circuit], frame: bool = True) -> np.ndarray:
     """gate_matrices as real blocks, for circuits laid end to end as
-    propagate._layout places them, padded with RZ(0) gates, whose block is
+    propagate._layout places them, padded with P(0) gates, whose block is
     exactly the identity: a gate's row of _TABLE weighted by [1, cos(angle/2),
-    sin(angle/2) cos(phi), sin(angle/2) sin(phi)], phi its axis_phi if a CROT, else 0."""
+    sin(angle/2) cos(phi), sin(angle/2) sin(phi)], phi its axis_phi if a CROT, else 0.
+    With frame, when _FRAME_PHI admits every gate, these are the 4x4 frame
+    blocks D^dag U D, rows of _FRAME_TABLE; otherwise 8x8 blocks."""
     _, starts = _layout([len(c) for c in circuits])
     half, phi = np.zeros(starts[-1]), np.zeros(starts[-1])
-    row = np.full(starts[-1], _CONFIGS.index(("RZ", 0, 1)))
+    row = np.full(starts[-1], _CONFIGS.index(("XX-YY", 1, 1)))
     for c, start in zip(circuits, starts):
         a = slice(start, start + len(c))
         half[a], row[a] = c.angle / 2, _row(c)
         phi[a] = np.where(c.kind == CODE["CROT"], c.axis_phi, 0.0)
+    frame = frame and bool((_FRAME_PHI[row] == np.abs(phi)).all())
+    table = _FRAME_TABLE if frame else _TABLE
     coef = np.stack([np.ones_like(half), np.cos(half), np.sin(half) * np.cos(phi),
                      np.sin(half) * np.sin(phi)], axis=1)[:, None]
-    out = np.empty((len(row), 1, 64))
-    for b in (slice(lo, lo + 256) for lo in range(0, len(row), 256)):  # bounds the gather
-        np.matmul(coef[b], _TABLE[row[b]], out=out[b])
-    return out.reshape(-1, 8, 8)
+    out = np.empty((len(row), 1, table.shape[-1]))
+    step = 2**14 // table.shape[-1]         # bounds the gather to 512 KB
+    for b in (slice(lo, lo + step) for lo in range(0, len(row), step)):
+        np.matmul(coef[b], table[row[b]], out=out[b])
+    return out.reshape((-1, 4, 4) if frame else (-1, 8, 8))
 
 
 def gate_matrices(circuit: Circuit) -> np.ndarray:
@@ -222,7 +232,7 @@ def gate_matrices(circuit: Circuit) -> np.ndarray:
     control and G = p (cos phi X + sin phi Y) on the target; for XX-YY and
     XX+YY p projects onto the level pair that G = (XX -+ YY)/2 hops.
     """
-    u = _gate_blocks([circuit])
+    u = _gate_blocks([circuit], frame=False)
     return u[:, :4, :4] + 1j * u[:, 4:, :4]
 
 
@@ -376,6 +386,11 @@ def compile_protocol(
 
 # the P, S and erratum S macros compile_protocol emits: roles 1, 2 and 3 of fuse_ps_runs
 _FUSABLE = [_macro(pair) for pair in (DRIVES["P"], DRIVES["S"], (IDX_01, IDX_10))]
+# |phi| (see _gate_blocks) of each macro compile_protocol emits, Q of either hand
+# too, at its row, else NaN: each is a real rotation in the frame D (_FRAME_TABLE)
+_FRAME_PHI = np.full(len(_CONFIGS), np.nan)
+for _k, _t, _phi, _v in [_macro(DRIVES["Q"], LEFT.phi_q), *_FUSABLE]:
+    _FRAME_PHI[_CONFIGS.index((KINDS[_k], _t, _v))] = abs(_phi)
 
 
 def _frame_rotation(is_s: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -485,9 +500,8 @@ def run_statevectors(circuits: Sequence[Circuit], psi0: np.ndarray) -> list[Popu
         bounds = c.metadata.get("step_bounds")
         at = x if bounds is None else x[[0, *bounds]]
         times = c.metadata.get("delta_t", 1.0) * np.arange(len(at))
-        out.append(PopulationTrace(times, at[..., :4] ** 2 + at[..., 4:] ** 2,
-                                   c.metadata.get("handedness", ""),
-                                   x[-1, ..., :4] + 1j * x[-1, ..., 4:]))
+        out.append(PopulationTrace(times, _probs(at), c.metadata.get("handedness", ""),
+                                   _amplitudes(x[-1])))
     return out
 
 

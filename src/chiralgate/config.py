@@ -19,13 +19,13 @@ from .pulses import PROTOCOLS, StapSchedule, StirapSchedule
 # (V/cm) or dipoles (D); far outside [1/SCALE_LIMIT, SCALE_LIMIT] in magnitude
 # the pulse arithmetic overflows.
 SCALE_LIMIT = 1e9
-# Every Trotter or oracle step keeps its gates, real 8x8 matrix block and
+# Every Trotter or oracle step keeps its gates, real 4x4 frame block and
 # state in memory; export-qasm keeps its gates and slices, but its text is
 # under 1 KB at any N.  At MAX_STEPS, peak RSS from getrusage in a fresh
-# process on a shared 2-core x86-64 host: export-qasm 89 MB in 0.4-0.6 s
-# (STIRAP; STAP 116 MB), run 156 MB in 0.8-1.2 s (STIRAP; STAP 139 MB).
+# process on a shared 2-core x86-64 host: export-qasm 89 MB in 0.5-0.6 s
+# (STIRAP; STAP 116 MB), run 99 MB in 1.0-1.1 s (STIRAP; STAP 116 MB).
 # sweep-trotter runs an N above 32,768 in a batch of its own, so
-# `--steps-list 20,40,100000` peaks at 152 MB in 0.4-0.5 s (STIRAP; STAP 127 MB).
+# `--steps-list 20,40,100000` peaks at 90 MB in 0.5-0.6 s (STIRAP; STAP 117 MB).
 MAX_STEPS = 100_000
 # Nodes in one top-level entry once YAML aliases are expanded: bounds the
 # work (and the text of an error message) that any later walk of it costs

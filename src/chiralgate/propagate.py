@@ -6,8 +6,10 @@ closed-form exponential of a {0, +-w}-spectrum generator, batched over the
 grid, and a classical RK4 integrator with no renormalization whose norm
 drift doubles as an integration-quality diagnostic.  The closed form reads
 the stack over the real Hermitian basis matrices of the entries it uses
-anywhere and builds every step's real 8x8 block in one product of
-per-step coefficients with a table of basis-term blocks.
+anywhere and builds every step's real block in one product of per-step
+coefficients with a table of basis-term blocks: the 4x4 rotation D^dag U D
+in the frame D = diag(1, i, 1, i), the S gate on qubit 1, where the P/S
+generator is real, else the 8x8 block [[Re U, -Im U], [Im U, Re U]].
 
 A generator maps an array of times to an array broadcastable to
 t.shape + (4, 4) of Hermitian matrices.  The piecewise-exact propagator
@@ -32,6 +34,7 @@ NORM_TOL = 1e-12
 RK4_NORM_DRIFT_LIMIT = 1e-4
 
 BASIS_LABELS = ("00", "01", "10", "11")
+_D = np.array([1, 1j, 1, 1j])       # the frame D = diag(1, i, 1, i)
 
 
 def populations(state: np.ndarray) -> np.ndarray:
@@ -101,34 +104,44 @@ _NORM2 = np.where(_I == _J, 1.0, 2.0)                   # ||E_k||_F^2
 
 @functools.lru_cache(maxsize=64)
 def _table(terms: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k, l, table): the (R, 64) real blocks of I, of -i E_k for each term
+    """(k, l, table): the real blocks, as rows, of I, of -i E_k for each term
     and of E_k E_l + E_l E_k (E_k^2 for k = l) for each pair k <= l of
-    terms, which (k, l) index."""
+    terms, which (k, l) index: (R, 16) frame blocks D^dag M D if all are
+    real (as for the real P/S couplings), else (R, 64) 8x8 blocks."""
     e = _BASIS[list(terms)]
     k, l = np.triu_indices(len(e))
     rows = np.concatenate([np.eye(4)[None], -1j * e,
                            e[k] @ e[l] + (k != l)[:, None, None] * (e[l] @ e[k])])
+    frame = _D.conj()[:, None] * rows * _D
+    if not frame.imag.any():
+        return k, l, frame.real.reshape(-1, 16).copy()
     return k, l, _block(rows.real, rows.imag).reshape(-1, 64)
 
 
 def _closed_form_blocks(h: np.ndarray, dt: float) -> np.ndarray:
-    """closed_form_unitaries as real blocks, from the basis terms h uses.
+    """closed_form_unitaries as real blocks, from the basis terms h uses:
+    4x4 frame blocks if every term is real in the frame (the real P/S
+    generators), else 8x8 blocks.
 
     h = sum_k x_k E_k over the E_k of the parts of the h_ij, i <= j, that
-    are nonzero in some row, so I - i s h + c h^2 is one (n, R) @ (R, 64)
+    are nonzero in some row, so I - i s h + c h^2 is one (n, R) @ (R, d^2)
     product of the coefficients [1, s x_k, c x_k x_l] with _table, and
     w^2 = (1/2) sum_k ||E_k||^2 x_k^2.  R = 1 + K + K (K + 1)/2 for K terms:
     6 for the real P/S generators, at most 153 for a dense stack.  The
     product runs in row blocks of at most 2^19 multiply-adds: OpenBLAS runs
     a larger one multithreaded, which took 8 ms instead of 0.2 ms at
-    n = 3000, R = 6 on a busy 2-core host.
+    n = 3000, R = 6, d = 8 on a busy 2-core host.
 
     The Hermiticity defect is max |h_ij - conj(h_ji)| over the entries that
     are nonzero in some row, in either order: for every other entry both
     h_ij and h_ji are 0, so this is the dense maximum, and a NaN or an inf
     makes it NaN or inf.
     """
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     h = np.ascontiguousarray(h, dtype=complex)
+    if h.ndim not in (2, 3) or h.shape[-2:] != (4, 4):
+        raise ValueError(f"generators must have shape (n, 4, 4) or (4, 4), got shape {h.shape}")
     lead, h = h.shape[:-2], h.reshape(-1, 4, 4)
     parts = h.view(float).reshape(-1, 4, 4, 2)      # [.., i, j, (real, imaginary)]
     nonzero = np.any(parts, axis=0)
@@ -148,11 +161,11 @@ def _closed_form_blocks(h: np.ndarray, dt: float) -> np.ndarray:
     cx = cos_minus_1_over_w2[:, None] * x
     coef = np.concatenate([np.ones((len(x), 1)), sin_over_w[:, None] * x, cx[:, k] * x[:, l]],
                           axis=1)
-    out = np.empty((len(x), 64))
-    rows = max(1, 8192 // len(table))
+    out = np.empty((len(x), table.shape[1]))
+    rows = max(1, 2**19 // table.size)
     for lo in range(0, len(x), rows):
         np.matmul(coef[lo:lo + rows], table, out=out[lo:lo + rows])
-    return out.reshape(lead + (8, 8))
+    return out.reshape(lead + (math.isqrt(table.shape[1]),) * 2)
 
 
 def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
@@ -162,32 +175,43 @@ def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
 
         exp(-i h dt) = I - i sin(w dt)/w h + (cos(w dt) - 1)/w^2 h^2,
 
-    written with sinc so that w -> 0 needs no special case.  With
-    h = sum_k x_k E_k over the real Hermitian basis matrices E_k of the
-    entries the stack uses anywhere (the real and the imaginary part of each
-    used h_ij, i <= j), every step is one row of coefficients
-    [1, s x_k, c x_k x_l] times a fixed table of I, -i E_k and
-    E_k E_l + E_l E_k, s and c the factors above.  A basis state whose row
-    and column of h vanish in every step (|01> for every drive here) is left
-    exactly invariant, because no table entry touches it.
+    written with sinc so that w -> 0 needs no special case, for the whole
+    stack at once (_closed_form_blocks).  A basis state whose row and column
+    of h vanish in every step (|01> for every drive here) is left exactly
+    invariant.  A non-finite dt, or an h not of shape (n, 4, 4) or (4, 4),
+    raises ValueError.
     """
     u = _closed_form_blocks(h, dt)
+    if u.shape[-1] == 4:
+        return _D[:, None] * u * _D.conj()
     return u[..., :4, :4] + 1j * u[..., 4:, :4]
 
 
 def propagate(steps, psi0: np.ndarray) -> np.ndarray:
     """psi0, U_1 psi0, U_2 U_1 psi0, ... for the n unitaries of `steps`, as
     an array of shape (n + 1,) + psi0.shape; psi0 is one state (4,) or a
-    stack of states (m, 4).  A psi0 whose last axis is not 4 or whose norm
-    is not 1 raises ValueError, a final norm off by more than NORM_TOL (per
-    10,000 steps, if n is larger), or NaN, raises IntegrityError.
+    stack of states (m, 4).  Steps not of shape (n, 4, 4), or a psi0 whose
+    last axis is not 4 or whose norm is not 1, raise ValueError, a final
+    norm off by more than NORM_TOL (per 10,000 steps, if n is larger), or
+    NaN, raises IntegrityError.
 
     Blocked prefix products of the real blocks (_block) of `steps`, which is
     never modified: see _propagate_blocks, here with one product.
     """
     u = np.asarray(steps, dtype=complex)
-    x = _propagate_blocks(_block(u.real, u.imag), [len(u)], psi0)[0]
-    return x[..., :4] + 1j * x[..., 4:]
+    if u.ndim != 3 or u.shape[1:] != (4, 4):
+        raise ValueError(f"steps must have shape (n, 4, 4), got shape {u.shape}")
+    return _amplitudes(_propagate_blocks(_block(u.real, u.imag), [len(u)], psi0)[0])
+
+
+def _amplitudes(x: np.ndarray) -> np.ndarray:
+    """psi from states of _propagate_blocks: [Re psi, Im psi] or D^dag psi."""
+    return x * _D if x.shape[-1] == 4 else x[..., :4] + 1j * x[..., 4:]
+
+
+def _probs(x: np.ndarray) -> np.ndarray:
+    """|psi|^2 from states of _propagate_blocks (see _amplitudes)."""
+    return populations(x) if x.shape[-1] == 4 else x[..., :4] ** 2 + x[..., 4:] ** 2
 
 
 def _layout(lengths) -> tuple[int, np.ndarray]:
@@ -204,18 +228,20 @@ def _layout(lengths) -> tuple[int, np.ndarray]:
 
 def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray) -> list[np.ndarray]:
     """propagate for several products at once, each from psi0: u holds
-    their real blocks as _layout(lengths) places them, and is overwritten.
-    Returns each product's real states, (lengths[i] + 1,) + psi0.shape[:-1]
-    + (8,); a final norm of any product off by more than NORM_TOL (per
-    10,000 blocks, if it is longer) raises.
+    their real d x d blocks as _layout(lengths) places them, and is
+    overwritten: 8x8 blocks (_block), or 4x4 frame blocks D^dag U D.
+    Returns each product's states, (lengths[i] + 1,) + psi0.shape[:-1]
+    + (d,): [Re psi, Im psi], or the frame amplitudes D^dag psi, real when
+    those of psi0 are (complex otherwise); a final norm of any product off
+    by more than NORM_TOL (per 10,000 blocks, if it is longer) raises.
 
     Cut into runs of b blocks, in place each run becomes the product of its
     run up to it, one batched matmul per run position for all products;
-    then one pass over the runs carries the states, as columns
-    [Re psi, Im psi], one matmul per run, restarting from psi0 where a
-    product starts.  Padding follows a product's last block, so only states
-    past its end, which are dropped, see it.  That is about 2 sqrt(n) Python
-    steps for n blocks in all, instead of n.
+    then one pass over the runs carries the states, as columns, one matmul
+    per run, restarting from psi0 where a product starts.  Padding follows
+    a product's last block, so only states past its end, which are
+    dropped, see it.  That is about 2 sqrt(n) Python steps for n blocks in
+    all, instead of n.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape[-1:] != (4,):
@@ -224,6 +250,9 @@ def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray) -> list[np.ndarr
     norm_off = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
     if not np.all(norm_off <= 1e-10):        # NaN fails too
         raise ValueError(f"initial state is not normalized: norm off by {np.max(norm_off):.3g}")
+    d = u.shape[-1]
+    x0 = psi * _D.conj() if d == 4 else np.concatenate((psi.real, psi.imag), axis=-1)
+    x0 = x0 if x0.imag.any() else x0.real
     b, starts = _layout(lengths)
     for j in range(1, b):
         cur = u[j::b]
@@ -231,11 +260,11 @@ def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray) -> list[np.ndarr
     # each product has one state more than blocks: the state before block j
     # of product i is row j + i of `states`
     first = starts[:-1] + np.arange(len(lengths))
-    states = np.empty((starts[-1] + len(lengths), 8) + psi.shape[:-1])   # each state as a column
-    states[first] = np.concatenate((psi.real, psi.imag), axis=-1).T
+    states = np.empty((starts[-1] + len(lengths), d) + psi.shape[:-1], x0.dtype)   # as columns
+    states[first] = x0.T
     for i in range(len(lengths)):
         for lo in range(starts[i], starts[i + 1], b):
-            np.matmul(u[lo:lo + b].reshape(-1, 8), states[lo + i],
+            np.matmul(u[lo:lo + b].reshape(-1, d), states[lo + i],
                       out=states[lo + i + 1:lo + i + b + 1].reshape((-1,) + psi.shape[:-1]))
     last = first + lengths
     # round-off drifts a norm in proportion to the product's length (up to
@@ -245,6 +274,17 @@ def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray) -> list[np.ndarr
     if not np.all(norm_err <= NORM_TOL * np.maximum(1.0, np.divide(lengths, 10_000))):
         raise IntegrityError(f"norm drifted by {np.max(norm_err):.3g} despite unitary steps")
     return [np.moveaxis(states[lo:hi + 1], 1, -1) for lo, hi in zip(first, last)]
+
+
+def _grid(t0: float, t1: float, n_steps: int) -> tuple[float, np.ndarray]:
+    """(dt, times) of n_steps equal steps from t0 to t1; a step count that is
+    not an integer >= 1 or a non-finite t0 or t1 raises ValueError."""
+    if not (_is_integer(n_steps) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    for name, t in (("t0", t0), ("t1", t1)):
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t!r}")
+    return (t1 - t0) / n_steps, np.linspace(t0, t1, n_steps + 1)
 
 
 def evolve_piecewise_exact(
@@ -264,15 +304,15 @@ def evolve_piecewise_exact(
     final state; for a stack of states psi0 (m, 4), both carry its axis:
     probs is (n_steps + 1, m, 4) and final_state (m, 4).
     """
-    if not (_is_integer(n_steps) and n_steps >= 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    dt = (t1 - t0) / n_steps
-    times = np.linspace(t0, t1, n_steps + 1)
+    dt, times = _grid(t0, t1, n_steps)
     t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
-    h = np.broadcast_to(generator(t_mid), (n_steps, 4, 4))  # one matrix if it ignores t
+    h = generator(t_mid)
+    if np.shape(h)[-2:] != (4, 4) or np.shape(h)[:-2] not in ((), (1,), (n_steps,)):
+        raise ValueError(f"generator output must broadcast to ({n_steps}, 4, 4), "
+                         f"got shape {np.shape(h)}")
+    h = np.broadcast_to(h, (n_steps, 4, 4))     # one matrix if it ignores t
     x = _propagate_blocks(_closed_form_blocks(h, dt), [n_steps], psi0)[0]
-    return PopulationTrace(times, x[..., :4] ** 2 + x[..., 4:] ** 2, handedness,
-                           x[-1, ..., :4] + 1j * x[-1, ..., 4:])
+    return PopulationTrace(times, _probs(x), handedness, _amplitudes(x[-1]))
 
 
 def evolve_rk4(
@@ -288,11 +328,8 @@ def evolve_rk4(
     Used as an independent cross-check of the piecewise-exact propagator; a
     norm drift beyond 1e-4 raises rather than silently returning junk.
     """
-    if not (_is_integer(n_steps) and n_steps >= 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    dt, times = _grid(t0, t1, n_steps)
     psi = np.asarray(psi0, dtype=complex).copy()
-    dt = (t1 - t0) / n_steps
-    times = np.linspace(t0, t1, n_steps + 1)
     probs = np.empty((n_steps + 1, 4))
     probs[0] = populations(psi)
 

@@ -59,9 +59,10 @@ def _oracle(config: ScenarioConfig, schedule,
     Q steps, those whose midpoint lies before t_split, are Omega_Q(t)/2
     times one fixed coupling, so they commute: after them the state is
     cos(A/2)|00> - i e^{-i phi_Q} sin(A/2)|10>, A the cumulative midpoint
-    area, one cumsum for every hand.  The P/S steps do not depend on the
-    hand: one generator call and one batch of unitaries carry every hand's
-    stage-boundary state as one stack.
+    area, one cumsum for every hand; for phi_Q = +-pi/2 that is the real
+    cos(A/2)|00> -+ sin(A/2)|10>.  The P/S steps do not depend on the hand:
+    one generator call and one batch of real frame rotations carry every
+    hand's stage-boundary state as one stack.
     """
     n, t_f = config.oracle_steps, schedule.duration
     dt = t_f / n
@@ -77,7 +78,7 @@ def _oracle(config: ScenarioConfig, schedule,
     q_probs = np.stack([cos**2, np.zeros(k + 1), sin**2, np.zeros(k + 1)], axis=1)
     psi = np.zeros((len(hands), 4), dtype=complex)
     psi[:, 0] = cos[-1]
-    psi[:, 2] = [-1j * np.exp(-1j * hand.phi_q) * sin[-1] for hand in hands]
+    psi[:, 2] = [-hand.sign * sin[-1] for hand in hands]
     ps_probs, finals = np.empty((0, len(hands), 4)), psi
     if k < n:
         gen = stirap_generator(schedule, hands[0])
@@ -174,7 +175,7 @@ def _report_dict(report: DiscriminationReport, config: ScenarioConfig) -> dict:
     }
 
 
-# Gate blocks (512 B each) in one sweep batch: at most 32 MB of them
+# Gate blocks (128 B each, 4x4 in the frame) in one sweep batch: at most 8 MB of them
 SWEEP_BATCH_BLOCKS = 2**16
 
 

@@ -36,11 +36,11 @@ GOLDEN = {
     "stap/default/sweep-trotter":
         "6bd9db2415b6f0c2e2d05e54fcb9db82f4828a5a8f243ec02b380789a589e719",
     "stap/erratum/run":
-        "28ec8057b6d35f3f85cf3d698c5b88085df0d8b6d972c664cdd720cedd9680d6",
+        "5bbbd6f73099fa5c43e7d8b9334eb523d4e139e41a26b3597c114be700b9b745",
     "stap/erratum/export-qasm":
         "3025c3d3e468ec1a376d93d617e290e618b5d8ec1823be826e220f490d797d15",
     "stap/erratum/sweep-trotter":
-        "91703e771d5ea94a3b156476b650e16a19d556c828117f66423c6210ddb9678e",
+        "3956db77c63393c6d30a650313ccfff320556410d5c94cbbd5001f1e2bfd49a5",
     "stap/sp/run":
         "7aaa37f149d1bbb304b479c91cc10362307d8e140e2cc77294f51006b7425620",
     "stap/sp/export-qasm":
@@ -54,11 +54,11 @@ GOLDEN = {
     "stirap/default/sweep-trotter":
         "5394821ffe612681e48e216e744629f6bbd32276b2d61264c635dd0153fd4a60",
     "stirap/erratum/run":
-        "be0382b84525279497e42b42cceee84a1bd3861b83c4b9418f68c0f81113ac09",
+        "195b9faac320c90999cf753065d5a0bc72c12a3fe7946f2b48366d2d0244adb5",
     "stirap/erratum/export-qasm":
         "dc87edc4a46f4ed5b1d7a429d4d464add9a2b35d2b8da77f67ee1de4563f2ec9",
     "stirap/erratum/sweep-trotter":
-        "6d1bed456cb1cdc4f2b7e72a11862416ad71266dd7cf5163b30435bcd8d1678c",
+        "092bdca3cdf0fbe8dfd4b2fd826ac47fbb0a4ebdde3c02e048bcba55b18ce3fe",
     "stirap/sp/run":
         "07e4dd5576de8d184e09b5d89d7fc164ae996e972a897c55bcbef69930aaff3b",
     "stirap/sp/export-qasm":

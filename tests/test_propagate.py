@@ -7,8 +7,8 @@ import pytest
 from chiralgate.errors import IntegrityError
 from chiralgate.hamiltonians import build_h_q, stap_generator, stirap_generator
 from chiralgate.propagate import (PopulationTrace, _block, _layout, _propagate_blocks,
-                                  evolve_piecewise_exact, evolve_rk4, populations,
-                                  propagate)
+                                  closed_form_unitaries, evolve_piecewise_exact, evolve_rk4,
+                                  populations, propagate)
 from chiralgate.pulses import (LEFT, RIGHT, default_stap_schedule,
                                default_stirap_schedule)
 
@@ -71,6 +71,40 @@ def test_propagators_reject_a_step_count_that_is_not_an_integer(evolve):
             evolve(zero, PSI0, 0.0, 1.0, n)
     np.testing.assert_array_equal(evolve(zero, PSI0, 0.0, 1.0, np.int64(3)).probs,
                                   np.tile([1.0, 0, 0, 0], (4, 1)))
+
+
+@pytest.mark.parametrize("evolve", [evolve_piecewise_exact, evolve_rk4])
+@pytest.mark.parametrize("t0, t1, message", [(0.0, math.nan, "t1 must be finite, got nan"),
+                                             (math.inf, 1.0, "t0 must be finite, got inf"),
+                                             (0.0, -math.inf, "t1 must be finite, got -inf")])
+def test_propagators_reject_a_time_that_is_not_finite(evolve, t0, t1, message):
+    # a NaN t1 gave a trace whose times were all NaN, with no error
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve(lambda t: np.zeros((4, 4)), PSI0, t0, t1, 10)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_closed_form_rejects_a_step_width_that_is_not_finite(dt):
+    # NaN gave NaN unitaries, and inf a RuntimeWarning
+    with pytest.raises(ValueError, match=re.escape(f"dt must be finite, got {dt!r}")):
+        closed_form_unitaries(np.zeros((2, 4, 4)), dt)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: propagate(np.zeros((3, 3, 3)), PSI0),
+     "steps must have shape (n, 4, 4), got shape (3, 3, 3)"),
+    (lambda: propagate(np.eye(4), PSI0), "steps must have shape (n, 4, 4), got shape (4, 4)"),
+    (lambda: closed_form_unitaries(np.zeros((3, 3)), 0.1),
+     "generators must have shape (n, 4, 4) or (4, 4), got shape (3, 3)"),
+    (lambda: closed_form_unitaries(np.zeros((2, 2, 4, 4)), 0.1),
+     "generators must have shape (n, 4, 4) or (4, 4), got shape (2, 2, 4, 4)"),
+    (lambda: evolve_piecewise_exact(lambda t: np.zeros((3, 3)), PSI0, 0.0, 1.0, 10),
+     "generator output must broadcast to (10, 4, 4), got shape (3, 3)"),
+    (lambda: evolve_piecewise_exact(lambda t: np.zeros((11, 4, 4)), PSI0, 0.0, 1.0, 10),
+     "generator output must broadcast to (10, 4, 4), got shape (11, 4, 4)")])
+def test_complex_entry_points_reject_stacks_of_the_wrong_shape(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_norm_preserved_to_tolerance():

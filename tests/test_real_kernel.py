@@ -1,6 +1,8 @@
 """The real-arithmetic product kernel: closed_form_unitaries, propagate and
-the gate matrices all work on the 8x8 blocks [[Re U, -Im U], [Im U, Re U]]
-and the states [Re psi, Im psi], and convert at the public boundary."""
+the gate matrices work on the 8x8 blocks [[Re U, -Im U], [Im U, Re U]] and
+the states [Re psi, Im psi], and convert at the public boundary; the
+protocol's P/S generator and circuits run as real 4x4 rotations D^dag U D in
+the frame D = diag(1, i, 1, i), on the frame amplitudes D^dag psi."""
 
 import numpy as np
 import pytest
@@ -8,9 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from chiralgate import circuits, propagate as propagate_module
+from chiralgate.circuits import compile_protocol, gate_matrices, run_statevectors
+from chiralgate.config import validate_config
 from chiralgate.errors import IntegrityError
-from chiralgate.hamiltonians import DRIVES, coupling
-from chiralgate.propagate import _block, closed_form_unitaries, propagate
+from chiralgate.hamiltonians import DRIVES, coupling, stirap_generator
+from chiralgate.propagate import (_block, _closed_form_blocks, _layout, _propagate_blocks,
+                                  closed_form_unitaries, propagate)
+from chiralgate.pulses import LEFT, RIGHT, DiscretizedSchedule, discretize_all
+from chiralgate.scenarios import _oracle
+
+D = np.array([1, 1j, 1, 1j])
 
 PSI0 = np.array([1, 0, 0, 0], dtype=complex)
 STACK = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0.6, 0, 0, 0.8j]])
@@ -135,3 +145,105 @@ def test_propagate_same_for_writeable_and_read_only_steps(n, psi0):
     assert steps.tobytes() == kept.tobytes()    # neither stack is modified
     assert from_writeable.shape == (n + 1,) + psi0.shape
     assert from_writeable.dtype == complex
+
+
+# -- the real frame D = diag(1, i, 1, i) -------------------------------------
+
+@given(protocol=st.sampled_from(["stap", "stirap"]), hand=st.sampled_from([LEFT, RIGHT]),
+       ps_order=st.sampled_from(["ps", "sp"]), erratum=st.booleans(),
+       omegas=st.lists(st.tuples(st.floats(0.0, 30.0), st.floats(-30.0, 30.0),
+                                 st.floats(-30.0, 30.0)), min_size=2, max_size=40),
+       k=st.integers(0, 40), dt=st.floats(1e-3, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_every_protocol_gate_has_its_frame_block(protocol, hand, ps_order, erratum, omegas,
+                                                 k, dt):
+    """Each gate compile_protocol emits is a real rotation in the frame: its
+    4x4 block is D^dag gate_matrix D, whose imaginary part (cos(phi_Q) for
+    Q) the block drops, to 1e-15."""
+    q, p, s = np.array(omegas).T
+    disc = DiscretizedSchedule(dt, q, p, s, min(k, len(q)))
+    c = compile_protocol(disc, hand, protocol, ps_order=ps_order, erratum_s_gate=erratum)
+    blocks = circuits._gate_blocks([c])
+    assert blocks.shape == (len(c), 4, 4)
+    want = D.conj()[:, None] * gate_matrices(c) * D
+    np.testing.assert_allclose(blocks, want, rtol=0, atol=1e-15)
+
+
+def random_rotations(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.normal(size=(n, 4, 4)))[0] if n else np.zeros((0, 4, 4))
+
+
+FRAME_STATES = {"state": np.array([0.6, 0, 0.8, 0]),        # D^dag psi real
+                "stack": np.array([[1, 0, 0, 0], [0, 1j, 0, 0], [0, 0.6j, 0.8, 0]]),
+                "complex": np.array([[0, 0, 1j, 0], [0.6, 0, 0, 0.8]])}
+
+
+@pytest.mark.parametrize("lengths", [[0], [1], [13], [40, 3, 61]])
+@pytest.mark.parametrize("psi0", FRAME_STATES.values(), ids=FRAME_STATES)
+def test_frame_kernel_matches_a_sequential_product(lengths, psi0):
+    """4x4 blocks carry the frame amplitudes D^dag psi: real where those of
+    psi0 are, complex otherwise; b = 3 for 13 blocks leaves a partial last
+    run."""
+    b, starts = _layout(lengths)
+    parts = [random_rotations(n, seed=j) for j, n in enumerate(lengths)]
+    u = np.broadcast_to(np.eye(4), (starts[-1], 4, 4)).copy()
+    for start, part in zip(starts, parts):
+        u[start:start + len(part)] = part
+    got = _propagate_blocks(u, lengths, psi0)
+    x0 = psi0 * D.conj()
+    for x, part in zip(got, parts):
+        want = [x0]
+        for r in part:
+            want.append(want[-1] @ r.T)
+        assert x.shape == (len(part) + 1,) + psi0.shape
+        assert np.iscomplexobj(x) == bool(x0.imag.any())
+        np.testing.assert_allclose(x, np.array(want), rtol=0, atol=1e-14)
+
+
+@pytest.fixture
+def generic_only(monkeypatch):
+    """Every closed form and circuit takes the 8x8 route."""
+    monkeypatch.setattr(propagate_module, "_D", np.ones(4))     # no table is real "in" it
+    monkeypatch.setattr(circuits, "_FRAME_PHI", np.full(len(circuits._CONFIGS), np.nan))
+    propagate_module._table.cache_clear()
+    yield
+    propagate_module._table.cache_clear()
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_frame_oracle_matches_the_generic_route(protocol, request):
+    cfg = validate_config({"protocol": protocol})
+    schedule = cfg.build_schedule()
+    t = np.linspace(schedule.t_split, schedule.duration, 50)
+    h = stirap_generator(schedule, LEFT)(t)
+    assert _closed_form_blocks(h, 0.01).shape == (50, 4, 4)     # the P/S generator is real there
+    frame = _oracle(cfg, schedule, [LEFT, RIGHT])
+    request.getfixturevalue("generic_only")
+    assert _closed_form_blocks(h, 0.01).shape == (50, 8, 8)
+    generic = _oracle(cfg, schedule, [LEFT, RIGHT])
+    for label in "LR":
+        np.testing.assert_allclose(frame[label].probs, generic[label].probs, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(frame[label].final_state, generic[label].final_state,
+                                   rtol=0, atol=1e-14)
+        assert np.all(frame[label].probs[:, 1] == 0.0) and frame[label].final_state[1] == 0.0
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+@pytest.mark.parametrize("ps_order", ["ps", "sp"])
+@pytest.mark.parametrize("erratum", [False, True])
+def test_frame_circuits_match_the_generic_route(protocol, ps_order, erratum, request):
+    cfg = validate_config({"protocol": protocol})
+    discs = discretize_all(cfg.build_schedule(), [2, 17, 100])
+    cs = [compile_protocol(d, hand, protocol, ps_order=ps_order, erratum_s_gate=erratum)
+          for d in discs for hand in (LEFT, RIGHT)]
+    assert circuits._gate_blocks(cs).shape[1:] == (4, 4)
+    frame = run_statevectors(cs, np.array([1.0, 0, 0, 0]))
+    request.getfixturevalue("generic_only")
+    assert circuits._gate_blocks(cs).shape[1:] == (8, 8)
+    generic = run_statevectors(cs, np.array([1.0, 0, 0, 0]))
+    for f, g in zip(frame, generic):
+        np.testing.assert_allclose(f.probs, g.probs, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f.final_state, g.final_state, rtol=0, atol=1e-14)
+        if not erratum:
+            assert np.all(f.probs[:, 1] == 0.0) and f.final_state[1] == 0.0
