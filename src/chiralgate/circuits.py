@@ -506,9 +506,9 @@ def run_statevectors(circuits: Sequence[Circuit], psi0: np.ndarray) -> list[Popu
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """The circuit's 4x4 unitary: propagating the basis states as a stack,
-    final state j is U e_j."""
-    u = run_statevectors([circuit], np.eye(4))[0].final_state.T
+    """The circuit's 4x4 unitary: propagating the states D e_j, real in the
+    frame D, as a stack, final state j is d_j U e_j."""
+    u = run_statevectors([circuit], np.diag(_D))[0].final_state.T * _D.conj()
     defect = np.max(np.abs(u @ u.conj().T - np.eye(4)))
     if not defect <= 1e-10:
         raise IntegrityError(f"compiled unitary defect {defect:.3g}")
