@@ -65,22 +65,38 @@ class PopulationTrace:
                          for j in range(4)], axis=-1)
 
     def to_csv(self) -> str:
-        """The trace as CSV in one %-format of a row template (see _csv).  A
-        p01 column that is +0.0 in every row, as |01> leakage is except with
-        the erratum gate, is written into the template as its text, 0."""
+        """The trace as CSV in one %-format of a row template whose time
+        column is filled in once per grid and cached (see _rows), so the L
+        and R files of a run, and every run on one grid, share it.  A p01
+        column that is +0.0 in every row, as |01> leakage is except with the
+        erratum gate, is written into the template as its text, 0.  Times
+        that are not 1-D, or probs not of shape (len(times), 4), raise
+        ValueError."""
+        times = np.asarray(self.times, dtype=float)
+        if times.ndim != 1 or np.shape(self.probs) != (len(times), 4):
+            raise ValueError(f"a trace needs times of shape (n,) and probs of shape (n, 4), "
+                             f"got {times.shape} and {np.shape(self.probs)}")
         p01 = self.probs[:, 1]
         zero = np.all((p01 == 0.0) & ~np.signbit(p01))
-        return _csv("t_us,p00,p01,p10,p11,handedness\n",
-                    "%.9f,%.12g," + ("0," if zero else "%.12g,") + "%.12g,%.12g,"
-                    + self.handedness.replace("%", "%%") + "\n",
-                    [self.times, self.probs[:, [0, 2, 3] if zero else [0, 1, 2, 3]]])
+        rows = _rows(times.tobytes(), ",%%.12g," + ("0," if zero else "%%.12g,")
+                     + "%%.12g,%%.12g\n")
+        # time text holds no "\n" and no "%", so this places the label exactly
+        rows = rows.replace("\n", "," + self.handedness.replace("%", "%%") + "\n")
+        values = self.probs[:, [0, 2, 3] if zero else [0, 1, 2, 3]]
+        return "t_us,p00,p01,p10,p11,handedness\n" + rows % tuple(values.ravel().tolist())
 
 
-def _csv(header: str, row: str, columns) -> str:
-    """header, then the %-template `row` once per row of the column arrays
-    side by side, filled in one %-format."""
-    table = np.column_stack(columns)
-    return header + row * len(table) % tuple(table.ravel().tolist())
+@functools.lru_cache(maxsize=4)
+def _rows(times: bytes, rest: str) -> str:
+    """The row template of a CSV table: per row, its time of the float64
+    `times` as %.9f, then `rest`, which ends with "\\n" and holds the row's
+    value placeholders with each % doubled, as this %-format halves them.
+
+    Keyed on the bytes of the grid, so -0.0 and 0.0, or a grid changed in
+    place, are new entries; four hold the oracle and circuit grids of both
+    protocols, about 43 B per row each."""
+    t = np.frombuffer(times).tolist()
+    return ("%.9f" + rest) * len(t) % tuple(t)
 
 
 def _block(re, im) -> np.ndarray:

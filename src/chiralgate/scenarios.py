@@ -19,7 +19,7 @@ from .errors import ConfigError
 # stap_generator is stirap_generator; bench/spans.py traces both names here
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
-from .propagate import PopulationTrace, _csv, evolve_piecewise_exact
+from .propagate import PopulationTrace, _rows, evolve_piecewise_exact
 from .pulses import LEFT, RIGHT, Handedness, _is_integer, discretize, discretize_all
 
 PSI0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -106,14 +106,11 @@ def report_discrimination(left: EnantiomerResult, right: EnantiomerResult,
         raise ValueError("L and R traces are on different time grids")
     d = np.abs(tl.probs[:, 2] - tr.probs[:, 2])
 
-    checkpoints, skipped = {}, []
-    for t in config.checkpoints_us:
-        if t < tl.times[0] or t > tl.times[-1]:
-            skipped.append(t)
-            continue
-        pl, pr = tl.at(t), tr.at(t)
-        checkpoints[t] = {"L": pl.tolist(), "R": pr.tolist(),
-                          "D": float(abs(pl[2] - pr[2]))}
+    skipped = [t for t in config.checkpoints_us if t < tl.times[0] or t > tl.times[-1]]
+    inside = [t for t in config.checkpoints_us if t not in skipped]
+    # one call per hand: np.interp gives each time the value it gives it alone
+    checkpoints = {t: {"L": p.tolist(), "R": q.tolist(), "D": float(abs(p[2] - q[2]))}
+                   for t, p, q in zip(inside, tl.at(inside), tr.at(inside))}
 
     target_l = np.array([0, 0, -1, 0], dtype=complex)
     pred_r = predict_r_final(schedule)
@@ -322,11 +319,14 @@ def molecule_report(config: ScenarioConfig) -> dict:
 
 
 def dump_pulses(config: ScenarioConfig, n_samples: int = 2000) -> str:
-    """CSV of the continuous drive amplitudes on a uniform grid."""
+    """CSV of the continuous drive amplitudes on a uniform grid, in one
+    %-format of the row template whose time column propagate._rows fills in
+    once per grid and caches."""
     schedule = config.build_schedule()
     t = np.linspace(0.0, schedule.duration, n_samples)
-    return _csv("t_us,omega_q,omega_p,omega_s\n", "%.9f,%.12g,%.12g,%.12g\n",
-                [t, *schedule.drives(t)])
+    values = np.column_stack(schedule.drives(t))
+    return ("t_us,omega_q,omega_p,omega_s\n"
+            + _rows(t.tobytes(), ",%%.12g,%%.12g,%%.12g\n") % tuple(values.ravel().tolist()))
 
 
 def _write(path: str, text: str) -> None:

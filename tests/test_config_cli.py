@@ -12,7 +12,8 @@ from chiralgate import cli
 from chiralgate.cli import _build_parser, main
 from chiralgate.config import MAX_STEPS, ScenarioConfig, load_config, validate_config
 from chiralgate.errors import ConfigError
-from chiralgate.scenarios import (circuit_to_qasm, dump_pulses, export_qasm,
+from chiralgate.pulses import LEFT, RIGHT
+from chiralgate.scenarios import (_oracle, circuit_to_qasm, dump_pulses, export_qasm,
                                   ingest_counts, run_scenario, sweep_trotter)
 
 
@@ -499,3 +500,22 @@ def test_cli_run_reports_skipped_checkpoints(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert sorted(report["checkpoints"]) == ["0.61", "1.24"]
     assert "skipped_checkpoints" not in report
+
+
+@pytest.mark.parametrize("checkpoints", [[], [2.53, -0.1], [0.0, 2.53, 1.24, 2.5, 0.61, 3]])
+def test_report_checkpoints_match_per_checkpoint_at(checkpoints):
+    # no checkpoint in the window, and both ends of the inclusive window [0, 2.5]
+    # between skipped ones, as one at() call per checkpoint and hand reads them
+    cfg = validate_config({"protocol": "stap", "n_steps": 6, "oracle_steps": 200,
+                           "checkpoints_us": checkpoints})
+    report = run_scenario(cfg)
+    oracle = _oracle(cfg, cfg.build_schedule(), [LEFT, RIGHT])
+    want, skipped = {}, []
+    for t in checkpoints:
+        if t < 0.0 or t > 2.5:
+            skipped.append(t)
+            continue
+        pl, pr = oracle["L"].at(t), oracle["R"].at(t)
+        want[t] = {"L": pl.tolist(), "R": pr.tolist(), "D": float(abs(pl[2] - pr[2]))}
+    assert list(report.checkpoints.items()) == list(want.items())
+    assert report.skipped_checkpoints == skipped

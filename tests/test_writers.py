@@ -7,16 +7,18 @@ both must give the bytes of the plain loops below.
 
 import io
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralgate import scenarios
+from chiralgate import propagate, scenarios
 from chiralgate.circuits import (KINDS, MACRO_KINDS, Circuit, Gate, expand_circuit,
                                  fuse_ps_runs, merge_runs)
 from chiralgate.config import validate_config
@@ -95,6 +97,91 @@ def test_to_csv_matches_row_loop(rows, handedness):
     table = np.array(rows, dtype=float).reshape(-1, 5)
     trace = PopulationTrace(table[:, 0], table[:, 1:], handedness)
     assert trace.to_csv() == csv_reference(trace)
+
+
+# labels the row template's "\n" -> ",label\n" pass must place exactly
+LABELS = ["", "%", "a%sb", "L\n%.9f"]
+
+
+@st.composite
+def shared_grid_traces(draw):
+    """Traces, in a random order, on one or two grids that several share,
+    with labels from LABELS and p01 columns of +0.0, -0.0 or drawn values."""
+    grids = [np.array(g, dtype=float)
+             for g in draw(st.lists(st.lists(csv_value, max_size=6), min_size=1, max_size=2))]
+    traces = []
+    for _ in range(draw(st.integers(1, 6))):
+        times = grids[draw(st.integers(0, len(grids) - 1))]
+        probs = np.array(draw(st.lists(st.lists(csv_value, min_size=4, max_size=4),
+                                       min_size=len(times), max_size=len(times))),
+                         dtype=float).reshape(-1, 4)
+        p01 = draw(st.sampled_from(["+0", "-0", "drawn"]))
+        if p01 != "drawn":
+            probs[:, 1] = 0.0
+        if p01 == "-0" and len(times):
+            probs[draw(st.integers(0, len(times) - 1)), 1] = -0.0
+        traces.append(PopulationTrace(times, probs, draw(st.sampled_from(LABELS))))
+    return traces, len(grids)
+
+
+@given(case=shared_grid_traces())
+@settings(max_examples=150, deadline=None)
+def test_to_csv_on_shared_grids_matches_row_loop(case):
+    traces, n_grids = case
+    propagate._rows.cache_clear()
+    for trace in traces:
+        assert trace.to_csv() == csv_reference(trace)
+    # one cached template per grid and p01 form, whatever the label
+    info = propagate._rows.cache_info()
+    assert info.misses <= 2 * n_grids and info.currsize <= 4
+
+
+def test_to_csv_sees_a_grid_changed_in_place():
+    times = np.linspace(0.0, 1.0, 5)
+    trace = PopulationTrace(times, np.full((5, 4), 0.25), "L")
+    assert trace.to_csv() == csv_reference(trace)
+    times[2] = 0.3
+    assert trace.to_csv() == csv_reference(trace)
+    times[0] = -0.0         # a new key: it is written -0.000000000
+    assert trace.to_csv() == csv_reference(trace)
+    assert "\n-0.000000000," in trace.to_csv()
+
+
+@pytest.mark.parametrize("times", [np.arange(5), np.linspace(0.0, 1.0, 5, dtype=np.float32),
+                                   np.linspace(0.0, 2.0, 10)[::2]],
+                         ids=["int64", "float32", "strided"])
+def test_to_csv_keys_times_on_their_float64_values(times):
+    probs = np.full((5, 4), 0.25)
+    propagate._rows.cache_clear()
+    trace = PopulationTrace(times, probs, "R")
+    text = trace.to_csv()
+    assert text == csv_reference(trace)
+    # the float64 copy of the grid finds its template
+    assert PopulationTrace(np.array(times, dtype=float), probs, "R").to_csv() == text
+    assert propagate._rows.cache_info().hits == 1
+
+
+def test_dump_pulses_after_to_csv_on_one_grid():
+    cfg = validate_config({"protocol": "stap"})
+    times = np.linspace(0.0, cfg.build_schedule().duration, 50)
+    probs = np.full((50, 4), 0.25)
+    probs[:, 1] = 0.0
+    trace = PopulationTrace(times, probs, "L")
+    assert trace.to_csv() == csv_reference(trace)
+    assert scenarios.dump_pulses(cfg, 50) == pulses_reference(cfg, 50)
+    assert trace.to_csv() == csv_reference(trace)
+
+
+@pytest.mark.parametrize("times, probs", [
+    (np.zeros(3), np.zeros((3, 2, 4))),      # a stack of states, as for a psi0 stack
+    (np.zeros((3, 2)), np.zeros((3, 4))),
+    (np.zeros(()), np.zeros(4)),
+    (np.zeros(3), np.zeros((2, 4))),
+    (np.zeros(3), np.zeros((3, 5))),
+])
+def test_to_csv_rejects_mismatched_shapes(times, probs):
+    with pytest.raises(ValueError, match=re.escape(f"got {times.shape} and {probs.shape}")):
+        PopulationTrace(times, probs).to_csv()
 
 
 def test_dump_pulses_matches_row_loop():
