@@ -19,6 +19,7 @@ the export lowers only the fused circuit, at most four macros at any N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -321,13 +322,18 @@ def _macro(pair: tuple[int, int], phase: float = 0.0) -> tuple:
     return CODE["CROT"], t, phase if a[t] else -phase, a[1 - t]
 
 
+def _macro_columns(macros: list[tuple]) -> tuple[np.ndarray, ...]:
+    """The kind, target, axis_phi and control_value columns of _macro tuples."""
+    return tuple(np.array(col, dtype)
+                 for col, dtype in zip(zip(*macros), (np.int8, np.int8, float, np.int8)))
+
+
 def _rotations(macros: list[tuple], drive, theta, metadata: dict | None = None) -> Circuit:
     """Gate j is macros[drive[j]] by theta[j]; a theta of 0 emits no gate."""
     theta = np.asarray(theta, dtype=float)
     keep = theta != 0.0
-    kind, target, axis_phi, control_value = (
-        np.array(col, dtype)[np.asarray(drive)[keep]]
-        for col, dtype in zip(zip(*macros), (np.int8, np.int8, float, np.int8)))
+    kind, target, axis_phi, control_value = (col[np.asarray(drive)[keep]]
+                                             for col in _macro_columns(macros))
     return Circuit(metadata=metadata, kind=kind, target=target, angle=theta[keep],
                    axis_phi=axis_phi, control_value=control_value)
 
@@ -367,19 +373,30 @@ def compile_protocol(
     if ps_order not in _PS_ORDERS:
         raise ValueError(f"ps_order must be one of {_PS_ORDERS}, got {ps_order!r}")
     d = discretized
-    drives = {"p": (DRIVES["P"], d.omega_p),
-              "s": ((IDX_01, IDX_10) if erratum_s_gate else DRIVES["S"], d.omega_s)}
-    (first, omega_1), (second, omega_2) = (drives[x] for x in ps_order)
+    omega = {"p": d.omega_p, "s": d.omega_s}
     # one row per Trotter step, (Q, first, second): a Q step drives only Q
     # and a P/S step only the split pair, whatever the schedule holds
-    theta = np.stack([d.omega_q, omega_1, omega_2], axis=1) * d.delta_t
-    theta[:d.k, 1:] = theta[d.k:, 0] = 0.0
+    theta = np.zeros((d.m, 3))
+    np.multiply(d.omega_q[:d.k], d.delta_t, out=theta[:d.k, 0])
+    for j, x in enumerate(ps_order, 1):
+        np.multiply(omega[x][d.k:], d.delta_t, out=theta[d.k:, j])
+    keep = np.flatnonzero(theta)        # a theta of 0 emits no gate
     meta = dict(protocol=protocol, handedness=handedness.label,
                 n_steps=d.m, delta_t=d.delta_t, k=d.k,
                 ps_order=ps_order, erratum_s_gate=erratum_s_gate,
-                step_bounds=np.cumsum(np.count_nonzero(theta, axis=1)).tolist())
-    macros = [_macro(DRIVES["Q"], handedness.phi_q), _macro(first), _macro(second)]
-    return _rotations(macros, np.tile([0, 1, 2], d.m), theta.ravel(), meta)
+                step_bounds=np.searchsorted(keep, np.arange(3, 3 * d.m + 1, 3)).tolist())
+    kind, target, axis_phi, control_value = (
+        col[keep % 3] for col in _step_macros(handedness.phi_q, ps_order, erratum_s_gate))
+    return Circuit(metadata=meta, kind=kind, target=target, angle=theta.ravel()[keep],
+                   axis_phi=axis_phi, control_value=control_value)
+
+
+@functools.lru_cache(maxsize=8)
+def _step_macros(phi_q: float, ps_order: str, erratum_s_gate: bool) -> tuple[np.ndarray, ...]:
+    """The kind, target, axis_phi and control_value of compile_protocol's
+    three macros of a Trotter step (Q, first, second), as columns."""
+    pairs = {"p": DRIVES["P"], "s": (IDX_01, IDX_10) if erratum_s_gate else DRIVES["S"]}
+    return _macro_columns([_macro(DRIVES["Q"], phi_q)] + [_macro(pairs[x]) for x in ps_order])
 
 
 # -- P/S stage fusion --------------------------------------------------------

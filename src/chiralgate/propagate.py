@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,25 +66,36 @@ class PopulationTrace:
                          for j in range(4)], axis=-1)
 
     def to_csv(self) -> str:
-        """The trace as CSV in one %-format of a row template whose time
-        column is filled in once per grid and cached (see _rows), so the L
-        and R files of a run, and every run on one grid, share it.  A p01
-        column that is +0.0 in every row, as |01> leakage is except with the
-        erratum gate, is written into the template as its text, 0.  Times
+        """The trace as CSV, from the row template whose time column is
+        filled in once per grid and cached (see _rows).  A p01 column that
+        is +0.0 in every row, as |01> leakage is except with the erratum
+        gate, is written into the template as its text, 0.  The rows before
+        the first one whose p01 or p11 is not +0.0 (the chirality-blind Q
+        stage of a protocol) are the head: its p11 is written as 0 too (a
+        -0.0 ends the head, as %.12g writes it -0), and its text without
+        labels is memoised until a trace with the same head takes it (see
+        _head), so the L and R traces of a run format their shared head
+        once.  The other rows are filled in by one %-format.  Times
         that are not 1-D, or probs not of shape (len(times), 4), raise
         ValueError."""
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or np.shape(self.probs) != (len(times), 4):
             raise ValueError(f"a trace needs times of shape (n,) and probs of shape (n, 4), "
                              f"got {times.shape} and {np.shape(self.probs)}")
-        p01 = self.probs[:, 1]
-        zero = np.all((p01 == 0.0) & ~np.signbit(p01))
-        rows = _rows(times.tobytes(), ",%%.12g," + ("0," if zero else "%%.12g,")
+        probs = np.asarray(self.probs, dtype=float)
+        zero = (probs[:, [1, 3]] == 0.0) & ~np.signbit(probs[:, [1, 3]])     # +0.0 only
+        live = ~zero.all(axis=1)
+        q = int(live.argmax()) if live.any() else len(times)
+        zero01 = bool(zero[:, 0].all())
+        cols = [0, 2, 3] if zero01 else [0, 1, 2, 3]
+        rows = _rows(times.tobytes(), ",%%.12g," + ("0," if zero01 else "%%.12g,")
                      + "%%.12g,%%.12g\n")
+        head, cut = _head(rows, q, probs[:q, cols[:-1]].tobytes())
         # time text holds no "\n" and no "%", so this places the label exactly
-        rows = rows.replace("\n", "," + self.handedness.replace("%", "%%") + "\n")
-        values = self.probs[:, [0, 2, 3] if zero else [0, 1, 2, 3]]
-        return "t_us,p00,p01,p10,p11,handedness\n" + rows % tuple(values.ravel().tolist())
+        label = "," + self.handedness + "\n"
+        tail = rows[cut:].replace("\n", label.replace("%", "%%"))
+        return ("t_us,p00,p01,p10,p11,handedness\n" + head.replace("\n", label)
+                + tail % tuple(probs[q:, cols].ravel().tolist()))
 
 
 @functools.lru_cache(maxsize=4)
@@ -94,9 +106,39 @@ def _rows(times: bytes, rest: str) -> str:
 
     Keyed on the bytes of the grid, so -0.0 and 0.0, or a grid changed in
     place, are new entries; four hold the oracle and circuit grids of both
-    protocols, about 43 B per row each."""
+    protocols, about 32 B per row each."""
     t = np.frombuffer(times).tolist()
     return ("%.9f" + rest) * len(t) % tuple(t)
+
+
+# label-free head texts a trace has formatted for the one that shares its head
+_HEADS: dict[tuple, tuple[str, int]] = {}
+_HEADS_LOCK = threading.Lock()
+
+
+def _head(rows: str, q: int, values: bytes) -> tuple[str, int]:
+    """(text, cut): the first q rows, without labels, of the CSV table of
+    row template `rows` (see _rows) with p11 = 0, the text %.12g gives
+    +0.0, and the other placeholders filled, row by row, from the float64
+    `values`; and the offset of row q in `rows`.
+
+    A head is memoised until the next trace with the same template, q and
+    values takes it: the L and R traces of a run share their oracle head
+    and their circuit head, so the second hand formats neither, and no
+    head outlives its run.  At most two are held, the last two formatted."""
+    key = (rows, q, values)
+    with _HEADS_LOCK:
+        head = _HEADS.pop(key, None)
+    if head is None:
+        # a row's only ",%.12g\n" is its p11 placeholder and line end
+        *time_text, tail = rows.split(",%.12g\n", q)
+        head = (",0\n".join(time_text + [""]) % tuple(np.frombuffer(values).tolist()),
+                len(rows) - len(tail))
+        with _HEADS_LOCK:
+            _HEADS[key] = head
+            if len(_HEADS) > 2:
+                del _HEADS[next(iter(_HEADS))]
+    return head
 
 
 def _block(re, im) -> np.ndarray:

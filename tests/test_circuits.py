@@ -406,6 +406,36 @@ def test_compile_protocol_keeps_each_stage_to_its_drives():
     assert [g.kind for g in c.gates] == ["CROT", "CROT", "XX-YY", "CROT", "XX-YY", "CROT"]
 
 
+def compile_reference(d, hand, protocol, ps_order, erratum):
+    """compile_protocol step by step from the one-step compilers."""
+    gates, bounds = [], []
+    for i in range(d.m):
+        if i < d.k:
+            gates += compile_q_step(d.omega_q[i] * d.delta_t, hand)
+        for x in (ps_order if i >= d.k else ""):
+            gates += (compile_p_step(d.omega_p[i] * d.delta_t) if x == "p"
+                      else compile_s_step(d.omega_s[i] * d.delta_t, erratum))
+        bounds.append(len(gates))
+    return gates, dict(protocol=protocol, handedness=hand.label, n_steps=d.m,
+                       delta_t=d.delta_t, k=d.k, ps_order=ps_order,
+                       erratum_s_gate=erratum, step_bounds=bounds)
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_compile_protocol_matches_step_compilers(k):
+    # zero and signed-zero drives emit no gate, in either stage
+    d = DiscretizedSchedule(0.1, np.array([1.0, 0.0, 3, -0.0, 4]),
+                            np.array([5.0, -6, 0.0, 8, -0.0]),
+                            np.array([0.0, 1, 2, -3, 7]), k=k)
+    for hand in (LEFT, RIGHT):
+        for ps_order in ("ps", "sp"):
+            for erratum in (False, True):
+                c = compile_protocol(d, hand, "stap", ps_order=ps_order, erratum_s_gate=erratum)
+                gates, meta = compile_reference(d, hand, "stap", ps_order, erratum)
+                assert repr(list(c.gates)) == repr(gates)      # to the bit
+                assert c.metadata == meta
+
+
 def test_circuits_are_held_to_norm_tol(monkeypatch):
     c = compile_protocol(discretize(default_stap_schedule(), 20), LEFT, "stap")
     trace, final = run_statevector(c, PSI0)

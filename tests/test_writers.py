@@ -136,6 +136,75 @@ def test_to_csv_on_shared_grids_matches_row_loop(case):
     assert info.misses <= 2 * n_grids and info.currsize <= 4
 
 
+# a p01 or p11 value: +0.0 (listed twice, so drawn more often) keeps a row
+# in the head, -0.0 and the rest end it
+P01_P11 = st.one_of(st.sampled_from([0.0, -0.0, 0.0, 5e-324, 0.5]), csv_value)
+
+
+@st.composite
+def head_sharing_traces(draw):
+    """Two traces on one grid whose first q rows, none, some or all, hold
+    the same p00 and p10 and p01 = p11 = +0.0, as the Q stage of a run's L
+    and R traces does.  Each trace may put a p01 or p11 value of P01_P11
+    into one of those rows; the rows past them draw theirs from P01_P11."""
+    n = draw(st.integers(0, 8))
+    times = np.array(draw(st.lists(csv_value, min_size=n, max_size=n)), dtype=float)
+    q = draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+    shared = draw(st.lists(csv_value, min_size=2 * q, max_size=2 * q))
+    traces = []
+    for label in draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=2)):
+        probs = np.array(draw(st.lists(csv_value, min_size=4 * n, max_size=4 * n)),
+                         dtype=float).reshape(n, 4)
+        probs[:, [1, 3]] = np.array(draw(st.lists(P01_P11, min_size=2 * n, max_size=2 * n)),
+                                    dtype=float).reshape(n, 2)
+        probs[:q, [0, 2]] = np.array(shared, dtype=float).reshape(q, 2)
+        probs[:q, [1, 3]] = 0.0
+        if q and draw(st.booleans()):
+            probs[draw(st.integers(0, q - 1)), draw(st.sampled_from([1, 3]))] = draw(P01_P11)
+        traces.append(PopulationTrace(times, probs, label))
+    return traces
+
+
+@given(traces=head_sharing_traces())
+@settings(max_examples=200, deadline=None)
+# a head of no rows, of some rows and of all rows, with a -0.0 past it
+@example(traces=[PopulationTrace(np.arange(3.0), np.array([[0.5, -0.0, 0.5, 0.0]] * 3), "L"),
+                 PopulationTrace(np.arange(3.0), np.array([[0.5, 0.0, 0.5, 0.0]] * 3), "%")])
+@example(traces=[PopulationTrace(np.arange(3.0), np.array([[0.5, 0.0, 0.5, 0.0],
+                                                           [0.25, 0.0, 0.75, 0.0],
+                                                           [0.5, 0.0, 0.25, -0.0]]), "L"),
+                 PopulationTrace(np.arange(3.0), np.array([[0.5, 0.0, 0.5, 0.0],
+                                                           [0.25, 0.0, 0.75, 0.0],
+                                                           [0.5, 0.0, 0.25, 0.25]]), "a%sb")])
+def test_to_csv_on_traces_sharing_a_head_matches_row_loop(traces):
+    for trace in traces:
+        assert trace.to_csv() == csv_reference(trace)
+
+
+def test_to_csv_formats_a_shared_head_once(monkeypatch):
+    times = np.linspace(0.0, 1.0, 6)
+    probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.75, 0.0, 0.25, 0.0], [0.5, 0.0, 0.5, 0.0],
+                      [0.5, 0.0, 0.25, 0.25], [0.25, 0.0, 0.5, 0.25], [0.0, 0.0, 1.0, 0.0]])
+    right = probs.copy()
+    right[3:, [0, 2, 3]] = right[3:, [3, 2, 0]]
+    left, right = PopulationTrace(times, probs, "L"), PopulationTrace(times, right, "R")
+    monkeypatch.setattr(propagate, "_HEADS", {})
+    assert left.to_csv() == csv_reference(left)
+    (text, _), = propagate._HEADS.values()
+    assert text == "0.000000000,1,0,0,0\n0.200000000,0.75,0,0.25,0\n0.400000000,0.5,0,0.5,0\n"
+    # the trace that shares the head takes it
+    assert right.to_csv() == csv_reference(right) and propagate._HEADS == {}
+    # a head one ulp off a memoised one gets its own text (at 0, %.12g
+    # shows the ulp); the last two heads are held, keyed on the row
+    # template (rows per grid), q and the head's p00 and p10
+    off = probs.copy()
+    off[0, 2] = np.nextafter(0.0, 1.0)
+    for trace in (left, PopulationTrace(times, off, "L"), PopulationTrace(times[:4], probs[:4])):
+        assert trace.to_csv() == csv_reference(trace)
+    assert [(rows.count("\n"), q, values) for rows, q, values in propagate._HEADS] == [
+        (6, 3, off[:3, [0, 2]].tobytes()), (4, 3, probs[:3, [0, 2]].tobytes())]
+
+
 def test_to_csv_sees_a_grid_changed_in_place():
     times = np.linspace(0.0, 1.0, 5)
     trace = PopulationTrace(times, np.full((5, 4), 0.25), "L")
@@ -267,6 +336,43 @@ def test_threaded_exports_match_sequential_bytes(tmp_path):
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=export, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert got == {(i, rep): want[i % 2] for i in range(4) for rep in range(6)}
+
+
+SCENARIO_CONFIGS = [{"protocol": "stap", "n_steps": 12, "oracle_steps": 90},
+                    {"protocol": "stirap", "n_steps": 9, "oracle_steps": 70}]
+
+
+def _run_texts(config: dict, out_dir: Path) -> dict[str, bytes]:
+    scenarios.run_scenario(validate_config(config), str(out_dir))
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+def test_threaded_runs_match_sequential_bytes(tmp_path):
+    # threads running different configs share the CSV row templates and the
+    # memoised heads (propagate._rows, propagate._HEADS) and must write the
+    # bytes of a sequential run
+    want = [_run_texts(SCENARIO_CONFIGS[i % 2], tmp_path / f"seq{i}") for i in range(2)]
+    got, errors = {}, []
+
+    def run(i):
+        try:
+            for rep in range(6):
+                got[i, rep] = _run_texts(SCENARIO_CONFIGS[i % 2], tmp_path / f"t{i}_{rep}")
+        except Exception as exc:       # re-raised below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
         for t in threads:
             t.start()
         for t in threads:
