@@ -460,6 +460,21 @@ def _ps_angles(r: np.ndarray) -> tuple[float, float, float]:
     return sigma + delta, 2 * half_b, sigma - delta
 
 
+@functools.lru_cache(maxsize=2)
+def _fused_stage(is_s: bytes, angle: bytes) -> tuple[np.ndarray, ...]:
+    """The read-only circuit columns of the gates P(c), S(b), P(a) (one
+    P(a + c) when b is exactly 0) of the P/S run whose S mask and angles
+    have these bytes.
+
+    The L and R circuits of a protocol differ only in their Q gate, so their
+    P/S runs are the same bytes: the second hand of an export takes the
+    first hand's gates instead of a second frame rotation.  Keyed on the
+    run's exact input, a hit is the bytes a recomputation would give."""
+    a, b, c = _ps_angles(_frame_rotation(np.frombuffer(is_s, bool), np.frombuffer(angle)))
+    drive, theta = ([0], [a + c]) if b == 0.0 else ([0, 1, 0], [c, b, a])
+    return tuple(_rotations(_FUSABLE, drive, theta)._columns())
+
+
 def fuse_ps_runs(circuit: Circuit) -> Circuit:
     """The circuit with each run of consecutive P and S gates (the macros
     compile_protocol emits) as the gates P(c), S(b), P(a) of the run's
@@ -470,6 +485,8 @@ def fuse_ps_runs(circuit: Circuit) -> Circuit:
     and a run is replaced only when that leaves fewer gates, so a lone
     gate and the one P/S step of N = 2 keep their angles.  A run that
     mixes S with erratum S gates and every other gate stay as they are.
+    The fused gates of the last two P/S runs are memoised (_fused_stage),
+    so both hands of an export share one fused stage.
     The metadata drops step_bounds, which index the unfused gates."""
     role = np.zeros(len(circuit), int)
     for code, (kind, target, phi, value) in enumerate(_FUSABLE, 1):
@@ -483,13 +500,12 @@ def fuse_ps_runs(circuit: Circuit) -> Circuit:
         if count[2] and count[3]:
             continue
         if count[3]:
-            drive, theta = [0, 2], [math.fsum(angle[roles == r]) for r in (1, 3)]
+            fused = _rotations(_FUSABLE, [0, 2],
+                               [math.fsum(angle[roles == r]) for r in (1, 3)])._columns()
         else:
-            a, b, c = _ps_angles(_frame_rotation(roles == 2, angle))
-            drive, theta = ([0], [a + c]) if b == 0.0 else ([0, 1, 0], [c, b, a])
-        fused = _rotations(_FUSABLE, drive, theta)
-        if len(fused) < hi - lo:
-            parts += [[col[done:lo] for col in columns], fused._columns()]
+            fused = _fused_stage((roles == 2).tobytes(), angle.tobytes())
+        if len(fused[0]) < hi - lo:
+            parts += [[col[done:lo] for col in columns], fused]
             done = hi
     parts.append([col[done:] for col in columns])
     meta = {key: value for key, value in circuit.metadata.items() if key != "step_bounds"}

@@ -79,6 +79,7 @@ class ScenarioConfig:
         if not self.fields:
             return None
         _require_keys(self.fields, {"eps_p", "eps_s", "eps_q", "max_field"}, "fields")
+        _require_numbers(self.fields, FieldConfig, "fields")
         try:
             return FieldConfig(**self.fields)
         except (TypeError, ValueError) as exc:
@@ -93,6 +94,21 @@ def _require_keys(actual: dict, allowed: set, context: str) -> None:
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {context}: {', '.join(sorted(map(str, unknown)))}")
+
+
+def _require_numbers(values: dict, cls, context: str) -> None:
+    """Each value of `values` for a field of dataclass cls is a number, or
+    null where the field's default is None; a str field (a choice) is left
+    to cls's own check.  YAML 1.1 reads 1e-9, an exponent without a '.',
+    as a string, which would otherwise fail deep in the arithmetic."""
+    for f in dataclasses.fields(cls):
+        if f.name not in values or isinstance(f.default, str):
+            continue
+        v = values[f.name]
+        if v is None and f.default is None:
+            continue
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ConfigError(f"{context}.{f.name} must be a number, got {v!r}")
 
 
 def _require_scale(value, context: str, sizes: dict) -> int:
@@ -155,6 +171,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("pulses must be a mapping")
     allowed = {f.name for f in dataclasses.fields(PROTOCOLS[cfg.protocol]) if f.init}
     _require_keys(cfg.pulses, allowed, f"pulses ({cfg.protocol})")
+    _require_numbers(cfg.pulses, PROTOCOLS[cfg.protocol], "pulses")
 
     if isinstance(cfg.molecule, str):
         if cfg.molecule not in BUILTINS:

@@ -23,7 +23,9 @@ ALPHA1_PROFILES = ("gauss_match", "sin2")
 def _erf(x) -> np.ndarray:
     """math.erf elementwise (numpy has no erf ufunc)."""
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.erf, x.flat), float, x.size).reshape(x.shape)
+    # Python floats, not the numpy scalars of x.flat: math.erf reads both as
+    # the same double, the floats faster
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)

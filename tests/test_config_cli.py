@@ -301,6 +301,33 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, message", [
+    # YAML 1.1 reads an exponent without a '.' as a string
+    ("protocol: stirap\npulses: {ps_width: 1e-9}", "pulses.ps_width must be a number, got '1e-9'"),
+    ('pulses: {alpha_m: "0.3"}', "pulses.alpha_m must be a number, got '0.3'"),
+    ("pulses: {t_split: [1.0]}", "pulses.t_split must be a number, got [1.0]"),
+    ("protocol: stirap\npulses: {t1: null}", "pulses.t1 must be a number, got None"),
+    ("fields: {max_field: 1e4}", "fields.max_field must be a number, got '1e4'"),
+])
+def test_cli_names_a_pulse_or_field_value_that_is_not_a_number(tmp_path, capsys, text,
+                                                                message):
+    path = tmp_path / "config.yaml"
+    path.write_text(text + "\n")
+    assert main(["molecule-check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_null_is_a_pulse_value_only_where_the_default_is_none():
+    validate_config({"protocol": "stirap", "pulses": {"tau": None, "ps_width": None,
+                                                      "q_width": None}})
+    validate_config({"protocol": "stap", "pulses": {"t_alpha2": None, "q_width": None}})
+    with pytest.raises(ConfigError, match="pulses.t_f must be a number, got None"):
+        validate_config({"protocol": "stap", "pulses": {"t_f": None}})
+    # alpha1_profile, a choice, keeps its own check
+    with pytest.raises(ConfigError, match="unknown alpha1 profile None"):
+        validate_config({"protocol": "stap", "pulses": {"alpha1_profile": None}})
+
+
 @pytest.mark.parametrize("fields", [{"eps_p": -1}, {"eps_p": 50}])
 def test_cli_rejects_out_of_range_fields(tmp_path, fields):
     path = tmp_path / "fields.yaml"

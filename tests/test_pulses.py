@@ -15,7 +15,7 @@ from chiralgate.pulses import (ALPHA1_PROFILES, DiscretizedSchedule, GaussianPul
                                default_stirap_schedule, discretize,
                                discretize_all, eval_ps_rates, mixing_angle,
                                mixing_angle_rate, q_stage_pulse,
-                               stap_angles, total_rabi)
+                               stap_angles, total_rabi, _erf)
 
 
 def test_gaussian_area_matches_quadrature():
@@ -376,3 +376,15 @@ def test_batching_never_changes_a_slice(schedule):
 
 def test_total_rabi():
     np.testing.assert_allclose(total_rabi(3.0, 4.0), 5.0)
+
+
+def test_erf_matches_a_math_erf_loop_bit_for_bit():
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf,
+                       math.nan, 0.3, -6.0, 30.0])
+    inputs = [values, values[::3], values[1:].reshape(2, 5), values[1:].reshape(5, 2).T,
+              np.float64(-0.0), np.array(math.nan), 5e-324, [[-0.0], [1e-300]]]
+    for x in inputs:
+        want = np.array([math.erf(float(v)) for v in np.asarray(x, float).flat])
+        got = _erf(x)
+        assert got.dtype == float and got.shape == np.shape(x)
+        assert got.tobytes() == want.tobytes()
