@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .hamiltonians import DRIVES, IDX_01, IDX_10, coupling
-from .propagate import (BASIS_LABELS, PopulationTrace, _amplitudes, _block, _D, _layout,
-                        _probs, _propagate_blocks)
+from .propagate import BASIS_LABELS, PopulationTrace, _D, _layout, _propagate_blocks, populations
 from .pulses import LEFT, DiscretizedSchedule, Handedness, _is_integer
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
@@ -176,8 +175,8 @@ def _row(circuit: Circuit) -> np.ndarray:
 
 # -- gate matrices -----------------------------------------------------------
 
-# The real blocks of B = 1 - p, p, -i G_X and -i G_Y per row: X and CX have
-# B = the gate, CROT G_X = p X and G_Y = p Y on its target, the rest G_X = G
+# B = 1 - p, p, -i G_X and -i G_Y per row: X and CX have B = the gate, CROT
+# G_X = p X and G_Y = p Y on its target, the rest G_X = G
 _OPS = np.zeros((len(_CONFIGS), 4, 4, 4), complex)
 for _j, (_k, _t, _v) in enumerate(_CONFIGS):
     if _k in ("X", "CX"):
@@ -188,20 +187,20 @@ for _j, (_k, _t, _v) in enumerate(_CONFIGS):
     else:
         _p, _g = _HOP[_k] if _k in _HOP else (_I4, _ON[_k[1], _t])
         _OPS[_j, :3] = _I4 - _p, _p, -1j * _g
-_TABLE = _block(_OPS.real, _OPS.imag).reshape(len(_CONFIGS), 4, 64)
-# The same in the frame D = diag(1, i, 1, i), S on qubit 1: the real parts of D^dag B D.
-# For the macros _FRAME_PHI admits, the rest is 0 or has weight 0 (for Q's
-# cos(phi_Q) = cos(+-pi/2) = 6e-17, which the frame takes as exact)
-_FRAME_TABLE = (_D.conj()[:, None] * _OPS * _D).real.reshape(len(_CONFIGS), 4, 16).copy()
+# Their frame blocks D^dag B D, in the frame D = diag(1, i, 1, i), S on qubit 1
+_FRAME_TABLE = (_D.conj()[:, None] * _OPS * _D).reshape(len(_CONFIGS), 4, 16)
+# Their real parts.  For the macros _FRAME_PHI admits, the rest is 0 or has
+# weight 0 (for Q's cos(phi_Q) = cos(+-pi/2) = 6e-17, which the frame takes as exact)
+_REAL_TABLE = _FRAME_TABLE.real.copy()
 
 
-def _gate_blocks(circuits: Sequence[Circuit], frame: bool = True) -> np.ndarray:
-    """gate_matrices as real blocks, for circuits laid end to end as
-    propagate._layout places them, padded with P(0) gates, whose block is
-    exactly the identity: a gate's row of _TABLE weighted by [1, cos(angle/2),
-    sin(angle/2) cos(phi), sin(angle/2) sin(phi)], phi its axis_phi if a CROT, else 0.
-    With frame, when _FRAME_PHI admits every gate, these are the 4x4 frame
-    blocks D^dag U D, rows of _FRAME_TABLE; otherwise 8x8 blocks."""
+def _gate_blocks(circuits: Sequence[Circuit], real: bool = True) -> np.ndarray:
+    """gate_matrices as 4x4 frame blocks D^dag U D, for circuits laid end to
+    end as propagate._layout places them, padded with P(0) gates, whose
+    block is exactly the identity: a gate's row of _FRAME_TABLE weighted by
+    [1, cos(angle/2), sin(angle/2) cos(phi), sin(angle/2) sin(phi)], phi its
+    axis_phi if a CROT, else 0.  With real, when _FRAME_PHI admits every
+    gate, these are real, rows of _REAL_TABLE; otherwise complex."""
     _, starts = _layout([len(c) for c in circuits])
     half, phi = np.zeros(starts[-1]), np.zeros(starts[-1])
     row = np.full(starts[-1], _CONFIGS.index(("XX-YY", 1, 1)))
@@ -209,15 +208,15 @@ def _gate_blocks(circuits: Sequence[Circuit], frame: bool = True) -> np.ndarray:
         a = slice(start, start + len(c))
         half[a], row[a] = c.angle / 2, _row(c)
         phi[a] = np.where(c.kind == CODE["CROT"], c.axis_phi, 0.0)
-    frame = frame and bool((_FRAME_PHI[row] == np.abs(phi)).all())
-    table = _FRAME_TABLE if frame else _TABLE
+    real = real and bool((_FRAME_PHI[row] == np.abs(phi)).all())
+    table = _REAL_TABLE if real else _FRAME_TABLE
     coef = np.stack([np.ones_like(half), np.cos(half), np.sin(half) * np.cos(phi),
                      np.sin(half) * np.sin(phi)], axis=1)[:, None]
-    out = np.empty((len(row), 1, table.shape[-1]))
-    step = 2**14 // table.shape[-1]         # bounds the gather to 512 KB
+    out = np.empty((len(row), 1, 16), table.dtype)
+    step = 2**13 // table.itemsize          # bounds the gather to 512 KB
     for b in (slice(lo, lo + step) for lo in range(0, len(row), step)):
         np.matmul(coef[b], table[row[b]], out=out[b])
-    return out.reshape((-1, 4, 4) if frame else (-1, 8, 8))
+    return out.reshape(-1, 4, 4)
 
 
 def gate_matrices(circuit: Circuit) -> np.ndarray:
@@ -233,8 +232,8 @@ def gate_matrices(circuit: Circuit) -> np.ndarray:
     control and G = p (cos phi X + sin phi Y) on the target; for XX-YY and
     XX+YY p projects onto the level pair that G = (XX -+ YY)/2 hops.
     """
-    u = _gate_blocks([circuit], frame=False)
-    return u[:, :4, :4] + 1j * u[:, 4:, :4]
+    # + 0.0 turns the -0.0 parts that the frame's factors +-i leave into +0.0
+    return _D[:, None] * _gate_blocks([circuit], real=False) * _D.conj() + 0.0
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -404,7 +403,7 @@ def _step_macros(phi_q: float, ps_order: str, erratum_s_gate: bool) -> tuple[np.
 # the P, S and erratum S macros compile_protocol emits: roles 1, 2 and 3 of fuse_ps_runs
 _FUSABLE = [_macro(pair) for pair in (DRIVES["P"], DRIVES["S"], (IDX_01, IDX_10))]
 # |phi| (see _gate_blocks) of each macro compile_protocol emits, Q of either hand
-# too, at its row, else NaN: each is a real rotation in the frame D (_FRAME_TABLE)
+# too, at its row, else NaN: each is a real rotation in the frame D (_REAL_TABLE)
 _FRAME_PHI = np.full(len(_CONFIGS), np.nan)
 for _k, _t, _phi, _v in [_macro(DRIVES["Q"], LEFT.phi_q), *_FUSABLE]:
     _FRAME_PHI[_CONFIGS.index((KINDS[_k], _t, _v))] = abs(_phi)
@@ -533,14 +532,14 @@ def run_statevectors(circuits: Sequence[Circuit], psi0: np.ndarray) -> list[Popu
         bounds = c.metadata.get("step_bounds")
         at = x if bounds is None else x[[0, *bounds]]
         times = c.metadata.get("delta_t", 1.0) * np.arange(len(at))
-        out.append(PopulationTrace(times, _probs(at), c.metadata.get("handedness", ""),
-                                   _amplitudes(x[-1])))
+        out.append(PopulationTrace(times, populations(at), c.metadata.get("handedness", ""),
+                                   x[-1] * _D))
     return out
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """The circuit's 4x4 unitary: propagating the states D e_j, real in the
-    frame D, as a stack, final state j is d_j U e_j."""
+    """The circuit's 4x4 unitary: propagating the states D e_j, whose frame
+    amplitudes are the real e_j, as a stack, final state j is d_j U e_j."""
     u = run_statevectors([circuit], np.diag(_D))[0].final_state.T * _D.conj()
     defect = np.max(np.abs(u @ u.conj().T - np.eye(4)))
     if not defect <= 1e-10:

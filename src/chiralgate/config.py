@@ -34,6 +34,9 @@ MAX_NODES = 100_000
 # offers; "both" runs L then R (scenarios._hands)
 _CHOICES = {"protocol": tuple(PROTOCOLS), "enantiomer": ("L", "R", "both"),
             "ps_order": _PS_ORDERS}
+# The sections of an inline molecule and the class each builds
+_MOLECULE_SECTIONS = {"constants": RotorConstants, "dipoles": DipoleComponents,
+                      "table": TransitionTable}
 _INT_RANGES = {"n_steps": (2, MAX_STEPS), "shots": (1, 2**63 - 1),   # numpy's int64
                "oracle_steps": (1, MAX_STEPS), "seed": (0, 2**63 - 1)}
 
@@ -65,12 +68,12 @@ class ScenarioConfig:
             return BUILTINS[self.molecule]
         m = self.molecule
         try:
-            constants = RotorConstants(**m["constants"])
-            dipoles = DipoleComponents(**m["dipoles"])
-            table = TransitionTable(**m["table"])
+            for key, cls in _MOLECULE_SECTIONS.items():
+                if isinstance(m[key], dict):        # else cls(**m[key]) raises TypeError
+                    _require_numbers(m[key], cls, f"molecule.{key}")
+            return tuple(cls(**m[key]) for key, cls in _MOLECULE_SECTIONS.items())
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid inline molecule spec: {exc}") from exc
-        return constants, dipoles, table
 
     def field_config(self) -> FieldConfig | None:
         """Drive fields, absent eps values at 0 V/cm; None without fields."""
@@ -179,7 +182,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 f"unknown molecule {cfg.molecule!r}; "
                 f"builtins: {', '.join(sorted(BUILTINS))}")
     elif isinstance(cfg.molecule, dict):
-        _require_keys(cfg.molecule, {"constants", "dipoles", "table"}, "molecule")
+        _require_keys(cfg.molecule, set(_MOLECULE_SECTIONS), "molecule")
     else:
         raise ConfigError("molecule must be a builtin name or an inline mapping")
 

@@ -28,7 +28,8 @@ class SingularScheduleError(ChiralGateError):
 
 
 class FrameTrackingError(ChiralGateError):
-    """Instantaneous eigenframe could not be continued smoothly in time.
+    """Deprecated: instantaneous eigenframe could not be continued smoothly
+    in time.
 
     Nothing raises it any more: the adiabatic frame is the closed-form
     dark/bright frame, smooth in t.  It stays exported for compatibility,

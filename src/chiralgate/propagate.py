@@ -6,10 +6,12 @@ closed-form exponential of a {0, +-w}-spectrum generator, batched over the
 grid, and a classical RK4 integrator with no renormalization whose norm
 drift doubles as an integration-quality diagnostic.  The closed form reads
 the stack over the real Hermitian basis matrices of the entries it uses
-anywhere and builds every step's real block in one product of per-step
-coefficients with a table of basis-term blocks: the 4x4 rotation D^dag U D
-in the frame D = diag(1, i, 1, i), the S gate on qubit 1, where the P/S
-generator is real, else the 8x8 block [[Re U, -Im U], [Im U, Re U]].
+anywhere and builds every step's block in one product of per-step
+coefficients with a table of basis-term blocks.  Every block the product
+kernel multiplies is the 4x4 matrix D^dag U D in the frame
+D = diag(1, i, 1, i), the S gate on qubit 1, acting on the frame amplitudes
+D^dag psi: a real rotation where every term is real in the frame, as the
+P/S generator is, else a complex block.
 
 A generator maps an array of times to an array broadcastable to
 t.shape + (4, 4) of Hermitian matrices.  The piecewise-exact propagator
@@ -141,14 +143,6 @@ def _head(rows: str, q: int, values: bytes) -> tuple[str, int]:
     return head
 
 
-def _block(re, im) -> np.ndarray:
-    """The real 8x8 blocks [[re, -im], [im, re]] of the 4x4 matrices re + i im."""
-    out = np.empty(np.shape(re)[:-2] + (8, 8))
-    out[..., :4, :4] = out[..., 4:, 4:] = re
-    out[..., 4:, :4], out[..., :4, 4:] = im, -im
-    return out
-
-
 # The real Hermitian basis a generator is read in: one E_k for each part of
 # h_ij, i <= j, that a Hermitian h can have, |i><j| + |j><i| for a real part
 # and i|i><j| - i|j><i| for the imaginary part of an off-diagonal entry.
@@ -162,33 +156,31 @@ _NORM2 = np.where(_I == _J, 1.0, 2.0)                   # ||E_k||_F^2
 
 @functools.lru_cache(maxsize=64)
 def _table(terms: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k, l, table): the real blocks, as rows, of I, of -i E_k for each term
-    and of E_k E_l + E_l E_k (E_k^2 for k = l) for each pair k <= l of
-    terms, which (k, l) index: (R, 16) frame blocks D^dag M D if all are
-    real (as for the real P/S couplings), else (R, 64) 8x8 blocks."""
+    """(k, l, table): the frame blocks D^dag M D, as (R, 16) rows, of I, of
+    -i E_k for each term and of E_k E_l + E_l E_k (E_k^2 for k = l) for
+    each pair k <= l of terms, which (k, l) index: real if all are (as for
+    the real P/S couplings), else complex."""
     e = _BASIS[list(terms)]
     k, l = np.triu_indices(len(e))
     rows = np.concatenate([np.eye(4)[None], -1j * e,
                            e[k] @ e[l] + (k != l)[:, None, None] * (e[l] @ e[k])])
-    frame = _D.conj()[:, None] * rows * _D
-    if not frame.imag.any():
-        return k, l, frame.real.reshape(-1, 16).copy()
-    return k, l, _block(rows.real, rows.imag).reshape(-1, 64)
+    frame = (_D.conj()[:, None] * rows * _D).reshape(-1, 16)
+    return k, l, frame if frame.imag.any() else frame.real.copy()
 
 
 def _closed_form_blocks(h: np.ndarray, dt: float) -> np.ndarray:
-    """closed_form_unitaries as real blocks, from the basis terms h uses:
-    4x4 frame blocks if every term is real in the frame (the real P/S
-    generators), else 8x8 blocks.
+    """closed_form_unitaries as frame blocks D^dag U D, from the basis terms
+    h uses: real if every term is real in the frame (the real P/S
+    generators), else complex.
 
     h = sum_k x_k E_k over the E_k of the parts of the h_ij, i <= j, that
-    are nonzero in some row, so I - i s h + c h^2 is one (n, R) @ (R, d^2)
+    are nonzero in some row, so I - i s h + c h^2 is one (n, R) @ (R, 16)
     product of the coefficients [1, s x_k, c x_k x_l] with _table, and
     w^2 = (1/2) sum_k ||E_k||^2 x_k^2.  R = 1 + K + K (K + 1)/2 for K terms:
     6 for the real P/S generators, at most 153 for a dense stack.  The
     product runs in row blocks of at most 2^19 multiply-adds: OpenBLAS runs
-    a larger one multithreaded, which took 8 ms instead of 0.2 ms at
-    n = 3000, R = 6, d = 8 on a busy 2-core host.
+    a larger one multithreaded, which took 8 ms instead of 0.2 ms for a
+    (3000, 6) @ (6, 64) product on a busy 2-core host.
 
     The Hermiticity defect is max |h_ij - conj(h_ji)| over the entries that
     are nonzero in some row, in either order: for every other entry both
@@ -219,11 +211,11 @@ def _closed_form_blocks(h: np.ndarray, dt: float) -> np.ndarray:
     cx = cos_minus_1_over_w2[:, None] * x
     coef = np.concatenate([np.ones((len(x), 1)), sin_over_w[:, None] * x, cx[:, k] * x[:, l]],
                           axis=1)
-    out = np.empty((len(x), table.shape[1]))
+    out = np.empty((len(x), 16), table.dtype)
     rows = max(1, 2**19 // table.size)
     for lo in range(0, len(x), rows):
         np.matmul(coef[lo:lo + rows], table, out=out[lo:lo + rows])
-    return out.reshape(lead + (math.isqrt(table.shape[1]),) * 2)
+    return out.reshape(lead + (4, 4))
 
 
 def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
@@ -239,10 +231,7 @@ def closed_form_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     invariant.  A non-finite dt, or an h not of shape (n, 4, 4) or (4, 4),
     raises ValueError.
     """
-    u = _closed_form_blocks(h, dt)
-    if u.shape[-1] == 4:
-        return _D[:, None] * u * _D.conj()
-    return u[..., :4, :4] + 1j * u[..., 4:, :4]
+    return _D[:, None] * _closed_form_blocks(h, dt) * _D.conj()
 
 
 def propagate(steps, psi0: np.ndarray) -> np.ndarray:
@@ -253,23 +242,14 @@ def propagate(steps, psi0: np.ndarray) -> np.ndarray:
     norm off by more than NORM_TOL (per 10,000 steps, if n is larger), or
     NaN, raises IntegrityError.
 
-    Blocked prefix products of the real blocks (_block) of `steps`, which is
-    never modified: see _propagate_blocks, here with one product.
+    Blocked prefix products of the complex frame blocks D^dag U D of
+    `steps`, which is never modified: see _propagate_blocks, here with one
+    product.
     """
     u = np.asarray(steps, dtype=complex)
     if u.ndim != 3 or u.shape[1:] != (4, 4):
         raise ValueError(f"steps must have shape (n, 4, 4), got shape {u.shape}")
-    return _amplitudes(_propagate_blocks(_block(u.real, u.imag), [len(u)], psi0)[0])
-
-
-def _amplitudes(x: np.ndarray) -> np.ndarray:
-    """psi from states of _propagate_blocks: [Re psi, Im psi] or D^dag psi."""
-    return x * _D if x.shape[-1] == 4 else x[..., :4] + 1j * x[..., 4:]
-
-
-def _probs(x: np.ndarray) -> np.ndarray:
-    """|psi|^2 from states of _propagate_blocks (see _amplitudes)."""
-    return populations(x) if x.shape[-1] == 4 else x[..., :4] ** 2 + x[..., 4:] ** 2
+    return _propagate_blocks(_D.conj()[:, None] * u * _D, [len(u)], psi0)[0] * _D
 
 
 def _layout(lengths) -> tuple[int, np.ndarray]:
@@ -286,12 +266,12 @@ def _layout(lengths) -> tuple[int, np.ndarray]:
 
 def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray) -> list[np.ndarray]:
     """propagate for several products at once, each from psi0: u holds
-    their real d x d blocks as _layout(lengths) places them, and is
-    overwritten: 8x8 blocks (_block), or 4x4 frame blocks D^dag U D.
-    Returns each product's states, (lengths[i] + 1,) + psi0.shape[:-1]
-    + (d,): [Re psi, Im psi], or the frame amplitudes D^dag psi, real when
-    those of psi0 are (complex otherwise); a final norm of any product off
-    by more than NORM_TOL (per 10,000 blocks, if it is longer) raises.
+    their 4x4 frame blocks D^dag U D, real or complex, as _layout(lengths)
+    places them, and is overwritten.  Returns each product's frame
+    amplitudes D^dag psi, (lengths[i] + 1,) + psi0.shape, real when those
+    of psi0 and the blocks are (complex otherwise); a final norm of any
+    product off by more than NORM_TOL (per 10,000 blocks, if it is longer)
+    raises.
 
     Cut into runs of b blocks, in place each run becomes the product of its
     run up to it, one batched matmul per run position for all products;
@@ -308,8 +288,7 @@ def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray) -> list[np.ndarr
     norm_off = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
     if not np.all(norm_off <= 1e-10):        # NaN fails too
         raise ValueError(f"initial state is not normalized: norm off by {np.max(norm_off):.3g}")
-    d = u.shape[-1]
-    x0 = psi * _D.conj() if d == 4 else np.concatenate((psi.real, psi.imag), axis=-1)
+    x0 = psi * _D.conj()
     x0 = x0 if x0.imag.any() else x0.real
     b, starts = _layout(lengths)
     for j in range(1, b):
@@ -318,11 +297,12 @@ def _propagate_blocks(u: np.ndarray, lengths, psi0: np.ndarray) -> list[np.ndarr
     # each product has one state more than blocks: the state before block j
     # of product i is row j + i of `states`
     first = starts[:-1] + np.arange(len(lengths))
-    states = np.empty((starts[-1] + len(lengths), d) + psi.shape[:-1], x0.dtype)   # as columns
+    states = np.empty((starts[-1] + len(lengths), 4) + psi.shape[:-1],
+                      np.result_type(x0, u))                    # as columns
     states[first] = x0.T
     for i in range(len(lengths)):
         for lo in range(starts[i], starts[i + 1], b):
-            np.matmul(u[lo:lo + b].reshape(-1, d), states[lo + i],
+            np.matmul(u[lo:lo + b].reshape(-1, 4), states[lo + i],
                       out=states[lo + i + 1:lo + i + b + 1].reshape((-1,) + psi.shape[:-1]))
     last = first + lengths
     # round-off drifts a norm in proportion to the product's length (up to
@@ -370,7 +350,7 @@ def evolve_piecewise_exact(
                          f"got shape {np.shape(h)}")
     h = np.broadcast_to(h, (n_steps, 4, 4))     # one matrix if it ignores t
     x = _propagate_blocks(_closed_form_blocks(h, dt), [n_steps], psi0)[0]
-    return PopulationTrace(times, _probs(x), handedness, _amplitudes(x[-1]))
+    return PopulationTrace(times, populations(x), handedness, x[-1] * _D)
 
 
 def evolve_rk4(

@@ -112,6 +112,9 @@ def test_inline_molecule_spec(tmp_path):
                   "omega_11_10": 849.0}}})
     constants, dipoles, table = cfg.molecule_params()
     assert constants.a == 8572.05
+    for section in ("a", ["a"], None):
+        with pytest.raises(ConfigError, match="invalid inline molecule spec"):
+            validate_config({"molecule": dict(cfg.molecule, dipoles=section)})
 
 
 def test_load_config_yaml_roundtrip(tmp_path):
@@ -301,6 +304,12 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
+# an inline molecule with its A constant, mu_a and omega_11_10 to fill in
+MOLECULE = ("molecule: {constants: {a: %s, b: 3640.10, c: 2790.96}, "
+            "dipoles: {mu_a: %s, mu_b: 1.916, mu_c: 0.365}, "
+            "table: {omega_00_11: 11363.0, omega_00_10: 12212.0, omega_11_10: %s}}")
+
+
 @pytest.mark.parametrize("text, message", [
     # YAML 1.1 reads an exponent without a '.' as a string
     ("protocol: stirap\npulses: {ps_width: 1e-9}", "pulses.ps_width must be a number, got '1e-9'"),
@@ -308,6 +317,10 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     ("pulses: {t_split: [1.0]}", "pulses.t_split must be a number, got [1.0]"),
     ("protocol: stirap\npulses: {t1: null}", "pulses.t1 must be a number, got None"),
     ("fields: {max_field: 1e4}", "fields.max_field must be a number, got '1e4'"),
+    (MOLECULE % ("1e4", 1.201, 849.0), "molecule.constants.a must be a number, got '1e4'"),
+    (MOLECULE % (8572.05, '"1.2"', 849.0), "molecule.dipoles.mu_a must be a number, got '1.2'"),
+    (MOLECULE % (8572.05, 1.201, "null"),
+     "molecule.table.omega_11_10 must be a number, got None"),
 ])
 def test_cli_names_a_pulse_or_field_value_that_is_not_a_number(tmp_path, capsys, text,
                                                                 message):

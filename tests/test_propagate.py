@@ -6,7 +6,7 @@ import pytest
 
 from chiralgate.errors import IntegrityError
 from chiralgate.hamiltonians import build_h_q, stap_generator, stirap_generator
-from chiralgate.propagate import (PopulationTrace, _block, _layout, _propagate_blocks,
+from chiralgate.propagate import (PopulationTrace, _D, _layout, _propagate_blocks,
                                   closed_form_unitaries, evolve_piecewise_exact, evolve_rk4,
                                   populations, propagate)
 from chiralgate.pulses import (LEFT, RIGHT, default_stap_schedule,
@@ -202,10 +202,10 @@ def one_product_reference(u, psi0):
         cur = u[j::b]
         np.matmul(cur, u[j - 1::b][:len(cur)], out=cur)
     psi = np.asarray(psi0, dtype=complex)
-    states = np.empty((n + 1, 8) + psi.shape[:-1])
-    states[0] = np.concatenate((psi.real, psi.imag), axis=-1).T
+    states = np.empty((n + 1, 4) + psi.shape[:-1], dtype=complex)
+    states[0] = (psi * _D.conj()).T
     for lo in range(0, n, b):
-        np.matmul(u[lo:lo + b].reshape(-1, 8), states[lo],
+        np.matmul(u[lo:lo + b].reshape(-1, 4), states[lo],
                   out=states[lo + 1:lo + b + 1].reshape((-1,) + psi.shape[:-1]))
     return np.moveaxis(states, 1, -1)
 
@@ -220,26 +220,27 @@ def test_segmented_kernel_matches_each_product_alone(lengths, psi0):
     b, starts = _layout(lengths)
     assert starts[-1] - starts[-2] == lengths[-1]       # the last product is not padded
     assert all((hi - lo) % b == 0 for lo, hi in zip(starts[:-2], starts[1:-1]))
-    parts = [random_unitaries(n, seed=j) for j, n in enumerate(lengths)]
-    u = np.broadcast_to(np.eye(8), (starts[-1], 8, 8)).copy()
+    # complex frame blocks D^dag U D
+    parts = [_D.conj()[:, None] * random_unitaries(n, seed=j) * _D
+             for j, n in enumerate(lengths)]
+    u = np.broadcast_to(np.eye(4, dtype=complex), (starts[-1], 4, 4)).copy()
     for start, part in zip(starts, parts):
-        u[start:start + len(part)] = _block(part.real, part.imag)
+        u[start:start + len(part)] = part
     got = _propagate_blocks(u, lengths, psi0)
     assert len(got) == len(lengths)
     for x, part in zip(got, parts):
-        alone = _propagate_blocks(_block(part.real, part.imag), [len(part)], psi0)[0]
-        assert x.shape == alone.shape == (len(part) + 1,) + psi0.shape[:-1] + (8,)
+        alone = _propagate_blocks(part.copy(), [len(part)], psi0)[0]
+        assert x.shape == alone.shape == (len(part) + 1,) + psi0.shape
         if len(lengths) == 1:
             np.testing.assert_array_equal(x, alone)
         np.testing.assert_allclose(x, alone, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(alone, one_product_reference(_block(part.real, part.imag),
-                                                                   psi0))
+        np.testing.assert_array_equal(alone, one_product_reference(part.copy(), psi0))
 
 
 def test_segmented_kernel_checks_every_product_norm():
     lengths = [4, 6]
     b, starts = _layout(lengths)
-    u = np.broadcast_to(np.eye(8), (starts[-1], 8, 8)).copy()
+    u = np.broadcast_to(np.eye(4), (starts[-1], 4, 4)).copy()
     u[0] *= 1.1     # the first product's norm drifts, the last one's does not
     with pytest.raises(IntegrityError):
         _propagate_blocks(u, lengths, PSI0)

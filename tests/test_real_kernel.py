@@ -1,8 +1,8 @@
-"""The real-arithmetic product kernel: closed_form_unitaries, propagate and
-the gate matrices work on the 8x8 blocks [[Re U, -Im U], [Im U, Re U]] and
-the states [Re psi, Im psi], and convert at the public boundary; the
-protocol's P/S generator and circuits run as real 4x4 rotations D^dag U D in
-the frame D = diag(1, i, 1, i), on the frame amplitudes D^dag psi."""
+"""The one product kernel: closed_form_unitaries, propagate and the gate
+matrices work on the 4x4 frame blocks D^dag U D in the frame
+D = diag(1, i, 1, i) and the frame amplitudes D^dag psi, and convert at the
+public boundary.  The protocol's P/S generator and circuits run as real
+rotations there; every other generator or circuit as complex blocks."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,10 @@ from chiralgate.circuits import compile_protocol, gate_matrices, run_statevector
 from chiralgate.config import validate_config
 from chiralgate.errors import IntegrityError
 from chiralgate.hamiltonians import DRIVES, coupling, stirap_generator
-from chiralgate.propagate import (_block, _closed_form_blocks, _layout, _propagate_blocks,
+from chiralgate.propagate import (_closed_form_blocks, _layout, _propagate_blocks,
                                   closed_form_unitaries, propagate)
 from chiralgate.pulses import LEFT, RIGHT, DiscretizedSchedule, discretize_all
-from chiralgate.scenarios import _oracle
+from chiralgate.scenarios import _oracle, run_scenario, sweep_trotter
 
 D = np.array([1, 1j, 1, 1j])
 
@@ -114,17 +114,18 @@ def test_hermiticity_defect_is_the_dense_number():
             closed_form_unitaries(g, 0.1)
 
 
-def test_block_is_the_real_form_of_a_matrix():
+def test_complex_frame_blocks_are_the_matrices_in_the_frame():
     rng = np.random.default_rng(3)
-    u = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-    b = _block(u.real, u.imag)
-    assert b.shape == (5, 8, 8)
-    np.testing.assert_array_equal(b[:, :4, :4] + 1j * b[:, 4:, :4], u)
-    np.testing.assert_array_equal(b[:, 4:, 4:], u.real)
-    np.testing.assert_array_equal(b[:, :4, 4:], -u.imag)
+    h = np.array([spectrum_0_w("complex", 1.5 + j, j) for j in range(5)])
+    u = np.array([expm(-0.4j * m) for m in h])
+    f = _closed_form_blocks(h, 0.4)
+    assert f.shape == (5, 4, 4) and f.dtype == complex
+    np.testing.assert_allclose(f, D.conj()[:, None] * u * D, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(D[:, None] * f * D.conj(), closed_form_unitaries(h, 0.4))
+    # the frame change and its inverse are exact: factors +-1 and +-i
+    np.testing.assert_array_equal(D[:, None] * (D.conj()[:, None] * u * D) * D.conj(), u)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    np.testing.assert_allclose(b[2] @ np.concatenate([psi.real, psi.imag]),
-                               np.concatenate([(u[2] @ psi).real, (u[2] @ psi).imag]),
+    np.testing.assert_allclose(f[2] @ (D.conj() * psi), D.conj() * (u[2] @ psi),
                                rtol=0, atol=1e-14)
 
 
@@ -164,7 +165,7 @@ def test_every_protocol_gate_has_its_frame_block(protocol, hand, ps_order, errat
     disc = DiscretizedSchedule(dt, q, p, s, min(k, len(q)))
     c = compile_protocol(disc, hand, protocol, ps_order=ps_order, erratum_s_gate=erratum)
     blocks = circuits._gate_blocks([c])
-    assert blocks.shape == (len(c), 4, 4)
+    assert blocks.shape == (len(c), 4, 4) and blocks.dtype == np.float64
     want = D.conj()[:, None] * gate_matrices(c) * D
     np.testing.assert_allclose(blocks, want, rtol=0, atol=1e-15)
 
@@ -174,20 +175,25 @@ def random_rotations(n, seed):
     return np.linalg.qr(rng.normal(size=(n, 4, 4)))[0] if n else np.zeros((0, 4, 4))
 
 
+def random_frame_blocks(n, seed):
+    """D^dag U D of n random unitaries: complex blocks."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return D.conj()[:, None] * np.linalg.qr(z)[0] * D if n else np.zeros((0, 4, 4), complex)
+
+
 FRAME_STATES = {"state": np.array([0.6, 0, 0.8, 0]),        # D^dag psi real
                 "stack": np.array([[1, 0, 0, 0], [0, 1j, 0, 0], [0, 0.6j, 0.8, 0]]),
                 "complex": np.array([[0, 0, 1j, 0], [0.6, 0, 0, 0.8]])}
 
 
-@pytest.mark.parametrize("lengths", [[0], [1], [13], [40, 3, 61]])
-@pytest.mark.parametrize("psi0", FRAME_STATES.values(), ids=FRAME_STATES)
-def test_frame_kernel_matches_a_sequential_product(lengths, psi0):
-    """4x4 blocks carry the frame amplitudes D^dag psi: real where those of
-    psi0 are, complex otherwise; b = 3 for 13 blocks leaves a partial last
-    run."""
+def check_sequential(blocks, lengths, psi0):
+    """The states of _propagate_blocks over random blocks(n, seed) against a
+    sequential product of the frame amplitudes: real where those of psi0
+    and the blocks are, complex otherwise."""
     b, starts = _layout(lengths)
-    parts = [random_rotations(n, seed=j) for j, n in enumerate(lengths)]
-    u = np.broadcast_to(np.eye(4), (starts[-1], 4, 4)).copy()
+    parts = [blocks(n, seed=j) for j, n in enumerate(lengths)]
+    u = np.broadcast_to(np.eye(4), (starts[-1], 4, 4)).astype(parts[0].dtype)
     for start, part in zip(starts, parts):
         u[start:start + len(part)] = part
     got = _propagate_blocks(u, lengths, psi0)
@@ -197,18 +203,32 @@ def test_frame_kernel_matches_a_sequential_product(lengths, psi0):
         for r in part:
             want.append(want[-1] @ r.T)
         assert x.shape == (len(part) + 1,) + psi0.shape
-        assert np.iscomplexobj(x) == bool(x0.imag.any())
+        assert np.iscomplexobj(x) == (bool(x0.imag.any()) or np.iscomplexobj(part))
         np.testing.assert_allclose(x, np.array(want), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("lengths", [[0], [1], [13], [40, 3, 61]])
+@pytest.mark.parametrize("psi0", FRAME_STATES.values(), ids=FRAME_STATES)
+def test_frame_kernel_matches_a_sequential_product(lengths, psi0):
+    """4x4 blocks carry the frame amplitudes D^dag psi; b = 3 for 13 blocks
+    leaves a partial last run."""
+    check_sequential(random_rotations, lengths, psi0)
+
+
+@pytest.mark.parametrize("lengths", [[0], [1], [13], [40, 3, 61]])
+@pytest.mark.parametrize("psi0", FRAME_STATES.values(), ids=FRAME_STATES)
+def test_complex_frame_kernel_matches_a_sequential_product(lengths, psi0):
+    """Complex blocks, whatever psi0, carry complex frame amplitudes."""
+    check_sequential(random_frame_blocks, lengths, psi0)
 
 
 @pytest.fixture
 def generic_only(monkeypatch):
-    """Every closed form and circuit takes the 8x8 route."""
-    monkeypatch.setattr(propagate_module, "_D", np.ones(4))     # no table is real "in" it
+    """Every closed form and circuit takes the complex route."""
+    table = propagate_module._table
+    monkeypatch.setattr(propagate_module, "_table",
+                        lambda terms: (*table(terms)[:2], table(terms)[2].astype(complex)))
     monkeypatch.setattr(circuits, "_FRAME_PHI", np.full(len(circuits._CONFIGS), np.nan))
-    propagate_module._table.cache_clear()
-    yield
-    propagate_module._table.cache_clear()
 
 
 @pytest.mark.parametrize("protocol", ["stap", "stirap"])
@@ -217,10 +237,10 @@ def test_frame_oracle_matches_the_generic_route(protocol, request):
     schedule = cfg.build_schedule()
     t = np.linspace(schedule.t_split, schedule.duration, 50)
     h = stirap_generator(schedule, LEFT)(t)
-    assert _closed_form_blocks(h, 0.01).shape == (50, 4, 4)     # the P/S generator is real there
+    assert _closed_form_blocks(h, 0.01).dtype == np.float64      # the P/S generator is real there
     frame = _oracle(cfg, schedule, [LEFT, RIGHT])
     request.getfixturevalue("generic_only")
-    assert _closed_form_blocks(h, 0.01).shape == (50, 8, 8)
+    assert _closed_form_blocks(h, 0.01).dtype == complex
     generic = _oracle(cfg, schedule, [LEFT, RIGHT])
     for label in "LR":
         np.testing.assert_allclose(frame[label].probs, generic[label].probs, rtol=0, atol=1e-14)
@@ -237,13 +257,36 @@ def test_frame_circuits_match_the_generic_route(protocol, ps_order, erratum, req
     discs = discretize_all(cfg.build_schedule(), [2, 17, 100])
     cs = [compile_protocol(d, hand, protocol, ps_order=ps_order, erratum_s_gate=erratum)
           for d in discs for hand in (LEFT, RIGHT)]
-    assert circuits._gate_blocks(cs).shape[1:] == (4, 4)
+    assert circuits._gate_blocks(cs).dtype == np.float64
     frame = run_statevectors(cs, np.array([1.0, 0, 0, 0]))
     request.getfixturevalue("generic_only")
-    assert circuits._gate_blocks(cs).shape[1:] == (8, 8)
+    assert circuits._gate_blocks(cs).dtype == complex
     generic = run_statevectors(cs, np.array([1.0, 0, 0, 0]))
     for f, g in zip(frame, generic):
         np.testing.assert_allclose(f.probs, g.probs, rtol=0, atol=1e-14)
         np.testing.assert_allclose(f.final_state, g.final_state, rtol=0, atol=1e-14)
         if not erratum:
             assert np.all(f.probs[:, 1] == 0.0) and f.final_state[1] == 0.0
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+@pytest.mark.parametrize("ps_order", ["ps", "sp"])
+@pytest.mark.parametrize("erratum", [False, True])
+def test_run_and_sweep_multiply_only_real_frame_blocks(protocol, ps_order, erratum,
+                                                       monkeypatch):
+    """A protocol gate or generator that fell out of the frame would take the
+    complex route, about 4x slower per product, without failing anything else."""
+    kernel, seen = propagate_module._propagate_blocks, []
+
+    def spy(u, lengths, psi0):
+        seen.append((u.dtype, u.shape))
+        return kernel(u, lengths, psi0)
+
+    for module in (propagate_module, circuits):
+        monkeypatch.setattr(module, "_propagate_blocks", spy)
+    cfg = validate_config({"protocol": protocol, "ps_order": ps_order, "erratum_s_gate": erratum,
+                           "n_steps": 10, "oracle_steps": 300})
+    run_scenario(cfg)
+    sweep_trotter(cfg, [10, 20])
+    assert len(seen) >= 4            # an oracle and the circuits, for each command
+    assert all(dtype == np.float64 and shape[1:] == (4, 4) for dtype, shape in seen), seen
