@@ -48,9 +48,10 @@ _ONE_QUBIT = {"X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0,
 _ON = {(name, q): np.kron(m, _I2) if q == 0 else np.kron(_I2, m)
        for name, m in _ONE_QUBIT.items() for q in (0, 1)}
 _CX = {(c, 1 - c): _I4 - _ON["P1", c] + _ON["P1", c] @ _ON["X", 1 - c] for c in (0, 1)}
+_ERRATUM_PAIR = (IDX_01, IDX_10)          # {|01>, |10>}: XX+YY's and the erratum S's
 # (p, G) of the two-qubit hopping kinds: G = (XX -+ YY)/2 = coupling(pair)
 _HOP = {kind: (g @ g, g) for kind, g in (("XX-YY", coupling(DRIVES["P"])),
-                                         ("XX+YY", coupling((IDX_01, IDX_10))))}
+                                         ("XX+YY", coupling(_ERRATUM_PAIR)))}
 
 
 @dataclass(frozen=True)
@@ -321,6 +322,10 @@ def _macro(pair: tuple[int, int], phase: float = 0.0) -> tuple:
     return CODE["CROT"], t, phase if a[t] else -phase, a[1 - t]
 
 
+# the P, S and erratum S macros compile_protocol emits: roles 1, 2 and 3 of fuse_ps_runs
+_FUSABLE = [_macro(pair) for pair in (DRIVES["P"], DRIVES["S"], _ERRATUM_PAIR)]
+
+
 def _macro_columns(macros: list[tuple]) -> tuple[np.ndarray, ...]:
     """The kind, target, axis_phi and control_value columns of _macro tuples."""
     return tuple(np.array(col, dtype)
@@ -345,15 +350,14 @@ def compile_q_step(theta: float, handedness: Handedness) -> list[Gate]:
 
 def compile_p_step(theta: float) -> list[Gate]:
     """exp(-i theta/2 (|00><11| + |11><00|)): one XX-YY gate."""
-    return list(_rotations([_macro(DRIVES["P"])], [0], [theta]).gates)
+    return list(_rotations(_FUSABLE, [0], [theta]).gates)
 
 
 def compile_s_step(theta: float, erratum: bool = False) -> list[Gate]:
     """exp(-i theta/2 (|11><10| + |10><11|)): Rx on qubit 1 conditioned on
     qubit 0 being |1>.  erratum=True puts the same rotation on the wrong
     pair, {|01>, |10>}, which leaves |11> alone; kept to demonstrate that."""
-    pair = (IDX_01, IDX_10) if erratum else DRIVES["S"]
-    return list(_rotations([_macro(pair)], [0], [theta]).gates)
+    return list(_rotations(_FUSABLE, [2 if erratum else 1], [theta]).gates)
 
 
 def compile_protocol(
@@ -394,19 +398,18 @@ def compile_protocol(
 def _step_macros(phi_q: float, ps_order: str, erratum_s_gate: bool) -> tuple[np.ndarray, ...]:
     """The kind, target, axis_phi and control_value of compile_protocol's
     three macros of a Trotter step (Q, first, second), as columns."""
-    pairs = {"p": DRIVES["P"], "s": (IDX_01, IDX_10) if erratum_s_gate else DRIVES["S"]}
-    return _macro_columns([_macro(DRIVES["Q"], phi_q)] + [_macro(pairs[x]) for x in ps_order])
+    macros = {"p": _FUSABLE[0], "s": _FUSABLE[2 if erratum_s_gate else 1]}
+    return _macro_columns([_macro(DRIVES["Q"], phi_q)] + [macros[x] for x in ps_order])
 
 
 # -- P/S stage fusion --------------------------------------------------------
 
-# the P, S and erratum S macros compile_protocol emits: roles 1, 2 and 3 of fuse_ps_runs
-_FUSABLE = [_macro(pair) for pair in (DRIVES["P"], DRIVES["S"], (IDX_01, IDX_10))]
-# |phi| (see _gate_blocks) of each macro compile_protocol emits, Q of either hand
-# too, at its row, else NaN: each is a real rotation in the frame D (_REAL_TABLE)
-_FRAME_PHI = np.full(len(_CONFIGS), np.nan)
-for _k, _t, _phi, _v in [_macro(DRIVES["Q"], LEFT.phi_q), *_FUSABLE]:
-    _FRAME_PHI[_CONFIGS.index((KINDS[_k], _t, _v))] = abs(_phi)
+# at the row of each macro compile_protocol emits, Q of either hand too: its |phi| (see
+# _gate_blocks), a real rotation in the frame D, else NaN; its fuse_ps_runs role, else 0
+_FRAME_PHI, _ROLE = np.full(len(_CONFIGS), np.nan), np.zeros(len(_CONFIGS), int)
+for _role, (_k, _t, _phi, _v) in enumerate([_macro(DRIVES["Q"], LEFT.phi_q), *_FUSABLE]):
+    _j = _CONFIGS.index((KINDS[_k], _t, _v))
+    _FRAME_PHI[_j], _ROLE[_j] = abs(_phi), _role
 
 
 def _frame_rotation(is_s: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -487,10 +490,7 @@ def fuse_ps_runs(circuit: Circuit) -> Circuit:
     The fused gates of the last two P/S runs are memoised (_fused_stage),
     so both hands of an export share one fused stage.
     The metadata drops step_bounds, which index the unfused gates."""
-    role = np.zeros(len(circuit), int)
-    for code, (kind, target, phi, value) in enumerate(_FUSABLE, 1):
-        role[(circuit.kind == kind) & (circuit.target == target)
-             & (circuit.axis_phi == phi) & (circuit.control_value == value)] = code
+    role = np.where(circuit.axis_phi == 0.0, _ROLE[_row(circuit)], 0)     # _FUSABLE's phi: 0
     edges = np.flatnonzero(np.diff(np.concatenate([[0], role > 0, [0]])))
     columns, parts, done = circuit._columns(), [], 0
     for lo, hi in zip(edges[::2], edges[1::2]):

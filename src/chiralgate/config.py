@@ -187,14 +187,14 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("molecule must be a builtin name or an inline mapping")
 
     schedule = cfg.build_schedule()  # surface bad pulse values at validation time
-    # the corrected STAP drives grow as 1 / (t_f - t_split): a P/S stage
-    # shorter than one oracle step is resolved by no oracle step at all
-    if isinstance(schedule, StapSchedule) and (
-            schedule.t_f - schedule.t_split < schedule.t_f / cfg.oracle_steps):
-        raise ConfigError(
-            f"the STAP P/S stage t_f - t_split = {schedule.t_f - schedule.t_split:g} us "
-            f"is shorter than one oracle step t_f / oracle_steps = "
-            f"{schedule.t_f / cfg.oracle_steps:g} us: lower pulses.t_split or raise oracle_steps")
+    # each stage gets a circuit slice and the oracle steps t_f / oracle_steps whose midpoints
+    # lie in it: one shorter than a step would be run by the circuit and skipped by the oracle
+    step = schedule.t_f / cfg.oracle_steps
+    for stage, length in (("Q stage t_split", schedule.t_split),
+                          ("P/S stage t_f - t_split", schedule.t_f - schedule.t_split)):
+        if length < step:
+            raise ConfigError(f"the {stage} = {length:g} us is shorter than one oracle step "
+                              f"t_f / oracle_steps = {step:g} us: raise oracle_steps")
     cfg.molecule_params()
     cfg.field_config()
     return cfg

@@ -34,11 +34,38 @@ def test_stap_ps_stage_shorter_than_one_oracle_step_rejected(tmp_path):
     with pytest.raises(ConfigError, match="oracle_steps"):
         validate_config({**short, "oracle_steps": 9, "pulses": {"t_split": 2.25}})
     validate_config({**short, "oracle_steps": 11})
-    # the STIRAP drives do not grow with a short P/S stage
-    validate_config({"protocol": "stirap", "oracle_steps": 10, "pulses": {"t1": 9.9}})
+    # one rule for both protocols: a short STIRAP P/S stage is rejected too
+    with pytest.raises(ConfigError, match=r"P/S stage.*t_split.*oracle_steps"):
+        validate_config({"protocol": "stirap", "oracle_steps": 10, "pulses": {"t1": 9.9}})
     path = tmp_path / "short.yaml"
     path.write_text(yaml.safe_dump(short))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("raw, stage", [
+    # Q stage 1e-9 us: the oracle ran no Q step, the circuit one
+    ({"protocol": "stap", "pulses": {"t_split": 1.0e-9}}, "Q stage"),
+    # one step of t_f = 10 us, its midpoint in the P/S stage: the oracle ran no Q step
+    ({"protocol": "stirap", "oracle_steps": 1}, "Q stage"),
+    # P/S stage 1e-4 us under a 5e-3 us step: the oracle's final p10 was
+    # 0.500000003527, the circuit's 0.499955943
+    ({"protocol": "stirap", "pulses": {"t1": 9.9999}}, "P/S stage"),
+])
+def test_run_rejects_a_stage_shorter_than_one_oracle_step(tmp_path, raw, stage):
+    path = tmp_path / "short.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=f"the {stage} .*oracle_steps"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_q_stage_of_exactly_one_oracle_step_is_the_boundary():
+    # t_f / oracle_steps = 10 / 4 = 2.5, exact in binary
+    validate_config({"protocol": "stirap", "oracle_steps": 4, "pulses": {"t1": 2.5}})
+    with pytest.raises(ConfigError, match="Q stage t_split = 2.5 us .* = 2.5 us"):
+        validate_config({"protocol": "stirap", "oracle_steps": 4,
+                         "pulses": {"t1": float(np.nextafter(2.5, 0.0))}})
 
 
 def test_unknown_top_level_key_rejected():

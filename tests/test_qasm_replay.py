@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralgate import circuits
-from chiralgate.circuits import (CODE, Circuit, Gate, circuit_unitary, compile_protocol,
+from chiralgate.circuits import (CODE, KINDS, Circuit, Gate, circuit_unitary, compile_protocol,
                                  expand_circuit, fuse_ps_runs, merge_runs,
                                  phase_aligned_distance, run_statevector)
 from chiralgate.config import MAX_STEPS, validate_config
@@ -288,6 +288,29 @@ def test_fuse_pass_keeps_other_gates_and_unitary(gates):
             np.testing.assert_allclose(_frame(circuit_unitary(Circuit(run))), r,
                                        rtol=0, atol=1e-14)
     assert _distance(circuit_to_qasm(macro), macro) <= TEXT_DIGITS_TOL
+
+
+def _is_fusable(g: Gate) -> bool:
+    """g equals a P, S or erratum S macro in kind, target, axis_phi (by ==,
+    so -0.0 is 0.0) and control_value."""
+    return any(CODE[g.kind] == kind and g.qubits[-1] == target and g.axis_phi == phi
+               and g.control_value == value for kind, target, phi, value in circuits._FUSABLE)
+
+
+@given(kind=st.sampled_from(KINDS), target=st.sampled_from([0, 1]),
+       value=st.sampled_from([0, 1]), angles=st.tuples(*[st.floats(0.1, 3.0)] * 2),
+       phi=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, math.pi / 2, -math.pi / 2]),
+                     st.floats(-7.0, 7.0)))
+@settings(max_examples=300, deadline=None)
+def test_fuse_pass_fuses_exactly_the_p_s_macros(kind, target, value, angles, phi):
+    # two equal P, S or erratum S gates fuse into at most one; no other pair changes
+    qubits = (target,) if kind in ("RX", "RY", "RZ", "X") else (1 - target, target)
+    run = [Gate(kind, qubits, a, axis_phi=phi, control_value=value) for a in angles]
+    fused = fuse_ps_runs(Circuit(run))
+    if _is_fusable(run[0]):
+        assert len(fused) < 2
+    else:
+        assert repr(fused.gates[:]) == repr(run)      # to the bit, signed zeros too
 
 
 def _stage(omega_p, omega_s, hand) -> Circuit:

@@ -205,6 +205,26 @@ def test_to_csv_formats_a_shared_head_once(monkeypatch):
         (6, 3, off[:3, [0, 2]].tobytes()), (4, 3, probs[:3, [0, 2]].tobytes())]
 
 
+class _CountingDict(dict):
+    """A dict that counts its inserts."""
+
+    inserts = 0
+
+    def __setitem__(self, key, value):
+        self.inserts += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_a_both_hands_run_formats_each_shared_head_once(protocol, tmp_path, monkeypatch):
+    heads = _CountingDict()
+    monkeypatch.setattr(propagate, "_HEADS", heads)
+    config = validate_config({"protocol": protocol, "n_steps": 8, "oracle_steps": 100})
+    scenarios.run_scenario(config, str(tmp_path))
+    # the L files format the oracle head and the circuit head; the R files take them
+    assert heads.inserts == 2 and heads == {}
+
+
 def test_to_csv_sees_a_grid_changed_in_place():
     times = np.linspace(0.0, 1.0, 5)
     trace = PopulationTrace(times, np.full((5, 4), 0.25), "L")
