@@ -7,14 +7,13 @@ are expanded into natives with algebraically exact identities (verified in
 the test suite to 1e-13), so export and simulation agree: a CROT is 8
 natives with 2 CX (plus an X pair for control value 0), and XX-+YY =
 W^dag Rx_c(angle/2) Ry_t(-+angle/2) W with W = CX Rx_c(pi/2) is 6 natives
-with 2 CX.  No rotation by exactly +-0 is emitted.  The exported text
-lowers fuse_ps_runs(merge_runs(circuit)): each run of consecutive equal
-macros is one gate by the run's summed angle, and then each P/S stage is
-the three gates P(c) S(b) P(a) of its exact SO(3) rotation, so the text's
-gate counts do not grow with the number of Trotter steps.
+with 2 CX.  No rotation by exactly +-0 is emitted.  merge_runs makes
+each run of consecutive equal macros one gate by the run's summed angle,
+and fuse_ps_runs each P/S stage the three gates P(c) S(b) P(a) of its
+exact SO(3) rotation; the QASM export lowers only that fused circuit, at
+most four macros at any N.
 A Circuit holds its gates as parallel arrays; Gate is the one-gate view.
-Compilation and gate matrices work on whole arrays, lowering gate by gate:
-the export lowers only the fused circuit, at most four macros at any N.
+Compilation and gate matrices work on whole arrays, lowering gate by gate.
 """
 
 from __future__ import annotations
@@ -402,6 +401,16 @@ def _step_macros(phi_q: float, ps_order: str, erratum_s_gate: bool) -> tuple[np.
     return _macro_columns([_macro(DRIVES["Q"], phi_q)] + [macros[x] for x in ps_order])
 
 
+def with_handedness(circuit: Circuit, handedness: Handedness) -> Circuit:
+    """The circuit with its Q gates (the CROTs on Q's row) at handedness's
+    azimuth, all that compile_protocol takes of the hand; merge_runs and
+    fuse_ps_runs treat Q gates alike at either azimuth, so they commute with it."""
+    kind, target, phi, value = _macro(DRIVES["Q"], handedness.phi_q)
+    q = _row(circuit) == (kind * 2 + target) * 2 + value
+    columns = dict(zip(_COLUMNS, circuit._columns()), axis_phi=np.where(q, phi, circuit.axis_phi))
+    return Circuit(metadata={**circuit.metadata, "handedness": handedness.label}, **columns)
+
+
 # -- P/S stage fusion --------------------------------------------------------
 
 # at the row of each macro compile_protocol emits, Q of either hand too: its |phi| (see
@@ -462,21 +471,6 @@ def _ps_angles(r: np.ndarray) -> tuple[float, float, float]:
     return sigma + delta, 2 * half_b, sigma - delta
 
 
-@functools.lru_cache(maxsize=2)
-def _fused_stage(is_s: bytes, angle: bytes) -> tuple[np.ndarray, ...]:
-    """The read-only circuit columns of the gates P(c), S(b), P(a) (one
-    P(a + c) when b is exactly 0) of the P/S run whose S mask and angles
-    have these bytes.
-
-    The L and R circuits of a protocol differ only in their Q gate, so their
-    P/S runs are the same bytes: the second hand of an export takes the
-    first hand's gates instead of a second frame rotation.  Keyed on the
-    run's exact input, a hit is the bytes a recomputation would give."""
-    a, b, c = _ps_angles(_frame_rotation(np.frombuffer(is_s, bool), np.frombuffer(angle)))
-    drive, theta = ([0], [a + c]) if b == 0.0 else ([0, 1, 0], [c, b, a])
-    return tuple(_rotations(_FUSABLE, drive, theta)._columns())
-
-
 def fuse_ps_runs(circuit: Circuit) -> Circuit:
     """The circuit with each run of consecutive P and S gates (the macros
     compile_protocol emits) as the gates P(c), S(b), P(a) of the run's
@@ -487,8 +481,6 @@ def fuse_ps_runs(circuit: Circuit) -> Circuit:
     and a run is replaced only when that leaves fewer gates, so a lone
     gate and the one P/S step of N = 2 keep their angles.  A run that
     mixes S with erratum S gates and every other gate stay as they are.
-    The fused gates of the last two P/S runs are memoised (_fused_stage),
-    so both hands of an export share one fused stage.
     The metadata drops step_bounds, which index the unfused gates."""
     role = np.where(circuit.axis_phi == 0.0, _ROLE[_row(circuit)], 0)     # _FUSABLE's phi: 0
     edges = np.flatnonzero(np.diff(np.concatenate([[0], role > 0, [0]])))
@@ -499,10 +491,11 @@ def fuse_ps_runs(circuit: Circuit) -> Circuit:
         if count[2] and count[3]:
             continue
         if count[3]:
-            fused = _rotations(_FUSABLE, [0, 2],
-                               [math.fsum(angle[roles == r]) for r in (1, 3)])._columns()
+            drive, theta = [0, 2], [math.fsum(angle[roles == r]) for r in (1, 3)]
         else:
-            fused = _fused_stage((roles == 2).tobytes(), angle.tobytes())
+            a, b, c = _ps_angles(_frame_rotation(roles == 2, angle))
+            drive, theta = ([0], [a + c]) if b == 0.0 else ([0, 1, 0], [c, b, a])
+        fused = _rotations(_FUSABLE, drive, theta)._columns()
         if len(fused[0]) < hi - lo:
             parts += [[col[done:lo] for col in columns], fused]
             done = hi

@@ -49,6 +49,9 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def steps_list(text: str) -> list[int]:     # argparse's error message names it
+        return [int(s) for s in text.split(",") if s.strip()]
+
     parser = argparse.ArgumentParser(
         prog="chiralgate",
         description="Compile and simulate chirality-discriminating "
@@ -61,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_OPTIONS[flag])
     sub.choices["sweep-trotter"].add_argument(
         "--steps-list", default="10,20,40,80", help="comma-separated Trotter step counts",
-        type=lambda text: [int(s) for s in text.split(",") if s.strip()])
+        type=steps_list)
     sub.choices["ingest-counts"].add_argument("counts_json", help="path to counts JSON file")
     return parser
 

@@ -166,7 +166,8 @@ class StirapSchedule(_Timeline):
         return self.t1
 
     def _ps(self, t):
-        return self.p_first(t) + self.p_second(t), self.s(t)
+        s = self.s(t)                   # p_first is s
+        return s + self.p_second(t), s
 
     def _splitting(self, t):
         return total_rabi(*self._ps(t))
@@ -282,9 +283,9 @@ def _is_integer(n) -> bool:
 def eval_ps_rates(schedule: StirapSchedule, t):
     """Analytic time derivatives (dOmega_P/dt, dOmega_S/dt), (0, 0) on the Q stage."""
     def rates(t):
-        p1, p2, s = (g(t) * (-2.0 * (t - g.center) / g.width**2)
-                     for g in (schedule.p_first, schedule.p_second, schedule.s))
-        return p1 + p2, s
+        s, p2 = (g(t) * (-2.0 * (t - g.center) / g.width**2)
+                 for g in (schedule.s, schedule.p_second))
+        return s + p2, s                # p_first is s
 
     return schedule._on_stage(t, rates)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .circuits import (CODE, NATIVE_KINDS, Circuit, compile_protocol, expand_circuit,
                        fuse_ps_runs, merge_runs, run_statevector, run_statevectors,
-                       sample_measurements)
+                       sample_measurements, with_handedness)
 from .config import MAX_STEPS, ScenarioConfig
 from .errors import ConfigError
 # stap_generator is stirap_generator; bench/spans.py traces both names here
@@ -241,14 +241,10 @@ _QASM_LINES = [{"X": f"x q[{t}];\n", "CX": f"cx q[{1 - t}],q[{t}];\n"}.get(
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
-    """OpenQASM 2.0 text of fuse_ps_runs(merge_runs(circuit)) with macros
-    lowered to {rx, ry, rz, x, cx} and each angle written as its shortest
-    round-trip repr, so the text is as exact as the native arrays.
-
-    The fused P/S stage is three gates at any N, so the text no longer
-    shows the Trotter steps; its unitary is the N-step circuit's.
-    """
-    native = expand_circuit(fuse_ps_runs(merge_runs(circuit)))
+    """OpenQASM 2.0 text of the circuit with macros lowered to {rx, ry, rz,
+    x, cx} (expand_circuit) and each angle written as its shortest
+    round-trip repr, so the text is as exact as the native arrays."""
+    native = expand_circuit(circuit)
     lines = "".join(_QASM_LINES[2 * k + t] for k, t in zip(native.kind.tolist(),
                                                             native.target.tolist()))
     angles = native.angle[native.kind < CODE["X"]]      # RX, RY, RZ come first in NATIVE_KINDS
@@ -256,12 +252,18 @@ def circuit_to_qasm(circuit: Circuit) -> str:
 
 
 def export_qasm(config: ScenarioConfig, out_dir: str) -> list[str]:
+    """Write <protocol>_<hand>.qasm for each configured hand; their paths.
+    Each file lowers fuse_ps_runs(merge_runs(circuit)), whose P/S stage is
+    three gates at any N with the N-step unitary.  The hands differ only in
+    their Q gates' azimuth: one circuit is fused, then turned to each hand."""
     disc = discretize(config.build_schedule(), config.n_steps)
+    hands = _hands(config)
+    fused = fuse_ps_runs(merge_runs(_compile(config, disc, hands[0])))
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for hand in _hands(config):
+    for hand in hands:
         path = os.path.join(out_dir, f"{config.protocol}_{hand.label}.qasm")
-        _write(path, circuit_to_qasm(_compile(config, disc, hand)))
+        _write(path, circuit_to_qasm(with_handedness(fused, hand)))
         paths.append(path)
     return paths
 

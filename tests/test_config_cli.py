@@ -389,6 +389,14 @@ def test_cli_rejects_step_counts_above_max(tmp_path, capsys, args):
     assert str(MAX_STEPS) in capsys.readouterr().err
 
 
+def test_cli_names_the_steps_list_parser_in_its_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-trotter", "--steps-list", "10,abc"])
+    assert exc.value.code == 2
+    assert ("argument --steps-list: invalid steps_list value: '10,abc'"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("bad", [10.0, "10", np.float64(10), True, np.bool_(True), None])
 def test_sweep_rejects_non_integer_steps(bad):
     with pytest.raises(ConfigError, match="integer N"):

@@ -180,7 +180,7 @@ def test_fused_stage_is_exact_at_max_steps(protocol):
     assert np.max(np.abs(r - _long_double_rotation(is_s, angle))) <= 1e-13
     # circuit_unitary's real frame product over the macro gates is itself
     # up to 1.1e-13 off a long-double product of their gate matrices
-    assert _distance(circuit_to_qasm(macro), macro) <= 2e-13
+    assert _distance(circuit_to_qasm(fuse_ps_runs(merged)), macro) <= 2e-13
 
 
 # runs of equal CROTs (both control values, azimuths +-0 and +-pi/2) among
@@ -207,9 +207,10 @@ def gate_runs(draw):
 @settings(max_examples=200, deadline=None)
 def test_merge_pass_shortens_and_keeps_unitary(gates):
     macro = Circuit(gates)
-    text = circuit_to_qasm(macro)
     merged = merge_runs(macro)
-    read, native = read_qasm(text), expand_circuit(fuse_ps_runs(merged))
+    fused = fuse_ps_runs(merged)
+    text = circuit_to_qasm(fused)
+    read, native = read_qasm(text), expand_circuit(fused)
     assert len(read) == len(native) <= len(expand_circuit(macro))
     assert cx_count(read) == cx_count(native) <= cx_count(expand_circuit(macro))
     # no run is left to merge, and no rotation is by 0
@@ -287,7 +288,7 @@ def test_fuse_pass_keeps_other_gates_and_unitary(gates):
             r = circuits._frame_rotation(is_s, np.array([g.angle for g in run]))
             np.testing.assert_allclose(_frame(circuit_unitary(Circuit(run))), r,
                                        rtol=0, atol=1e-14)
-    assert _distance(circuit_to_qasm(macro), macro) <= TEXT_DIGITS_TOL
+    assert _distance(circuit_to_qasm(fuse_ps_runs(merge_runs(macro))), macro) <= TEXT_DIGITS_TOL
 
 
 def _is_fusable(g: Gate) -> bool:
@@ -336,10 +337,11 @@ def test_fuse_pass_at_the_gimbal_points(hand):
     for macro in (no_s, full_turn):
         assert phase_aligned_distance(circuit_unitary(fuse_ps_runs(macro)),
                                       circuit_unitary(macro)) <= 1e-14
-        assert _distance(circuit_to_qasm(macro), macro) <= TEXT_DIGITS_TOL
+        assert _distance(circuit_to_qasm(fuse_ps_runs(merge_runs(macro))),
+                         macro) <= TEXT_DIGITS_TOL
 
 
-# -- the fused-stage memo ----------------------------------------------------
+# -- both hands from one fused circuit ---------------------------------------
 
 @pytest.mark.parametrize("protocol", ["stap", "stirap"])
 def test_both_hands_export_runs_one_frame_rotation(protocol, tmp_path, monkeypatch):
@@ -347,7 +349,6 @@ def test_both_hands_export_runs_one_frame_rotation(protocol, tmp_path, monkeypat
     frame_rotation = circuits._frame_rotation
     monkeypatch.setattr(circuits, "_frame_rotation",
                         lambda *args: calls.append(args) or frame_rotation(*args))
-    circuits._fused_stage.cache_clear()
     export_qasm(validate_config({"protocol": protocol, "n_steps": 531}), str(tmp_path))
     assert len(calls) == 1
 
@@ -355,41 +356,14 @@ def test_both_hands_export_runs_one_frame_rotation(protocol, tmp_path, monkeypat
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("protocol", ["stap", "stirap"])
 def test_memoised_r_file_is_a_fresh_r_export(protocol, variant, tmp_path):
-    config = {"protocol": protocol, "n_steps": 531, **VARIANTS[variant]}
-    circuits._fused_stage.cache_clear()
-    both = export_qasm(validate_config(config), str(tmp_path / "both"))
-    # the R file took the L file's stage; an erratum stage is never memoised
-    assert circuits._fused_stage.cache_info().hits == (variant != "erratum")
-    circuits._fused_stage.cache_clear()
-    alone = export_qasm(validate_config({**config, "enantiomer": "R"}), str(tmp_path / "r"))
-    assert [Path(p).name for p in (both[1], *alone)] == [f"{protocol}_R.qasm"] * 2
-    assert Path(both[1]).read_bytes() == Path(alone[0]).read_bytes()
-
-
-def _run(drive, theta) -> Circuit:
-    """One P/S run: gate j is P (drive 0) or S (drive 1) by theta[j]."""
-    return circuits._rotations(circuits._FUSABLE, drive, theta)
-
-
-def test_fused_stage_memo_keys_on_the_exact_run():
-    theta = [0.9, 0.4, 2.5, 1.1, 1.7, 0.6]
-    bumped = theta[:2] + [math.nextafter(2.5, 3.0)] + theta[3:]
-    runs = [_run([0, 1, 0, 1, 0, 1], theta), _run([0, 1, 0, 1, 0, 1], bumped),
-            _run([1, 0, 0, 1, 0, 1], theta)]             # one P and one S swapped
-    fresh = []
-    for run in runs:
-        circuits._fused_stage.cache_clear()
-        fresh.append(fuse_ps_runs(run).gates)
-    assert fresh[2] != fresh[0]
-    circuits._fused_stage.cache_clear()
-    # one ulp or one role apart, each run misses and gets its own gates
-    for run, want in zip(runs, fresh):
-        misses = circuits._fused_stage.cache_info().misses
-        assert fuse_ps_runs(run).gates == want
-        assert circuits._fused_stage.cache_info().misses == misses + 1
-    # at most two are held: the first run was dropped, the last is a hit
-    assert circuits._fused_stage.cache_info().currsize == 2
-    hits = circuits._fused_stage.cache_info().hits
-    assert fuse_ps_runs(runs[2]).gates == fresh[2]
-    assert fuse_ps_runs(runs[0]).gates == fresh[0]
-    assert circuits._fused_stage.cache_info()[:2] == (hits + 1, misses + 2)
+    # both files of a both-hands export come from the first hand's fused
+    # circuit; each is the file a one-hand export of its hand writes.  N = 2
+    # is the one-step stage that fusion leaves unfused
+    for n in (2, 531, 972):
+        config = {"protocol": protocol, "n_steps": n, **VARIANTS[variant]}
+        both = export_qasm(validate_config(config), str(tmp_path / f"{n}"))
+        for path, hand in zip(both, "LR", strict=True):
+            alone = export_qasm(validate_config({**config, "enantiomer": hand}),
+                                str(tmp_path / f"{n}{hand}"))
+            assert [Path(p).name for p in (path, *alone)] == [f"{protocol}_{hand}.qasm"] * 2
+            assert Path(path).read_bytes() == Path(alone[0]).read_bytes(), (n, hand)
