@@ -18,7 +18,6 @@ Compilation and gate matrices work on whole arrays, lowering gate by gate.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import IntegrityError
 from .hamiltonians import DRIVES, IDX_01, IDX_10, coupling
 from .propagate import BASIS_LABELS, PopulationTrace, _D, _layout, _propagate_blocks, populations
-from .pulses import LEFT, DiscretizedSchedule, Handedness, _is_integer
+from .pulses import LEFT, RIGHT, DiscretizedSchedule, Handedness, _is_integer
 
 NATIVE_KINDS = ("RX", "RY", "RZ", "X", "CX")
 MACRO_KINDS = ("CROT", "XX-YY", "XX+YY")
@@ -203,7 +202,7 @@ def _gate_blocks(circuits: Sequence[Circuit], real: bool = True) -> np.ndarray:
     gate, these are real, rows of _REAL_TABLE; otherwise complex."""
     _, starts = _layout([len(c) for c in circuits])
     half, phi = np.zeros(starts[-1]), np.zeros(starts[-1])
-    row = np.full(starts[-1], _CONFIGS.index(("XX-YY", 1, 1)))
+    row = np.full(starts[-1], _MACRO_ROW[_P], int)
     for c, start in zip(circuits, starts):
         a = slice(start, start + len(c))
         half[a], row[a] = c.angle / 2, _row(c)
@@ -321,42 +320,46 @@ def _macro(pair: tuple[int, int], phase: float = 0.0) -> tuple:
     return CODE["CROT"], t, phase if a[t] else -phase, a[1 - t]
 
 
-# the P, S and erratum S macros compile_protocol emits: roles 1, 2 and 3 of fuse_ps_runs
-_FUSABLE = [_macro(pair) for pair in (DRIVES["P"], DRIVES["S"], _ERRATUM_PAIR)]
+# The five macros compile_protocol emits, one row each: Q of hand L and of
+# hand R (row _Q[sign]), P, S and the erratum S (rows _P, _S, _SE); their
+# kind, target, axis_phi and control_value as columns, and their _CONFIGS rows
+_Q, (_P, _S, _SE) = {LEFT.sign: 0, RIGHT.sign: 1}, (2, 3, 4)
+_MACROS = {name: np.array(col, _COLUMNS[name]) for name, col in zip(
+    ("kind", "target", "axis_phi", "control_value"),
+    zip(_macro(DRIVES["Q"], LEFT.phi_q), _macro(DRIVES["Q"], RIGHT.phi_q),
+        _macro(DRIVES["P"]), _macro(DRIVES["S"]), _macro(_ERRATUM_PAIR)))}
+_MACRO_ROW = (_MACROS["kind"] * 2 + _MACROS["target"]) * 2 + _MACROS["control_value"]   # _row's
+# compile_protocol's rows of a Trotter step (Q, first, second) by (hand sign, ps_order, erratum)
+_STEP = {(sign, order, erratum): np.array([q] + [{"p": _P, "s": _SE if erratum else _S}[x]
+                                                 for x in order])
+         for sign, q in _Q.items() for order in _PS_ORDERS for erratum in (False, True)}
 
 
-def _macro_columns(macros: list[tuple]) -> tuple[np.ndarray, ...]:
-    """The kind, target, axis_phi and control_value columns of _macro tuples."""
-    return tuple(np.array(col, dtype)
-                 for col, dtype in zip(zip(*macros), (np.int8, np.int8, float, np.int8)))
-
-
-def _rotations(macros: list[tuple], drive, theta, metadata: dict | None = None) -> Circuit:
-    """Gate j is macros[drive[j]] by theta[j]; a theta of 0 emits no gate."""
+def _rotations(rows, theta) -> dict[str, np.ndarray]:
+    """The Circuit columns, as keywords, of gate j = the macro of _MACROS
+    row rows[j] by theta[j]; a theta of 0 emits no gate."""
     theta = np.asarray(theta, dtype=float)
     keep = theta != 0.0
-    kind, target, axis_phi, control_value = (col[np.asarray(drive)[keep]]
-                                             for col in _macro_columns(macros))
-    return Circuit(metadata=metadata, kind=kind, target=target, angle=theta[keep],
-                   axis_phi=axis_phi, control_value=control_value)
+    rows = np.asarray(rows)[keep]
+    return {name: theta[keep] if name == "angle" else _MACROS[name][rows] for name in _COLUMNS}
 
 
 def compile_q_step(theta: float, handedness: Handedness) -> list[Gate]:
     """exp(-i H_Q dt), theta = Omega_Q dt: R_y(-+theta) on qubit 0 for
     phi_Q = +-pi/2, conditioned on qubit 1 being |0>."""
-    return list(_rotations([_macro(DRIVES["Q"], handedness.phi_q)], [0], [theta]).gates)
+    return list(Circuit(**_rotations([_Q[handedness.sign]], [theta])).gates)
 
 
 def compile_p_step(theta: float) -> list[Gate]:
     """exp(-i theta/2 (|00><11| + |11><00|)): one XX-YY gate."""
-    return list(_rotations(_FUSABLE, [0], [theta]).gates)
+    return list(Circuit(**_rotations([_P], [theta])).gates)
 
 
 def compile_s_step(theta: float, erratum: bool = False) -> list[Gate]:
     """exp(-i theta/2 (|11><10| + |10><11|)): Rx on qubit 1 conditioned on
     qubit 0 being |1>.  erratum=True puts the same rotation on the wrong
     pair, {|01>, |10>}, which leaves |11> alone; kept to demonstrate that."""
-    return list(_rotations(_FUSABLE, [2 if erratum else 1], [theta]).gates)
+    return list(Circuit(**_rotations([_SE if erratum else _S], [theta])).gates)
 
 
 def compile_protocol(
@@ -387,38 +390,30 @@ def compile_protocol(
                 n_steps=d.m, delta_t=d.delta_t, k=d.k,
                 ps_order=ps_order, erratum_s_gate=erratum_s_gate,
                 step_bounds=np.searchsorted(keep, np.arange(3, 3 * d.m + 1, 3)).tolist())
-    kind, target, axis_phi, control_value = (
-        col[keep % 3] for col in _step_macros(handedness.phi_q, ps_order, erratum_s_gate))
-    return Circuit(metadata=meta, kind=kind, target=target, angle=theta.ravel()[keep],
-                   axis_phi=axis_phi, control_value=control_value)
-
-
-@functools.lru_cache(maxsize=8)
-def _step_macros(phi_q: float, ps_order: str, erratum_s_gate: bool) -> tuple[np.ndarray, ...]:
-    """The kind, target, axis_phi and control_value of compile_protocol's
-    three macros of a Trotter step (Q, first, second), as columns."""
-    macros = {"p": _FUSABLE[0], "s": _FUSABLE[2 if erratum_s_gate else 1]}
-    return _macro_columns([_macro(DRIVES["Q"], phi_q)] + [macros[x] for x in ps_order])
+    rows = _STEP[handedness.sign, ps_order, bool(erratum_s_gate)][keep % 3]
+    return Circuit(metadata=meta, angle=theta.ravel()[keep],
+                   **{name: col[rows] for name, col in _MACROS.items()})
 
 
 def with_handedness(circuit: Circuit, handedness: Handedness) -> Circuit:
-    """The circuit with its Q gates (the CROTs on Q's row) at handedness's
-    azimuth, all that compile_protocol takes of the hand; merge_runs and
-    fuse_ps_runs treat Q gates alike at either azimuth, so they commute with it."""
-    kind, target, phi, value = _macro(DRIVES["Q"], handedness.phi_q)
-    q = _row(circuit) == (kind * 2 + target) * 2 + value
-    columns = dict(zip(_COLUMNS, circuit._columns()), axis_phi=np.where(q, phi, circuit.axis_phi))
+    """The circuit with its Q gates (the CROTs on Q's _CONFIGS row) at the
+    azimuth of handedness's Q in _MACROS, all that compile_protocol takes
+    of the hand; merge_runs and fuse_ps_runs treat Q gates alike at either
+    azimuth, so they commute with it."""
+    q_row = _Q[handedness.sign]
+    q = _row(circuit) == _MACRO_ROW[q_row]
+    columns = dict(zip(_COLUMNS, circuit._columns()),
+                   axis_phi=np.where(q, _MACROS["axis_phi"][q_row], circuit.axis_phi))
     return Circuit(metadata={**circuit.metadata, "handedness": handedness.label}, **columns)
 
 
 # -- P/S stage fusion --------------------------------------------------------
 
-# at the row of each macro compile_protocol emits, Q of either hand too: its |phi| (see
-# _gate_blocks), a real rotation in the frame D, else NaN; its fuse_ps_runs role, else 0
+# at the _CONFIGS row of each of the _MACROS: its |phi| (see _gate_blocks), a real
+# rotation in the frame D, else NaN; for P, S and the erratum S, its _MACROS row, else 0
 _FRAME_PHI, _ROLE = np.full(len(_CONFIGS), np.nan), np.zeros(len(_CONFIGS), int)
-for _role, (_k, _t, _phi, _v) in enumerate([_macro(DRIVES["Q"], LEFT.phi_q), *_FUSABLE]):
-    _j = _CONFIGS.index((KINDS[_k], _t, _v))
-    _FRAME_PHI[_j], _ROLE[_j] = abs(_phi), _role
+_FRAME_PHI[_MACRO_ROW] = np.abs(_MACROS["axis_phi"])
+_ROLE[_MACRO_ROW[[_P, _S, _SE]]] = _P, _S, _SE
 
 
 def _frame_rotation(is_s: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -481,21 +476,23 @@ def fuse_ps_runs(circuit: Circuit) -> Circuit:
     and a run is replaced only when that leaves fewer gates, so a lone
     gate and the one P/S step of N = 2 keep their angles.  A run that
     mixes S with erratum S gates and every other gate stay as they are.
-    The metadata drops step_bounds, which index the unfused gates."""
-    role = np.where(circuit.axis_phi == 0.0, _ROLE[_row(circuit)], 0)     # _FUSABLE's phi: 0
+    The fused gates' columns are gathered from the _MACROS rows of P, S
+    and erratum S.  The metadata drops step_bounds, which index the
+    unfused gates."""
+    role = np.where(circuit.axis_phi == 0.0, _ROLE[_row(circuit)], 0)     # P, S, SE's phi: 0
     edges = np.flatnonzero(np.diff(np.concatenate([[0], role > 0, [0]])))
     columns, parts, done = circuit._columns(), [], 0
     for lo, hi in zip(edges[::2], edges[1::2]):
         roles, angle = role[lo:hi], circuit.angle[lo:hi]
-        count = np.bincount(roles, minlength=4)
-        if count[2] and count[3]:
+        count = np.bincount(roles, minlength=len(_MACRO_ROW))
+        if count[_S] and count[_SE]:
             continue
-        if count[3]:
-            drive, theta = [0, 2], [math.fsum(angle[roles == r]) for r in (1, 3)]
+        if count[_SE]:
+            rows, theta = [_P, _SE], [math.fsum(angle[roles == r]) for r in (_P, _SE)]
         else:
-            a, b, c = _ps_angles(_frame_rotation(roles == 2, angle))
-            drive, theta = ([0], [a + c]) if b == 0.0 else ([0, 1, 0], [c, b, a])
-        fused = _rotations(_FUSABLE, drive, theta)._columns()
+            a, b, c = _ps_angles(_frame_rotation(roles == _S, angle))
+            rows, theta = ([_P], [a + c]) if b == 0.0 else ([_P, _S, _P], [c, b, a])
+        fused = list(_rotations(rows, theta).values())
         if len(fused[0]) < hi - lo:
             parts += [[col[done:lo] for col in columns], fused]
             done = hi

@@ -19,7 +19,7 @@ from .errors import ConfigError
 # stap_generator is stirap_generator; bench/spans.py traces both names here
 from .hamiltonians import predict_r_final, stap_generator, stirap_generator
 from .molecule import consistency_check, rabi_frequency, rwa_warnings
-from .propagate import PopulationTrace, _rows, evolve_piecewise_exact
+from .propagate import PopulationTrace, evolve_piecewise_exact
 from .pulses import LEFT, RIGHT, Handedness, _is_integer, discretize, discretize_all
 
 PSI0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -322,13 +322,13 @@ def molecule_report(config: ScenarioConfig) -> dict:
 
 def dump_pulses(config: ScenarioConfig, n_samples: int = 2000) -> str:
     """CSV of the continuous drive amplitudes on a uniform grid, in one
-    %-format of the row template whose time column propagate._rows fills in
-    once per grid and caches."""
+    %-format for the whole file; a one-shot file, so it takes no slot of
+    the row-template cache that the population CSVs share (propagate._rows)."""
     schedule = config.build_schedule()
     t = np.linspace(0.0, schedule.duration, n_samples)
-    values = np.column_stack(schedule.drives(t))
+    values = np.column_stack([t, *schedule.drives(t)])
     return ("t_us,omega_q,omega_p,omega_s\n"
-            + _rows(t.tobytes(), ",%%.12g,%%.12g,%%.12g\n") % tuple(values.ravel().tolist()))
+            + "%.9f,%.12g,%.12g,%.12g\n" * len(t) % tuple(values.ravel().tolist()))
 
 
 def _write(path: str, text: str) -> None:

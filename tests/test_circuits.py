@@ -394,6 +394,28 @@ def test_compile_protocol_structure():
         compile_protocol(d, LEFT, "stirap", ps_order="nope")
 
 
+def test_macro_table_holds_the_five_macros():
+    erratum = (IDX_01, IDX_10)
+    want = {circuits._Q[LEFT.sign]: (DRIVES["Q"], LEFT.phi_q),
+            circuits._Q[RIGHT.sign]: (DRIVES["Q"], RIGHT.phi_q),
+            circuits._P: (DRIVES["P"], 0.0), circuits._S: (DRIVES["S"], 0.0),
+            circuits._SE: (erratum, 0.0)}
+    table = circuits._MACROS
+    assert list(table) == ["kind", "target", "axis_phi", "control_value"]
+    assert sorted(want) == list(range(5))
+    for row, (pair, phase) in want.items():
+        assert tuple(col[row].item() for col in table.values()) == circuits._macro(pair, phase)
+    # the frame admits exactly the macros' gate-matrix rows, at their |axis_phi|,
+    # and fuse_ps_runs exactly P, S and the erratum S, each by its table row
+    configs = [circuits._CONFIGS.index((KINDS[k], t, v))
+               for k, t, v in zip(table["kind"], table["target"], table["control_value"])]
+    admitted = np.flatnonzero(~np.isnan(circuits._FRAME_PHI))
+    assert sorted(set(configs)) == admitted.tolist()
+    assert (circuits._FRAME_PHI[configs] == np.abs(table["axis_phi"])).all()
+    roles = {j: circuits._ROLE[configs[j]] for j in (circuits._P, circuits._S, circuits._SE)}
+    assert roles == {j: j for j in roles} and np.count_nonzero(circuits._ROLE) == 3
+
+
 def test_compile_protocol_keeps_each_stage_to_its_drives():
     # every slice here holds all three drives: the k Q steps must compile
     # to Q alone and the rest to P then S alone (without the rule, 12 gates)

@@ -257,7 +257,10 @@ def test_dump_pulses_after_to_csv_on_one_grid():
     probs[:, 1] = 0.0
     trace = PopulationTrace(times, probs, "L")
     assert trace.to_csv() == csv_reference(trace)
+    # the one-shot pulse CSV neither reads nor fills the row-template cache
+    info = propagate._rows.cache_info()
     assert scenarios.dump_pulses(cfg, 50) == pulses_reference(cfg, 50)
+    assert propagate._rows.cache_info() == info
     assert trace.to_csv() == csv_reference(trace)
 
 
