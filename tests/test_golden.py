@@ -25,6 +25,10 @@ N_STEPS = 17
 SWEEP_STEPS = [10, 17, 20, 40]
 VARIANTS = {"default": {}, "erratum": {"erratum_s_gate": True},
             "sp": {"ps_order": "sp"}}
+# STIRAP pulses of width 0.05: most P/S steps drive nothing and compile to
+# no gate, so the P/S stage's gates sit in short runs between dropped steps
+SPARSE = {"sparse": {"pulses": {"ps_width": 0.05}},
+          "sparse-erratum": {"pulses": {"ps_width": 0.05}, "erratum_s_gate": True}}
 # the smallest and largest N the benchmark's qasm-export workload draws
 QASM_SIZES = (531, 972)
 
@@ -93,6 +97,10 @@ GOLDEN = {
         "c3f5823bce00e2571cd470b99cd399f5cf68080b587a8a628ac976655f491a9f",
     "stirap/sp/export-qasm@972":
         "32e17aeb577402c99af6829892abf873b89baeaab87a37c67a46cbae3c28c930",
+    "stirap/sparse/export-qasm@531":
+        "59451a0f3edd1263b1898728fe174dceab98e0c78ec903e754e9b102eb88e5f4",
+    "stirap/sparse-erratum/export-qasm@531":
+        "2ec291979321c4d26db5c0f713575e8689ba87977c43c998034fc92ffde5e187",
 }
 
 
@@ -100,7 +108,7 @@ def _outputs(case: str, out_dir: Path) -> dict[str, bytes]:
     case, _, n_steps = case.partition("@")
     protocol, variant, command = case.split("/")
     cfg = validate_config({"protocol": protocol, "n_steps": int(n_steps or N_STEPS),
-                           **VARIANTS[variant]})
+                           **{**VARIANTS, **SPARSE}[variant]})
     if command == "dump-pulses":
         return {f"pulses_{protocol}.csv": dump_pulses(cfg).encode()}
     if command == "sweep-trotter":
@@ -125,6 +133,7 @@ CASES = [f"{p}/{v}/{c}" for p in ("stap", "stirap") for v in VARIANTS
 CASES += ["stap/default/dump-pulses", "stirap/default/dump-pulses"]
 CASES += [f"{p}/{v}/export-qasm@{n}" for n in QASM_SIZES for p in ("stap", "stirap")
           for v in VARIANTS]
+CASES += [f"stirap/{v}/export-qasm@{QASM_SIZES[0]}" for v in SPARSE]
 
 
 @pytest.mark.parametrize("case", CASES)
