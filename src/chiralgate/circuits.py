@@ -7,11 +7,11 @@ are expanded into natives with algebraically exact identities (verified in
 the test suite to 1e-13), so export and simulation agree: a CROT is 8
 natives with 2 CX (plus an X pair for control value 0), and XX-+YY =
 W^dag Rx_c(angle/2) Ry_t(-+angle/2) W with W = CX Rx_c(pi/2) is 6 natives
-with 2 CX.  No rotation by exactly +-0 is emitted.  merge_runs makes
-each run of consecutive equal macros one gate by the run's summed angle,
-and fuse_ps_runs each P/S stage the three gates P(c) S(b) P(a) of its
-exact SO(3) rotation; the QASM export lowers only that fused circuit, at
-most four macros at any N.
+with 2 CX.  No rotation by exactly +-0 is emitted.  fuse_stages makes the
+Q stage of a compile_protocol circuit one gate by the stage's summed
+angle, and its P/S stage the three gates P(c) S(b) P(a) of its exact
+SO(3) rotation; the QASM export lowers only that fused circuit, at most
+four macros at any N.
 A Circuit holds its gates as parallel arrays; Gate is the one-gate view.
 Compilation and gate matrices work on whole arrays, lowering gate by gate.
 """
@@ -89,8 +89,9 @@ class Circuit:
     free-form `metadata`.  A two-qubit gate's control is 1 - target.
 
     Circuit(gates) reads the arrays off Gates, the keywords (never both)
-    give them all directly; either way Gate's rules check them once, with
-    its messages, and they are read-only.  `gates` views them as Gates.
+    give them all directly; either way Gate's rules check them, with its
+    messages, each time a Circuit is built, and they are read-only.
+    `gates` views them as Gates.
     """
 
     def __init__(self, gates: Iterable[Gate] = (), metadata: dict | None = None, *,
@@ -282,31 +283,6 @@ def expand_circuit(circuit: Circuit) -> Circuit:
     return Circuit(metadata=meta, **dict(zip(_COLUMNS, zip(*rows))))
 
 
-def merge_runs(circuit: Circuit) -> Circuit:
-    """The circuit with each run of consecutive gates of one row (kind,
-    target, control_value) and axis_phi as one gate by the run's summed
-    angle: they share one generator, so this is exact (rotation merging,
-    Nam et al., npj Quantum Inf. 4, 23 (2018)).  A run that sums to exactly
-    0 emits no gate, and the pass repeats while that joins new neighbours.
-    X and CX never merge.  The metadata drops step_bounds, which index the
-    unmerged gates."""
-    columns = dict(zip(_COLUMNS, circuit._columns()), row=_row(circuit))
-    while True:
-        kind, row, phi = columns["kind"], columns["row"], columns["axis_phi"]
-        turns = (kind != CODE["X"]) & (kind != CODE["CX"])
-        joins = turns[1:] & (row[1:] == row[:-1]) & (phi[1:] == phi[:-1])
-        start = np.flatnonzero(np.concatenate([[len(kind) > 0], ~joins]))
-        angle = np.add.reduceat(columns["angle"], start)
-        keep = (angle != 0.0) | ~turns[start]
-        columns = {name: col[start[keep]] for name, col in columns.items()}
-        columns["angle"] = angle[keep]
-        if keep.all():
-            break
-    del columns["row"]
-    meta = {key: value for key, value in circuit.metadata.items() if key != "step_bounds"}
-    return Circuit(metadata=meta, **columns)
-
-
 # -- Trotter-step compilation ------------------------------------------------
 
 def _macro(pair: tuple[int, int], phase: float = 0.0) -> tuple:
@@ -398,8 +374,8 @@ def compile_protocol(
 def with_handedness(circuit: Circuit, handedness: Handedness) -> Circuit:
     """The circuit with its Q gates (the CROTs on Q's _CONFIGS row) at the
     azimuth of handedness's Q in _MACROS, all that compile_protocol takes
-    of the hand; merge_runs and fuse_ps_runs treat Q gates alike at either
-    azimuth, so they commute with it."""
+    of the hand; fuse_stages treats Q gates alike at either azimuth, so it
+    commutes with it."""
     q_row = _Q[handedness.sign]
     q = _row(circuit) == _MACRO_ROW[q_row]
     columns = dict(zip(_COLUMNS, circuit._columns()),
@@ -407,13 +383,12 @@ def with_handedness(circuit: Circuit, handedness: Handedness) -> Circuit:
     return Circuit(metadata={**circuit.metadata, "handedness": handedness.label}, **columns)
 
 
-# -- P/S stage fusion --------------------------------------------------------
+# -- stage fusion ------------------------------------------------------------
 
 # at the _CONFIGS row of each of the _MACROS: its |phi| (see _gate_blocks), a real
-# rotation in the frame D, else NaN; for P, S and the erratum S, its _MACROS row, else 0
-_FRAME_PHI, _ROLE = np.full(len(_CONFIGS), np.nan), np.zeros(len(_CONFIGS), int)
+# rotation in the frame D, else NaN
+_FRAME_PHI = np.full(len(_CONFIGS), np.nan)
 _FRAME_PHI[_MACRO_ROW] = np.abs(_MACROS["axis_phi"])
-_ROLE[_MACRO_ROW[[_P, _S, _SE]]] = _P, _S, _SE
 
 
 def _frame_rotation(is_s: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -466,40 +441,37 @@ def _ps_angles(r: np.ndarray) -> tuple[float, float, float]:
     return sigma + delta, 2 * half_b, sigma - delta
 
 
-def fuse_ps_runs(circuit: Circuit) -> Circuit:
-    """The circuit with each run of consecutive P and S gates (the macros
-    compile_protocol emits) as the gates P(c), S(b), P(a) of the run's
-    frame rotation r = P(a) S(b) P(c) (_ps_angles), which any r in SO(3)
-    has, and each run of P and erratum S gates, which act on disjoint
-    pairs and commute, as one P and one erratum S by their summed angles.
+def fuse_stages(circuit: Circuit) -> Circuit:
+    """A compile_protocol circuit with each stage fused.  Its Q gates come
+    first and share one generator (either hand's Q row of _CONFIGS), so
+    they are one Q gate by their summed angle.  The P/S gates after them
+    are the gates P(c), S(b), P(a) of the stage's frame rotation
+    r = P(a) S(b) P(c) (_ps_angles), which any r in SO(3) has; with the
+    erratum S gate, which acts on a pair disjoint from P's, so that the
+    two commute, they are one P and one erratum S by their summed angles.
     A fused angle of exactly 0 emits no gate (for b, P(c) P(a) is one P),
-    and a run is replaced only when that leaves fewer gates, so a lone
-    gate and the one P/S step of N = 2 keep their angles.  A run that
-    mixes S with erratum S gates and every other gate stay as they are.
-    The fused gates' columns are gathered from the _MACROS rows of P, S
-    and erratum S.  The metadata drops step_bounds, which index the
-    unfused gates."""
-    role = np.where(circuit.axis_phi == 0.0, _ROLE[_row(circuit)], 0)     # P, S, SE's phi: 0
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], role > 0, [0]])))
-    columns, parts, done = circuit._columns(), [], 0
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        roles, angle = role[lo:hi], circuit.angle[lo:hi]
-        count = np.bincount(roles, minlength=len(_MACRO_ROW))
-        if count[_S] and count[_SE]:
-            continue
-        if count[_SE]:
-            rows, theta = [_P, _SE], [math.fsum(angle[roles == r]) for r in (_P, _SE)]
-        else:
-            a, b, c = _ps_angles(_frame_rotation(roles == _S, angle))
-            rows, theta = ([_P], [a + c]) if b == 0.0 else ([_P, _S, _P], [c, b, a])
-        fused = list(_rotations(rows, theta).values())
-        if len(fused[0]) < hi - lo:
-            parts += [[col[done:lo] for col in columns], fused]
-            done = hi
-    parts.append([col[done:] for col in columns])
+    and a stage is replaced only when that leaves fewer gates, so a lone
+    Q gate and the one P/S step of N = 2 keep their angles.  The metadata
+    drops step_bounds, which index the unfused gates."""
+    columns, row = dict(zip(_COLUMNS, circuit._columns())), _row(circuit)
+    q = int(np.count_nonzero(row == _MACRO_ROW[_Q[LEFT.sign]]))
+    q_sum = np.add.reduceat(columns["angle"][:q], [0] if q else [])
+    keep = q_sum != 0.0                 # the first Q gate, by the sum if not 0
+    fused_q = {name: col[:len(q_sum)][keep] for name, col in columns.items()}
+    fused_q["angle"] = q_sum[keep]
+    ps_row, ps_angle = row[q:], columns["angle"][q:]
+    if (ps_row == _MACRO_ROW[_SE]).any():
+        rows = [_P, _SE]
+        theta = [math.fsum(ps_angle[ps_row == _MACRO_ROW[r]]) for r in rows]
+    else:
+        a, b, c = _ps_angles(_frame_rotation(ps_row == _MACRO_ROW[_S], ps_angle))
+        rows, theta = ([_P], [a + c]) if b == 0.0 else ([_P, _S, _P], [c, b, a])
+    stages = [fused if len(fused["angle"]) < hi - lo
+              else {name: col[lo:hi] for name, col in columns.items()}
+              for fused, lo, hi in ((fused_q, 0, q), (_rotations(rows, theta), q, len(row)))]
     meta = {key: value for key, value in circuit.metadata.items() if key != "step_bounds"}
-    return Circuit(metadata=meta, **{name: np.concatenate(cols)
-                                     for name, cols in zip(_COLUMNS, zip(*parts))})
+    return Circuit(metadata=meta, **{name: np.concatenate([stage[name] for stage in stages])
+                                     for name in _COLUMNS})
 
 
 # -- execution ---------------------------------------------------------------

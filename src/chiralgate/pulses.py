@@ -130,10 +130,10 @@ class StirapSchedule(_Timeline):
     """STIRAP from its `pulses` keys: a Q stage [0, t1) of area pi/2, then a
     double-Gaussian pump and single-Gaussian Stokes on [t1, t_f].
 
-    The pump is the sum of p_first and p_second (p_second delayed by tau);
-    p_first coincides with the Stokes Gaussian so the mixing angle starts at
-    pi/4, matching the superposition the Q stage prepares, and ends near
-    pi/2 when the delayed pump component dominates.
+    The pump is the sum of the Stokes Gaussian s and p_second, the same
+    Gaussian delayed by tau; so the mixing angle starts at pi/4, matching
+    the superposition the Q stage prepares, and ends near pi/2 when the
+    delayed pump component dominates.
     """
 
     t1: float = 2.53
@@ -143,7 +143,6 @@ class StirapSchedule(_Timeline):
     ps_width: float | None = None
     q_width: float | None = None
     q: GaussianPulse = field(init=False)
-    p_first: GaussianPulse = field(init=False)
     p_second: GaussianPulse = field(init=False)
     s: GaussianPulse = field(init=False)
 
@@ -154,10 +153,10 @@ class StirapSchedule(_Timeline):
         width = span / 3.0 if self.ps_width is None else self.ps_width
         tau = width if self.tau is None else self.tau
         q = q_stage_pulse(self.t1, self.q_width)
-        shared = GaussianPulse(self.ps_amplitude, self.t1 + 0.5 * (span - tau), width)
+        stokes = GaussianPulse(self.ps_amplitude, self.t1 + 0.5 * (span - tau), width)
         second = GaussianPulse(self.ps_amplitude, self.t1 + 0.5 * (span + tau), width)
         # frozen: the derived fields are set once, past __setattr__
-        vars(self).update(q=q, p_first=shared, p_second=second, s=shared)
+        vars(self).update(q=q, p_second=second, s=stokes)
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
 
@@ -166,7 +165,7 @@ class StirapSchedule(_Timeline):
         return self.t1
 
     def _ps(self, t):
-        s = self.s(t)                   # p_first is s
+        s = self.s(t)                   # the pump's first Gaussian is s
         return s + self.p_second(t), s
 
     def _splitting(self, t):
@@ -285,7 +284,7 @@ def eval_ps_rates(schedule: StirapSchedule, t):
     def rates(t):
         s, p2 = (g(t) * (-2.0 * (t - g.center) / g.width**2)
                  for g in (schedule.s, schedule.p_second))
-        return s + p2, s                # p_first is s
+        return s + p2, s                # the pump's first Gaussian is s
 
     return schedule._on_stage(t, rates)
 

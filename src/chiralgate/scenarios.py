@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (CODE, NATIVE_KINDS, Circuit, compile_protocol, expand_circuit,
-                       fuse_ps_runs, merge_runs, run_statevector, run_statevectors,
-                       sample_measurements, with_handedness)
+                       fuse_stages, run_statevector, run_statevectors, sample_measurements,
+                       with_handedness)
 from .config import MAX_STEPS, ScenarioConfig
 from .errors import ConfigError
 # stap_generator is stirap_generator; bench/spans.py traces both names here
@@ -253,12 +253,12 @@ def circuit_to_qasm(circuit: Circuit) -> str:
 
 def export_qasm(config: ScenarioConfig, out_dir: str) -> list[str]:
     """Write <protocol>_<hand>.qasm for each configured hand; their paths.
-    Each file lowers fuse_ps_runs(merge_runs(circuit)), whose P/S stage is
+    Each file lowers fuse_stages(circuit): one Q gate, then a P/S stage of
     three gates at any N with the N-step unitary.  The hands differ only in
     their Q gates' azimuth: one circuit is fused, then turned to each hand."""
     disc = discretize(config.build_schedule(), config.n_steps)
     hands = _hands(config)
-    fused = fuse_ps_runs(merge_runs(_compile(config, disc, hands[0])))
+    fused = fuse_stages(_compile(config, disc, hands[0]))
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for hand in hands:

@@ -13,8 +13,8 @@ from chiralgate.circuits import (CODE, KINDS, MACRO_KINDS, Circuit, Gate,
                                  MeasurementRecord, circuit_unitary,
                                  compile_p_step, compile_protocol,
                                  compile_q_step, compile_s_step,
-                                 expand_circuit, gate_matrices, gate_matrix,
-                                 merge_runs, phase_aligned_distance, run_statevector,
+                                 expand_circuit, fuse_stages, gate_matrices, gate_matrix,
+                                 phase_aligned_distance, run_statevector,
                                  sample_measurements)
 from chiralgate.errors import IntegrityError
 from chiralgate.hamiltonians import (DRIVES, IDX_01, IDX_10, build_h_ps,
@@ -366,17 +366,17 @@ def test_merged_protocol_lowers_without_step_bounds(protocol):
                    else default_stirap_schedule(), 40)
     for hand in (LEFT, RIGHT):
         c = compile_protocol(d, hand, protocol)
-        merged = merge_runs(c)
+        fused = fuse_stages(c)
         # the Q steps share one CROT, so the Q stage is one gate by its area;
-        # the merged gates no longer have Trotter-step bounds
+        # the fused gates no longer have Trotter-step bounds
         q_stage = c.gates[:c.metadata["step_bounds"][d.k - 1]]
-        first = merged.gates[0]
+        first = fused.gates[0]
         assert {replace(g, angle=first.angle) for g in q_stage} == {first}
         assert first.angle == pytest.approx(math.fsum(g.angle for g in q_stage), abs=1e-14)
-        assert merged.gates[1].kind != "CROT"
-        assert "step_bounds" not in merged.metadata
-        assert merged.metadata == {k: v for k, v in c.metadata.items() if k != "step_bounds"}
-        native = expand_circuit(merged)
+        assert fused.gates[1].kind != "CROT"
+        assert "step_bounds" not in fused.metadata
+        assert fused.metadata == {k: v for k, v in c.metadata.items() if k != "step_bounds"}
+        native = expand_circuit(fused)
         assert "step_bounds" not in native.metadata
         assert phase_aligned_distance(circuit_unitary(native), circuit_unitary(c)) < 1e-13
 
@@ -405,15 +405,12 @@ def test_macro_table_holds_the_five_macros():
     assert sorted(want) == list(range(5))
     for row, (pair, phase) in want.items():
         assert tuple(col[row].item() for col in table.values()) == circuits._macro(pair, phase)
-    # the frame admits exactly the macros' gate-matrix rows, at their |axis_phi|,
-    # and fuse_ps_runs exactly P, S and the erratum S, each by its table row
+    # the frame admits exactly the macros' gate-matrix rows, at their |axis_phi|
     configs = [circuits._CONFIGS.index((KINDS[k], t, v))
                for k, t, v in zip(table["kind"], table["target"], table["control_value"])]
     admitted = np.flatnonzero(~np.isnan(circuits._FRAME_PHI))
     assert sorted(set(configs)) == admitted.tolist()
     assert (circuits._FRAME_PHI[configs] == np.abs(table["axis_phi"])).all()
-    roles = {j: circuits._ROLE[configs[j]] for j in (circuits._P, circuits._S, circuits._SE)}
-    assert roles == {j: j for j in roles} and np.count_nonzero(circuits._ROLE) == 3
 
 
 def test_compile_protocol_keeps_each_stage_to_its_drives():

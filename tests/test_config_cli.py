@@ -84,7 +84,7 @@ def test_wrong_protocol_pulse_keys_rejected():
         validate_config({"protocol": "stirap", "pulses": {"alpha_m": 0.3}})
 
 
-@pytest.mark.parametrize("protocol, key", [("stirap", "q"), ("stirap", "p_first"),
+@pytest.mark.parametrize("protocol, key", [("stirap", "q"), ("stirap", "p_second"),
                                            ("stap", "q"), ("stap", "path")])
 def test_derived_schedule_fields_are_not_pulse_keys(protocol, key):
     # the pulse keys are a schedule's init fields, not the Gaussians it builds

@@ -5,8 +5,8 @@ suite, so without this test a wrong lowering row would only fail there.
 
 Populations cannot see every wrong sign, so the text is also read back
 into a Circuit and its unitary compared with the macro circuit's, up to
-global phase.  The text fuses each P/S stage into three gates
-(fuse_ps_runs), so its gate counts do not grow with N."""
+global phase.  The text fuses the Q stage into one gate and the P/S stage
+into three (fuse_stages), so its gate counts do not grow with N."""
 
 import importlib
 import math
@@ -20,9 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralgate import circuits
-from chiralgate.circuits import (CODE, KINDS, Circuit, Gate, circuit_unitary, compile_protocol,
-                                 expand_circuit, fuse_ps_runs, merge_runs,
-                                 phase_aligned_distance, run_statevector)
+from chiralgate.circuits import (CODE, Circuit, circuit_unitary, compile_protocol,
+                                 expand_circuit, fuse_stages, phase_aligned_distance,
+                                 run_statevector)
 from chiralgate.config import MAX_STEPS, validate_config
 from chiralgate.pulses import LEFT, RIGHT, DiscretizedSchedule, discretize
 from chiralgate.scenarios import _QASM_FOOTER, _QASM_HEADER, PSI0, circuit_to_qasm, export_qasm
@@ -133,7 +133,7 @@ def test_exported_qasm_reads_back_with_phase(protocol, variant, n, tmp_path):
                                  erratum_s_gate=cfg.erratum_s_gate)
         text = Path(path).read_text()
         read = read_qasm(text)
-        assert read.gates == expand_circuit(fuse_ps_runs(merge_runs(macro))).gates
+        assert read.gates == expand_circuit(fuse_stages(macro)).gates
         assert (len(read), cx_count(read)) == (ONE_STEP_COUNTS if n == 2
                                                else FUSED_COUNTS[variant])
         assert _distance(text, macro) <= TEXT_DIGITS_TOL
@@ -171,95 +171,31 @@ def _long_double_rotation(is_s: np.ndarray, angle: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("protocol", ["stap", "stirap"])
 def test_fused_stage_is_exact_at_max_steps(protocol):
     cfg = validate_config({"protocol": protocol, "n_steps": MAX_STEPS})
-    macro = compile_protocol(discretize(cfg.build_schedule(), MAX_STEPS), LEFT, protocol)
-    merged = merge_runs(macro)          # the Q stage's one CROT, then the P/S run
-    kind, angle = merged.kind[1:], merged.angle[1:]
+    disc = discretize(cfg.build_schedule(), MAX_STEPS)
+    macro = compile_protocol(disc, LEFT, protocol)
+    q = macro.metadata["step_bounds"][disc.k - 1]       # the Q stage, then the P/S stage
+    kind, angle = macro.kind[q:], macro.angle[q:]
     is_s = kind == CODE["CROT"]
     assert np.all(is_s | (kind == CODE["XX-YY"])) and len(angle) > MAX_STEPS
     r = circuits._frame_rotation(is_s, angle)
     assert np.max(np.abs(r - _long_double_rotation(is_s, angle))) <= 1e-13
     # circuit_unitary's real frame product over the macro gates is itself
     # up to 1.1e-13 off a long-double product of their gate matrices
-    assert _distance(circuit_to_qasm(fuse_ps_runs(merged)), macro) <= 2e-13
+    assert _distance(circuit_to_qasm(fuse_stages(macro)), macro) <= 2e-13
 
 
-# runs of equal CROTs (both control values, azimuths +-0 and +-pi/2) among
-# the other kinds: merge_runs makes each run one gate, and drops the runs
-# that sum to 0
-PHIS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2]), st.floats(-4.0, 4.0))
-TURNS = st.one_of(st.sampled_from([0.0, -0.0, 1e-3]), st.floats(-7.0, 7.0))
-
-
-@st.composite
-def gate_runs(draw):
-    gates = []
-    for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["CROT", "CROT", "CROT", "XX-YY", "XX+YY", "RZ", "X", "CX"]))
-        q = draw(st.sampled_from([0, 1]))
-        qubits = (q, 1 - q) if kind in ("CROT", "XX-YY", "XX+YY", "CX") else (q,)
-        phi, value = draw(PHIS), draw(st.sampled_from([0, 1]))
-        gates += [Gate(kind, qubits, draw(TURNS), axis_phi=phi, control_value=value)
-                  for _ in range(draw(st.integers(1, 4)))]
-    return gates
-
-
-@given(gates=gate_runs())
-@settings(max_examples=200, deadline=None)
-def test_merge_pass_shortens_and_keeps_unitary(gates):
-    macro = Circuit(gates)
-    merged = merge_runs(macro)
-    fused = fuse_ps_runs(merged)
-    text = circuit_to_qasm(fused)
-    read, native = read_qasm(text), expand_circuit(fused)
-    assert len(read) == len(native) <= len(expand_circuit(macro))
-    assert cx_count(read) == cx_count(native) <= cx_count(expand_circuit(macro))
-    # no run is left to merge, and no rotation is by 0
-    for a, b in zip(merged.gates, merged.gates[1:]):
-        assert a.kind in ("X", "CX") or ((a.kind, a.qubits, a.control_value, a.axis_phi)
-                                         != (b.kind, b.qubits, b.control_value, b.axis_phi))
-    assert all(g.kind in ("X", "CX") or g.angle != 0.0 for g in merged.gates)
-    assert not np.any((read.kind < CODE["X"]) & (read.angle == 0.0))
-    assert _distance(text, macro) <= TEXT_DIGITS_TOL
-
-
-# the P, S and erratum S gates compile_protocol emits, by angle 0
-P_GATE, S_GATE, E_GATE = (Gate("XX-YY", (0, 1)), Gate("CROT", (0, 1)), Gate("XX+YY", (0, 1)))
-FUSABLE = (P_GATE, S_GATE, E_GATE)
 # signed zeros, whole turns and a tiny angle among the rest
 RUN_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, 2 * math.pi, -2 * math.pi, 4 * math.pi,
                                         1e-9, -1e-9]), st.floats(-7.0, 7.0))
-# gates the pass leaves alone: a Q-stage CROT, an XX-YY on the other
-# target, an S-like CROT about another axis, and natives
-OTHER_GATES = st.sampled_from([Gate("CROT", (1, 0), 0.3, axis_phi=-math.pi / 2, control_value=0),
-                               Gate("XX-YY", (1, 0), 0.7), Gate("CROT", (0, 1), 0.4, axis_phi=0.5),
-                               Gate("RZ", (1,), 0.2), Gate("X", (0,)), Gate("CX", (1, 0))])
 
 
-@st.composite
-def fusable_runs(draw):
-    """P/S runs in either split order and P/erratum-S runs, each step's
-    two gates by RUN_ANGLES, between other gates."""
-    gates = []
-    for _ in range(draw(st.integers(0, 4))):
-        gates += draw(st.lists(OTHER_GATES, max_size=2))
-        pair = draw(st.sampled_from([(P_GATE, S_GATE), (S_GATE, P_GATE),
-                                     (P_GATE, E_GATE), (E_GATE, P_GATE)]))
-        for _ in range(draw(st.integers(1, 6))):
-            gates += [replace(g, angle=draw(RUN_ANGLES)) for g in pair]
-    return gates + draw(st.lists(OTHER_GATES, max_size=2))
-
-
-def _cut(circuit: Circuit) -> tuple[list[Gate], list[list[Gate]]]:
-    """(the gates the pass leaves alone, the runs of P, S and erratum S
-    gates before, between and after them)."""
-    others, runs = [], [[]]
-    for g in circuit.gates:
-        if replace(g, angle=0.0) in FUSABLE:
-            runs[-1].append(g)
-        else:
-            others.append(g)
-            runs.append([])
-    return others, runs
+def _stage(omega_p, omega_s, hand, omega_q=(0.8,), ps_order="ps", erratum=False) -> Circuit:
+    """compile_protocol's circuit of Q steps of these drive areas, then P/S
+    steps of these; a drive area of 0 compiles to no gate."""
+    k, zeros = len(omega_q), np.zeros(len(omega_p))
+    disc = DiscretizedSchedule(1.0, np.r_[omega_q, zeros], np.r_[np.zeros(k), omega_p],
+                               np.r_[np.zeros(k), omega_s], k=k)
+    return compile_protocol(disc, hand, "stap", ps_order=ps_order, erratum_s_gate=erratum)
 
 
 def _frame(u: np.ndarray) -> np.ndarray:
@@ -268,79 +204,71 @@ def _frame(u: np.ndarray) -> np.ndarray:
     return d.conj()[:, None] * u[np.ix_([0, 3, 2], [0, 3, 2])] * d
 
 
-@given(gates=fusable_runs())
-@settings(max_examples=200, deadline=None)
+@st.composite
+def protocol_circuits(draw):
+    """compile_protocol circuits of 1-4 Q steps and 1-6 P/S steps, each
+    drive area by RUN_ANGLES, for either hand, split order and Stokes gate."""
+    omega_q = draw(st.lists(RUN_ANGLES, min_size=1, max_size=4))
+    n = draw(st.integers(1, 6))
+    omega_p = draw(st.lists(RUN_ANGLES, min_size=n, max_size=n))
+    omega_s = draw(st.lists(RUN_ANGLES, min_size=n, max_size=n))
+    return _stage(omega_p, omega_s, draw(st.sampled_from([LEFT, RIGHT])), omega_q,
+                  draw(st.sampled_from(["ps", "sp"])), draw(st.booleans()))
+
+
+@given(macro=protocol_circuits())
+@settings(max_examples=300, deadline=None)
 # next to the gimbal point cos(b/2) = -1, where the 2x2 block alone reads
 # the angles 3.5e-10 off
-@example(gates=[replace(g, angle=a) for g, a in zip(
-    [P_GATE, S_GATE, P_GATE, S_GATE], [2 * math.pi, 2 * math.pi, 2 * math.pi, 1e-9])])
-def test_fuse_pass_keeps_other_gates_and_unitary(gates):
-    macro = Circuit(gates)
-    others, runs = _cut(macro)
-    fused_others, fused_runs = _cut(fuse_ps_runs(macro))
-    assert repr(fused_others) == repr(others)       # to the bit, signed zeros too
-    for run, fused in zip(runs, fused_runs, strict=True):
-        assert fused == run or (len(fused) < len(run) and len(fused) <= 3
-                                and all(g.angle != 0.0 for g in fused))
-        if run and E_GATE not in [replace(g, angle=0.0) for g in run]:
-            # the frame rotation is the run's unitary, made real by D
-            is_s = np.array([g.kind == "CROT" for g in run])
-            r = circuits._frame_rotation(is_s, np.array([g.angle for g in run]))
-            np.testing.assert_allclose(_frame(circuit_unitary(Circuit(run))), r,
-                                       rtol=0, atol=1e-14)
-    assert _distance(circuit_to_qasm(fuse_ps_runs(merge_runs(macro))), macro) <= TEXT_DIGITS_TOL
-
-
-def _is_fusable(g: Gate) -> bool:
-    """g equals a P, S or erratum S macro in kind, target, axis_phi (by ==,
-    so -0.0 is 0.0) and control_value."""
-    rows = [circuits._P, circuits._S, circuits._SE]
-    macros = zip(*(col[rows].tolist() for col in circuits._MACROS.values()))
-    return any(CODE[g.kind] == kind and g.qubits[-1] == target and g.axis_phi == phi
-               and g.control_value == value for kind, target, phi, value in macros)
-
-
-@given(kind=st.sampled_from(KINDS), target=st.sampled_from([0, 1]),
-       value=st.sampled_from([0, 1]), angles=st.tuples(*[st.floats(0.1, 3.0)] * 2),
-       phi=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, math.pi / 2, -math.pi / 2]),
-                     st.floats(-7.0, 7.0)))
-@settings(max_examples=300, deadline=None)
-def test_fuse_pass_fuses_exactly_the_p_s_macros(kind, target, value, angles, phi):
-    # two equal P, S or erratum S gates fuse into at most one; no other pair changes
-    qubits = (target,) if kind in ("RX", "RY", "RZ", "X") else (1 - target, target)
-    run = [Gate(kind, qubits, a, axis_phi=phi, control_value=value) for a in angles]
-    fused = fuse_ps_runs(Circuit(run))
-    if _is_fusable(run[0]):
-        assert len(fused) < 2
+@example(macro=_stage([2 * math.pi, 2 * math.pi], [2 * math.pi, 1e-9], LEFT))
+def test_fuse_stages_fuses_each_stage_exactly(macro):
+    q = macro.metadata["step_bounds"][macro.metadata["k"] - 1]
+    q_stage, ps_stage = macro.gates[:q], macro.gates[q:]
+    fused = fuse_stages(macro)
+    # the Q stage is one gate by its summed angle (summed as the export has
+    # always summed it), none if that is 0; a lone Q gate stays as it is
+    total = np.add.reduceat(macro.angle[:q], [0])[0].item() if q else 0.0
+    want_q = q_stage if q < 2 else [replace(q_stage[0], angle=total)] if total else []
+    assert repr(fused.gates[:len(want_q)]) == repr(want_q)      # to the bit
+    assert total == pytest.approx(math.fsum(macro.angle[:q]), rel=0, abs=1e-13)
+    # the P/S stage is at most three gates, or stays as it is
+    fused_ps = fused.gates[len(want_q):]
+    assert repr(fused_ps) == repr(ps_stage) or len(fused_ps) < len(ps_stage) and len(fused_ps) <= 3
+    assert not np.any(fused.angle == 0.0)
+    assert "step_bounds" not in fused.metadata
+    kind, angle = [g.kind for g in ps_stage], np.array([g.angle for g in ps_stage])
+    if "XX+YY" in kind:
+        # P and the erratum S commute: one of each by their summed angles
+        sums = {k: math.fsum(a for k_a, a in zip(kind, angle) if k_a == k)
+                for k in ("XX-YY", "XX+YY")}
+        if fused_ps != ps_stage:
+            assert [(g.kind, g.angle) for g in fused_ps] == [(k, a) for k, a in sums.items() if a]
     else:
-        assert repr(fused.gates[:]) == repr(run)      # to the bit, signed zeros too
-
-
-def _stage(omega_p, omega_s, hand) -> Circuit:
-    """One Q step, then P/S steps (pump first) of these drive areas."""
-    n = len(omega_p) + 1
-    disc = DiscretizedSchedule(1.0, np.r_[0.8, np.zeros(n - 1)], np.r_[0.0, omega_p],
-                               np.r_[0.0, omega_s], k=1)
-    return compile_protocol(disc, hand, "stap")
+        if set(kind) == {"XX-YY"}:      # no S angle, so b = 0: at most one P gate
+            assert len(fused_ps) <= 1
+        # the frame rotation is the P/S stage's unitary, made real by D
+        r = circuits._frame_rotation(np.array(kind) == "CROT", angle)
+        np.testing.assert_allclose(_frame(circuit_unitary(Circuit(ps_stage))), r,
+                                   rtol=0, atol=1e-14)
+    assert _distance(circuit_to_qasm(fused), macro) <= TEXT_DIGITS_TOL
 
 
 @pytest.mark.parametrize("hand", [LEFT, RIGHT])
 def test_fuse_pass_at_the_gimbal_points(hand):
     # no S angle, so b = 0 exactly: the P gates fuse into one
     no_s = _stage([0.9, 2.5, 1.7], [0.0, 0.0, 0.0], hand)
-    fused = fuse_ps_runs(no_s)
+    fused = fuse_stages(no_s)
     assert [g.kind for g in fused.gates] == ["CROT", "XX-YY"]
     assert math.cos(fused.angle[1] / 2) == pytest.approx(math.cos(5.1 / 2), abs=1e-15)
     # S angles that sum to 2 pi between two P angles: cos(b/2) = -1
     full_turn = _stage([0.9, 0.0, 0.0, 0.0, 1.7], [math.pi / 2] * 4 + [0.0], hand)
-    fused = fuse_ps_runs(full_turn)
+    fused = fuse_stages(full_turn)
     assert [g.kind for g in fused.gates] == ["CROT", "XX-YY", "CROT", "XX-YY"]
     assert math.cos(fused.angle[2] / 2) == pytest.approx(-1.0, abs=1e-15)
     for macro in (no_s, full_turn):
-        assert phase_aligned_distance(circuit_unitary(fuse_ps_runs(macro)),
+        assert phase_aligned_distance(circuit_unitary(fuse_stages(macro)),
                                       circuit_unitary(macro)) <= 1e-14
-        assert _distance(circuit_to_qasm(fuse_ps_runs(merge_runs(macro))),
-                         macro) <= TEXT_DIGITS_TOL
+        assert _distance(circuit_to_qasm(fuse_stages(macro)), macro) <= TEXT_DIGITS_TOL
 
 
 # -- both hands from one fused circuit ---------------------------------------

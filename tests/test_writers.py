@@ -10,7 +10,6 @@ import math
 import re
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralgate import propagate, scenarios
-from chiralgate.circuits import (KINDS, MACRO_KINDS, Circuit, Gate, expand_circuit,
-                                 fuse_ps_runs, merge_runs)
+from chiralgate.circuits import (KINDS, MACRO_KINDS, Circuit, Gate, compile_protocol,
+                                 expand_circuit, fuse_stages)
 from chiralgate.config import validate_config
 from chiralgate.propagate import PopulationTrace
+from chiralgate.pulses import LEFT, RIGHT, DiscretizedSchedule
 
 CSV_VALUES = [0.0, -0.0, 5e-324, 1e-20, 1 - 2**-53, 1e300]
 
@@ -44,33 +44,11 @@ def pulses_reference(config, n_samples: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def merge_reference(gates: list[Gate]) -> list[Gate]:
-    """Each run of consecutive gates of one kind, qubits, control value and
-    axis_phi, other than X and CX, as its first gate by the run's summed
-    angle (summed as np.add.reduceat sums it); the runs that sum to 0
-    dropped, and all of it again until nothing is dropped."""
-    while True:
-        runs = []
-        for g in gates:
-            key = None if g.kind in ("X", "CX") else (g.kind, g.qubits, g.control_value,
-                                                      g.axis_phi)
-            if key is not None and runs and runs[-1][0] == key:
-                runs[-1][1].append(g.angle)
-            else:
-                runs.append((key, [g.angle], g))
-        merged = [replace(g, angle=float(np.add.reduceat(angles, [0])[0]))
-                  for _, angles, g in runs]
-        kept = [g for g, (key, _, _) in zip(merged, runs) if key is None or g.angle != 0.0]
-        if len(kept) == len(merged):
-            return kept
-        gates = kept
-
-
 def qasm_reference(circuit: Circuit) -> str:
-    """merge_reference's gates, fused by fuse_ps_runs, lowered one by one
-    by expand_circuit, each native on its own line with its angle as repr."""
+    """The circuit's gates lowered one by one by expand_circuit, each native
+    on its own line with its angle as repr."""
     text = [scenarios._QASM_HEADER]
-    for g in fuse_ps_runs(Circuit(merge_reference(list(circuit.gates)))).gates:
+    for g in circuit.gates:
         for n in expand_circuit(Circuit([g])).gates:
             if n.kind == "X":
                 text.append("x q[%d];\n" % n.qubits)
@@ -301,21 +279,34 @@ def _crot(q, value, phi, angle=0.25):
     return Gate("CROT", (q, 1 - q), angle, axis_phi=phi, control_value=value)
 
 
-@given(gates=st.lists(any_gate(), max_size=10))
+@st.composite
+def fused_protocols(draw):
+    """fuse_stages of a compile_protocol circuit of 1-3 Q steps and 0-4 P/S
+    steps, each drive area by ANGLES, for either hand, split order and
+    Stokes gate."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    omega = [draw(st.lists(ANGLES, min_size=k + n, max_size=k + n)) for _ in "qps"]
+    macro = compile_protocol(DiscretizedSchedule(1.0, *omega, k=k),
+                             draw(st.sampled_from([LEFT, RIGHT])), "stap",
+                             ps_order=draw(st.sampled_from(["ps", "sp"])),
+                             erratum_s_gate=draw(st.booleans()))
+    return fuse_stages(macro)
+
+
+@given(gates=st.lists(any_gate(), max_size=10), fused=fused_protocols())
 @settings(max_examples=150, deadline=None)
-# runs of equal CROTs: both control values, azimuths +-pi/2 and +-0, and
-# neighbours that differ only in axis_phi or control value
+# CROTs of both control values, azimuths +-pi/2 and +-0, and angles +-0
 @example(gates=[_crot(0, 0, math.pi / 2)] * 3 + [_crot(0, 1, -math.pi / 2)] * 2
-         + [_crot(0, 1, 0.0), _crot(0, 1, -0.0, 0.0), _crot(1, 1, 0.0), _crot(1, 0, 0.0)])
-# a run that sums to 0 between two runs of one CROT, which then merge
-@example(gates=[_crot(1, 1, 0.5, 0.3), Gate("RZ", (0,), 0.5), Gate("RZ", (0,), -0.5),
-                _crot(1, 1, 0.5, 0.1), _crot(1, 1, 0.5, 0.7), Gate("X", (0,)), Gate("X", (0,))])
-# a P/S run (XX-YY and the CROT on |11>, |10>) between two X gates, fused
+         + [_crot(0, 1, 0.0), _crot(0, 1, -0.0, 0.0), _crot(1, 1, 0.0), _crot(1, 0, 0.0)],
+         fused=Circuit())
+# P/S steps (XX-YY and the CROT on |11>, |10>) between two X gates, and
+# rotations by +-0.5
 @example(gates=[Gate("X", (0,))] + [Gate("XX-YY", (0, 1), 0.5), _crot(0, 1, 0.0, -0.3)] * 3
-         + [Gate("X", (0,))])
-def test_qasm_matches_line_loop(gates):
+         + [Gate("X", (0,)), Gate("RZ", (0,), 0.5), Gate("RZ", (0,), -0.5)], fused=Circuit())
+def test_qasm_matches_line_loop(gates, fused):
     c = Circuit(gates)
-    assert scenarios.circuit_to_qasm(fuse_ps_runs(merge_runs(c))) == qasm_reference(c)
+    assert scenarios.circuit_to_qasm(c) == qasm_reference(c)
+    assert scenarios.circuit_to_qasm(fused) == qasm_reference(fused)
 
 
 def test_qasm_drops_zero_runs_and_writes_empty_circuit():
@@ -324,13 +315,17 @@ def test_qasm_drops_zero_runs_and_writes_empty_circuit():
              Gate("CROT", (0, 1), -0.0, axis_phi=0.0, control_value=0),
              Gate("RZ", (0,), 0.0), Gate("RZ", (1,), -0.0)]
     c = Circuit(gates)
-    # the CROT by -0 and the RZs by +-0 are runs that sum to 0, so none of
-    # their lines is written
-    assert len(expand_circuit(merge_runs(c))) == len(expand_circuit(Circuit(gates[:5])))
-    text = scenarios.circuit_to_qasm(fuse_ps_runs(merge_runs(c)))
+    # the RZs by +-0, and the CROT's rotations by -0, write no line
+    text = scenarios.circuit_to_qasm(c)
     assert text == qasm_reference(c)
     assert "(0.0)" not in text and "(-0.0)" not in text
-    assert scenarios.circuit_to_qasm(Circuit()) == qasm_reference(Circuit())
+    # a Q stage and a P/erratum-S stage whose angles sum to exactly 0 fuse
+    # to no gate, which writes the empty circuit
+    disc = DiscretizedSchedule(1.0, [0.5, -0.5, 0.0, 0.0], [0.0, 0.0, 0.3, -0.3],
+                               [0.0, 0.0, 0.2, -0.2], k=2)
+    macro = compile_protocol(disc, LEFT, "stap", erratum_s_gate=True)
+    assert len(macro) == 6 and len(fuse_stages(macro)) == 0
+    assert scenarios.circuit_to_qasm(fuse_stages(macro)) == qasm_reference(Circuit())
     assert scenarios.circuit_to_qasm(Circuit()) == (scenarios._QASM_HEADER
                                                    + scenarios._QASM_FOOTER)
 
