@@ -216,26 +216,47 @@ def protocol_circuits(draw):
                   draw(st.sampled_from(["ps", "sp"])), draw(st.booleans()))
 
 
+def _fused_q(macro: Circuit) -> tuple[int, list]:
+    """(the number of the macro's Q gates, the gates fuse_stages must make
+    of them): one gate by their summed angle (summed as the export has
+    always summed it), none if that is 0; a lone Q gate stays as it is."""
+    q = macro.metadata["step_bounds"][macro.metadata["k"] - 1]
+    total = np.add.reduceat(macro.angle[:q], [0])[0].item() if q else 0.0
+    assert total == pytest.approx(math.fsum(macro.angle[:q]), rel=0, abs=1e-13)
+    return q, (macro.gates[:q] if q < 2 else [replace(macro.gates[0], angle=total)]
+               if total else [])
+
+
+@given(macro=protocol_circuits())
+@settings(max_examples=200, deadline=None)
+def test_merge_pass_shortens_and_keeps_unitary(macro):
+    fused = fuse_stages(macro)
+    _, want_q = _fused_q(macro)
+    assert repr(fused.gates[:len(want_q)]) == repr(want_q)      # to the bit
+    text = circuit_to_qasm(fused)
+    read, native = read_qasm(text), expand_circuit(fused)
+    assert len(read) == len(native) <= len(expand_circuit(macro))
+    assert cx_count(read) == cx_count(native) <= cx_count(expand_circuit(macro))
+    # no rotation is by 0, and step_bounds, which index the unfused gates, go
+    assert not np.any(fused.angle == 0.0)
+    assert not np.any((read.kind < CODE["X"]) & (read.angle == 0.0))
+    assert "step_bounds" not in fused.metadata
+    assert _distance(text, macro) <= TEXT_DIGITS_TOL
+
+
 @given(macro=protocol_circuits())
 @settings(max_examples=300, deadline=None)
 # next to the gimbal point cos(b/2) = -1, where the 2x2 block alone reads
 # the angles 3.5e-10 off
 @example(macro=_stage([2 * math.pi, 2 * math.pi], [2 * math.pi, 1e-9], LEFT))
-def test_fuse_stages_fuses_each_stage_exactly(macro):
-    q = macro.metadata["step_bounds"][macro.metadata["k"] - 1]
-    q_stage, ps_stage = macro.gates[:q], macro.gates[q:]
-    fused = fuse_stages(macro)
-    # the Q stage is one gate by its summed angle (summed as the export has
-    # always summed it), none if that is 0; a lone Q gate stays as it is
-    total = np.add.reduceat(macro.angle[:q], [0])[0].item() if q else 0.0
-    want_q = q_stage if q < 2 else [replace(q_stage[0], angle=total)] if total else []
-    assert repr(fused.gates[:len(want_q)]) == repr(want_q)      # to the bit
-    assert total == pytest.approx(math.fsum(macro.angle[:q]), rel=0, abs=1e-13)
-    # the P/S stage is at most three gates, or stays as it is
+def test_fuse_pass_keeps_other_gates_and_unitary(macro):
+    q, want_q = _fused_q(macro)
+    ps_stage, fused = macro.gates[q:], fuse_stages(macro)
+    # the P/S fusion leaves the Q stage's gates alone; the P/S stage is at
+    # most three gates, or stays as it is
+    assert repr(fused.gates[:len(want_q)]) == repr(want_q)
     fused_ps = fused.gates[len(want_q):]
     assert repr(fused_ps) == repr(ps_stage) or len(fused_ps) < len(ps_stage) and len(fused_ps) <= 3
-    assert not np.any(fused.angle == 0.0)
-    assert "step_bounds" not in fused.metadata
     kind, angle = [g.kind for g in ps_stage], np.array([g.angle for g in ps_stage])
     if "XX+YY" in kind:
         # P and the erratum S commute: one of each by their summed angles
@@ -251,6 +272,29 @@ def test_fuse_stages_fuses_each_stage_exactly(macro):
         np.testing.assert_allclose(_frame(circuit_unitary(Circuit(ps_stage))), r,
                                    rtol=0, atol=1e-14)
     assert _distance(circuit_to_qasm(fused), macro) <= TEXT_DIGITS_TOL
+
+
+ANGLES = st.floats(0.1, 3.0)
+
+
+@given(omega_q=st.tuples(ANGLES, ANGLES), omega_p=st.tuples(ANGLES, ANGLES),
+       omega_s=st.tuples(ANGLES, ANGLES), hand=st.sampled_from([LEFT, RIGHT]),
+       ps_order=st.sampled_from(["ps", "sp"]), erratum=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fuse_pass_fuses_exactly_the_p_s_macros(omega_q, omega_p, omega_s, hand, ps_order,
+                                                 erratum):
+    # the Q stage's CROTs and the S CROTs share a kind: the stage boundary,
+    # not the gates' content, tells which two fuse into the Q gate and
+    # which four into the P/S stage's at most three
+    macro = _stage(omega_p, omega_s, hand, omega_q, ps_order, erratum)
+    q, _ = _fused_q(macro)
+    assert q == 2 and len(macro) == 6
+    fused = fuse_stages(macro)
+    assert 1 < len(fused) <= 4
+    assert replace(fused.gates[0], angle=0.0) == replace(macro.gates[0], angle=0.0)
+    macro_ps = {replace(g, angle=0.0) for g in macro.gates[q:]}
+    assert {replace(g, angle=0.0) for g in fused.gates[1:]} <= macro_ps
+    assert phase_aligned_distance(circuit_unitary(fused), circuit_unitary(macro)) <= 1e-13
 
 
 @pytest.mark.parametrize("hand", [LEFT, RIGHT])
