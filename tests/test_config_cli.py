@@ -564,6 +564,35 @@ def test_run_scenario_single_enantiomer_returns_none(tmp_path):
                                             "oracle_R.csv"]
 
 
+# rows of the Q stage, the hands' shared head, on the default 2,000-step oracle grid
+Q_ROWS = {"stap": 993, "stirap": 507}
+
+
+@pytest.mark.parametrize("hand", [LEFT, RIGHT], ids=["L", "R"])
+@pytest.mark.parametrize("protocol", ["stap", "stirap"])
+def test_one_hand_run_writes_that_hands_files_of_a_both_hands_run(protocol, hand, tmp_path):
+    # the circuit and counts files are the same bytes; the oracle files only
+    # to round-off past the Q stage, where a one-hand run carries a stack of
+    # one state instead of two through the P/S stage
+    config = {"protocol": protocol}
+    run_scenario(validate_config(config), str(tmp_path / "both"))
+    run_scenario(validate_config({**config, "enantiomer": hand.label}), str(tmp_path / "one"))
+    assert sorted(os.listdir(tmp_path / "one")) == [
+        f"{name}_{hand.label}.{ext}" for name, ext in
+        (("circuit", "csv"), ("counts", "json"), ("oracle", "csv"))]
+    for name in (f"circuit_{hand.label}.csv", f"counts_{hand.label}.json"):
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    both, one = ((tmp_path / run / f"oracle_{hand.label}.csv").read_text().splitlines()
+                 for run in ("both", "one"))
+    assert len(both) == len(one) == 2002
+    assert both[:1 + Q_ROWS[protocol]] == one[:1 + Q_ROWS[protocol]]
+    cfg = validate_config(config)
+    schedule = cfg.build_schedule()
+    pair = _oracle(cfg, schedule, [LEFT, RIGHT])[hand.label].probs
+    alone = _oracle(cfg, schedule, [hand])[hand.label].probs
+    np.testing.assert_allclose(alone, pair, rtol=0, atol=1e-14)
+
+
 def test_cli_run_reports_skipped_checkpoints(tmp_path, capsys):
     # the default STAP run ends at t_f = 2.5 us, before the 2.53 us checkpoint
     assert validate_config({"protocol": "stap"}).checkpoints_us == [0.61, 1.24, 2.53]

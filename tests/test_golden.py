@@ -29,6 +29,8 @@ VARIANTS = {"default": {}, "erratum": {"erratum_s_gate": True},
 # no gate, so the P/S stage's gates sit in short runs between dropped steps
 SPARSE = {"sparse": {"pulses": {"ps_width": 0.05}},
           "sparse-erratum": {"pulses": {"ps_width": 0.05}, "erratum_s_gate": True}}
+# one hand alone: no partner trace takes the head its CSVs format
+ONE_HAND = {"R-only": {"enantiomer": "R"}}
 # the smallest and largest N the benchmark's qasm-export workload draws
 QASM_SIZES = (531, 972)
 
@@ -101,6 +103,10 @@ GOLDEN = {
         "59451a0f3edd1263b1898728fe174dceab98e0c78ec903e754e9b102eb88e5f4",
     "stirap/sparse-erratum/export-qasm@531":
         "2ec291979321c4d26db5c0f713575e8689ba87977c43c998034fc92ffde5e187",
+    "stap/R-only/run":
+        "2af16723e7eb8b323e0d1ff88b525a64bf5b390c86268e988d8643acebf108c5",
+    "stirap/R-only/run":
+        "77ad1a2371e7148e09fb2d9bca4d6aeaf43a6174c04d6b3aac8f78014b57e9f8",
 }
 
 
@@ -108,7 +114,7 @@ def _outputs(case: str, out_dir: Path) -> dict[str, bytes]:
     case, _, n_steps = case.partition("@")
     protocol, variant, command = case.split("/")
     cfg = validate_config({"protocol": protocol, "n_steps": int(n_steps or N_STEPS),
-                           **{**VARIANTS, **SPARSE}[variant]})
+                           **{**VARIANTS, **SPARSE, **ONE_HAND}[variant]})
     if command == "dump-pulses":
         return {f"pulses_{protocol}.csv": dump_pulses(cfg).encode()}
     if command == "sweep-trotter":
@@ -134,6 +140,7 @@ CASES += ["stap/default/dump-pulses", "stirap/default/dump-pulses"]
 CASES += [f"{p}/{v}/export-qasm@{n}" for n in QASM_SIZES for p in ("stap", "stirap")
           for v in VARIANTS]
 CASES += [f"stirap/{v}/export-qasm@{QASM_SIZES[0]}" for v in SPARSE]
+CASES += [f"{p}/{v}/run" for p in ("stap", "stirap") for v in ONE_HAND]
 
 
 @pytest.mark.parametrize("case", CASES)
