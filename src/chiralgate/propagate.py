@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +74,11 @@ class PopulationTrace:
         the first one whose p01 or p11 is not +0.0 (the chirality-blind Q
         stage of a protocol) are the head: its p11 is written as 0 too (a
         -0.0 ends the head, as %.12g writes it -0), and its text without
-        labels is memoised until a trace with the same head takes it (see
-        _head), so the L and R traces of a run format their shared head
-        once.  The other rows are filled in by one %-format.  Times
-        that are not 1-D, or probs not of shape (len(times), 4), raise
-        ValueError."""
+        labels is held with the template (see _rows) until a trace with the
+        same head takes it, so the L and R traces of a run format their
+        shared head once and leave none held.  The other rows are filled
+        in by one %-format.  Times that are not 1-D, or probs not of
+        shape (len(times), 4), raise ValueError."""
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or np.shape(self.probs) != (len(times), 4):
             raise ValueError(f"a trace needs times of shape (n,) and probs of shape (n, 4), "
@@ -90,9 +89,19 @@ class PopulationTrace:
         q = int(live.argmax()) if live.any() else len(times)
         zero01 = bool(zero[:, 0].all())
         cols = [0, 2, 3] if zero01 else [0, 1, 2, 3]
-        rows = _rows(times.tobytes(), ",%%.12g," + ("0," if zero01 else "%%.12g,")
-                     + "%%.12g,%%.12g\n")
-        head, cut = _head(rows, q, probs[:q, cols[:-1]].tobytes())
+        entry = _rows(times.tobytes(), ",%%.12g," + ("0," if zero01 else "%%.12g,")
+                      + "%%.12g,%%.12g\n")
+        rows, held = entry
+        key = (q, probs[:q, cols[:-1]].tobytes())
+        if held is not None and held[0] == key:
+            entry[1] = None
+            _, head, cut = held
+        else:
+            # a row's only ",%.12g\n" is its p11 placeholder and line end
+            *time_text, tail = rows.split(",%.12g\n", q)
+            head = ",0\n".join(time_text + [""]) % tuple(np.frombuffer(key[1]).tolist())
+            cut = len(rows) - len(tail)
+            entry[1] = (key, head, cut)
         # time text holds no "\n" and no "%", so this places the label exactly
         label = "," + self.handedness + "\n"
         tail = rows[cut:].replace("\n", label.replace("%", "%%"))
@@ -101,46 +110,22 @@ class PopulationTrace:
 
 
 @functools.lru_cache(maxsize=4)
-def _rows(times: bytes, rest: str) -> str:
-    """The row template of a CSV table: per row, its time of the float64
-    `times` as %.9f, then `rest`, which ends with "\\n" and holds the row's
-    value placeholders with each % doubled, as this %-format halves them.
+def _rows(times: bytes, rest: str) -> list:
+    """[template, held] for a CSV table.  The template holds, per row, its
+    time of the float64 `times` as %.9f, then `rest`, which ends with "\\n"
+    and holds the row's value placeholders with each % doubled, as this
+    %-format halves them.  held is ((q, values), text, cut) for the head
+    PopulationTrace.to_csv last formatted on the template, or None once a
+    trace with that head took it: the text of its q rows without labels,
+    p11 written 0 and the rest filled from the float64 bytes `values`, and
+    the offset of row q in the template.  held is immutable and a hit checks its whole key, so threads
+    sharing an entry at worst format a head again.
 
     Keyed on the bytes of the grid, so -0.0 and 0.0, or a grid changed in
     place, are new entries; four hold the oracle and circuit grids of both
-    protocols, about 32 B per row each."""
+    protocols, about 32 B per row each, and each one's head with it."""
     t = np.frombuffer(times).tolist()
-    return ("%.9f" + rest) * len(t) % tuple(t)
-
-
-# label-free head texts a trace has formatted for the one that shares its head
-_HEADS: dict[tuple, tuple[str, int]] = {}
-_HEADS_LOCK = threading.Lock()
-
-
-def _head(rows: str, q: int, values: bytes) -> tuple[str, int]:
-    """(text, cut): the first q rows, without labels, of the CSV table of
-    row template `rows` (see _rows) with p11 = 0, the text %.12g gives
-    +0.0, and the other placeholders filled, row by row, from the float64
-    `values`; and the offset of row q in `rows`.
-
-    A head is memoised until the next trace with the same template, q and
-    values takes it: the L and R traces of a run share their oracle head
-    and their circuit head, so the second hand formats neither, and no
-    head outlives its run.  At most two are held, the last two formatted."""
-    key = (rows, q, values)
-    with _HEADS_LOCK:
-        head = _HEADS.pop(key, None)
-    if head is None:
-        # a row's only ",%.12g\n" is its p11 placeholder and line end
-        *time_text, tail = rows.split(",%.12g\n", q)
-        head = (",0\n".join(time_text + [""]) % tuple(np.frombuffer(values).tolist()),
-                len(rows) - len(tail))
-        with _HEADS_LOCK:
-            _HEADS[key] = head
-            if len(_HEADS) > 2:
-                del _HEADS[next(iter(_HEADS))]
-    return head
+    return [("%.9f" + rest) * len(t) % tuple(t), None]
 
 
 # The real Hermitian basis a generator is read in: one E_k for each part of

@@ -5,6 +5,7 @@ circuit_to_qasm fills one line template per native gate in one
 both must give the bytes of the plain loops below.
 """
 
+import functools
 import io
 import math
 import re
@@ -159,48 +160,66 @@ def test_to_csv_on_traces_sharing_a_head_matches_row_loop(traces):
         assert trace.to_csv() == csv_reference(trace)
 
 
-def test_to_csv_formats_a_shared_head_once(monkeypatch):
+# the rest of a row template whose p01 column is +0.0 throughout
+ZERO01_REST = ",%%.12g,0,%%.12g,%%.12g\n"
+
+
+def test_to_csv_formats_a_shared_head_once():
     times = np.linspace(0.0, 1.0, 6)
     probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.75, 0.0, 0.25, 0.0], [0.5, 0.0, 0.5, 0.0],
                       [0.5, 0.0, 0.25, 0.25], [0.25, 0.0, 0.5, 0.25], [0.0, 0.0, 1.0, 0.0]])
     right = probs.copy()
     right[3:, [0, 2, 3]] = right[3:, [3, 2, 0]]
     left, right = PopulationTrace(times, probs, "L"), PopulationTrace(times, right, "R")
-    monkeypatch.setattr(propagate, "_HEADS", {})
+    propagate._rows.cache_clear()
     assert left.to_csv() == csv_reference(left)
-    (text, _), = propagate._HEADS.values()
-    assert text == "0.000000000,1,0,0,0\n0.200000000,0.75,0,0.25,0\n0.400000000,0.5,0,0.5,0\n"
+    entry = propagate._rows(times.tobytes(), ZERO01_REST)
+    text = "0.000000000,1,0,0,0\n0.200000000,0.75,0,0.25,0\n0.400000000,0.5,0,0.5,0\n"
+    cut = entry[0].index("0.600000000,")        # row 3 of the template
+    assert entry[1] == ((3, probs[:3, [0, 2]].tobytes()), text, cut)
     # the trace that shares the head takes it
-    assert right.to_csv() == csv_reference(right) and propagate._HEADS == {}
-    # a head one ulp off a memoised one gets its own text (at 0, %.12g
-    # shows the ulp); the last two heads are held, keyed on the row
-    # template (rows per grid), q and the head's p00 and p10
+    assert right.to_csv() == csv_reference(right) and entry[1] is None
+    # a head one ulp off a held one gets its own text (at 0, %.12g shows
+    # the ulp), and so does the same head on a 4-row grid: each grid's
+    # entry holds the last head formatted on it, keyed on q and the head's
+    # p00 and p10
     off = probs.copy()
     off[0, 2] = np.nextafter(0.0, 1.0)
     for trace in (left, PopulationTrace(times, off, "L"), PopulationTrace(times[:4], probs[:4])):
         assert trace.to_csv() == csv_reference(trace)
-    assert [(rows.count("\n"), q, values) for rows, q, values in propagate._HEADS] == [
-        (6, 3, off[:3, [0, 2]].tobytes()), (4, 3, probs[:3, [0, 2]].tobytes())]
+    assert entry[1] == ((3, off[:3, [0, 2]].tobytes()),
+                        text.replace("1,0,0,0", "1,0,4.94065645841e-324,0"), cut)
+    short = propagate._rows(times[:4].tobytes(), ZERO01_REST)
+    assert short[1] == ((3, probs[:3, [0, 2]].tobytes()), text, short[0].index("0.600000000,"))
+    assert propagate._rows.cache_info().currsize == 2
 
 
-class _CountingDict(dict):
-    """A dict that counts its inserts."""
+class _CountingEntry(list):
+    """A _rows entry that counts the heads written into it."""
 
-    inserts = 0
+    heads = 0
 
-    def __setitem__(self, key, value):
-        self.inserts += 1
-        super().__setitem__(key, value)
+    def __setitem__(self, index, value):
+        self.heads += value is not None
+        super().__setitem__(index, value)
 
 
 @pytest.mark.parametrize("protocol", ["stap", "stirap"])
 def test_a_both_hands_run_formats_each_shared_head_once(protocol, tmp_path, monkeypatch):
-    heads = _CountingDict()
-    monkeypatch.setattr(propagate, "_HEADS", heads)
+    entries, build = [], propagate._rows.__wrapped__
+
+    @functools.lru_cache(maxsize=4)
+    def counting_rows(times, rest):
+        entries.append(_CountingEntry(build(times, rest)))
+        return entries[-1]
+
+    monkeypatch.setattr(propagate, "_rows", counting_rows)
     config = validate_config({"protocol": protocol, "n_steps": 8, "oracle_steps": 100})
     scenarios.run_scenario(config, str(tmp_path))
-    # the L files format the oracle head and the circuit head; the R files take them
-    assert heads.inserts == 2 and heads == {}
+    # the L files format the oracle head and the circuit head, one on each
+    # grid's entry; the R files take them
+    assert len(entries) == 2 and sum(entry.heads for entry in entries) == 2
+    assert all(entry[1] is None for entry in entries)
 
 
 def test_to_csv_sees_a_grid_changed_in_place():
@@ -375,8 +394,8 @@ def _run_texts(config: dict, out_dir: Path) -> dict[str, bytes]:
 
 def test_threaded_runs_match_sequential_bytes(tmp_path):
     # threads running different configs share the CSV row templates and the
-    # memoised heads (propagate._rows, propagate._HEADS) and must write the
-    # bytes of a sequential run
+    # heads held with them (propagate._rows) and must write the bytes of a
+    # sequential run
     want = [_run_texts(SCENARIO_CONFIGS[i % 2], tmp_path / f"seq{i}") for i in range(2)]
     got, errors = {}, []
 
