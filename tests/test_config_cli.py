@@ -574,9 +574,9 @@ def test_one_hand_run_writes_that_hands_files_of_a_both_hands_run(protocol, hand
     # the circuit and counts files are the same bytes; the oracle files only
     # to round-off past the Q stage, where a one-hand run carries a stack of
     # one state instead of two through the P/S stage
-    config = {"protocol": protocol}
-    run_scenario(validate_config(config), str(tmp_path / "both"))
-    run_scenario(validate_config({**config, "enantiomer": hand.label}), str(tmp_path / "one"))
+    cfg = validate_config({"protocol": protocol})
+    run_scenario(cfg, str(tmp_path / "both"))
+    run_scenario(dataclasses.replace(cfg, enantiomer=hand.label), str(tmp_path / "one"))
     assert sorted(os.listdir(tmp_path / "one")) == [
         f"{name}_{hand.label}.{ext}" for name, ext in
         (("circuit", "csv"), ("counts", "json"), ("oracle", "csv"))]
@@ -586,7 +586,6 @@ def test_one_hand_run_writes_that_hands_files_of_a_both_hands_run(protocol, hand
                  for run in ("both", "one"))
     assert len(both) == len(one) == 2002
     assert both[:1 + Q_ROWS[protocol]] == one[:1 + Q_ROWS[protocol]]
-    cfg = validate_config(config)
     schedule = cfg.build_schedule()
     pair = _oracle(cfg, schedule, [LEFT, RIGHT])[hand.label].probs
     alone = _oracle(cfg, schedule, [hand])[hand.label].probs
